@@ -6,16 +6,7 @@ generalized two-sample splitting statistics, kernel smoothing, error
 metrics, and benchmark scenario generators.
 """
 
-from .curves import (
-    ConditionalCurveSet,
-    IntervalObservation,
-    StepSurvival,
-    average_curves,
-    conditional_project,
-    constant_curve,
-    project_or_fallback,
-    uniform_interval_curve,
-)
+from .curves import IntervalObservation, StepSurvival, conditional_project, constant_curve
 from .dataio import Dataset, load_csv, parse_config, write_csv
 from .forest import (
     ForestFold,
@@ -45,7 +36,6 @@ from .tree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionalCurveSet",
     "Dataset",
     "ErrorReport",
     "ForestFold",
@@ -63,7 +53,6 @@ __all__ = [
     "Tree",
     "TreeParams",
     "TurnbullIntervals",
-    "average_curves",
     "bandwidth",
     "conditional_project",
     "constant_curve",
@@ -83,7 +72,6 @@ __all__ = [
     "oob_error",
     "parse_config",
     "predict",
-    "project_or_fallback",
     "save_model",
     "slr",
     "smooth_curve",
@@ -95,7 +83,6 @@ __all__ = [
     "tree_predict",
     "truth_eval",
     "turnbull_intervals",
-    "uniform_interval_curve",
     "variable_importance",
     "write_csv",
 ]

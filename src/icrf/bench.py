@@ -10,12 +10,13 @@ import concurrent.futures
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import atomic_write, _fmt
 from .forest import ForestParams, fit, predict
+from .metrics import oracle_errors
 from .simgen import Scenario, draw_covariates, generate, truth_eval
 from .splits import SplitRule
 from .tree import TreeParams
@@ -100,14 +101,14 @@ def run_replicate(spec: ExperimentSpec, cell, rep: int) -> list[dict]:
     truth_rows = np.vstack([truth_eval(sc, grid, x) for x in x_test])
     rows = []
     for k in range(1, spec.n_fold + 1):
-        est = predict(model, x_test, grid, fold=k, smoothed=True)
-        diff = np.abs(truth_rows - est)
+        e_int, e_sup = oracle_errors(predict(model, x_test, grid, fold=k, smoothed=True),
+                                     truth_rows, grid)
         rows.append(
             {
                 "scenario": sc, "M": m, "n": n, "rule": rule, "prediction": pred,
                 "replicate": rep, "fold": k,
-                "eps_int": float(np.trapezoid(diff, grid, axis=1).mean()),
-                "eps_sup": float(diff.max(axis=1).mean()),
+                "eps_int": e_int,
+                "eps_sup": e_sup,
                 "oob": model.folds[k - 1].oob_error,
                 "k_opt": model.k_opt,
                 "seconds": seconds,

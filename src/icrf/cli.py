@@ -5,17 +5,18 @@ tables written atomically."""
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 import numpy as np
 
 from .bench import ExperimentSpec, run_experiment
 from .dataio import (
-    Dataset,
     _fmt,
     atomic_write,
     load_csv,
     parse_config,
+    read_key_values,
     read_truth_csv,
     write_csv,
     write_truth_csv,
@@ -30,6 +31,7 @@ from .forest import (
     predict,
     variable_importance,
 )
+from .metrics import oracle_errors
 from .serialize import load_model, save_model
 from .simgen import Scenario, generate, truth_eval
 from .splits import SplitRule
@@ -93,12 +95,13 @@ def cmd_fit(args) -> int:
 
 
 def _load_query(path: str, p: int) -> np.ndarray:
-    import csv as _csv
-
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        reader = csv.reader(fh)
+        next(reader, None)  # header
+        try:
+            rows = [[float(v) for v in row] for row in reader]
+        except ValueError as e:
+            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
     if any(len(r) != p for r in rows):
         raise ParseError(f"{path}: expected {p} covariate columns")
     return np.asarray(rows, dtype=float)
@@ -143,10 +146,8 @@ def cmd_evaluate(args) -> int:
         _, s0, grid = read_truth_csv(args.truth)
         if s0.shape[0] != data.n:
             raise ParseError("truth sidecar row count does not match the test set")
-        est = predict(model, data.X, grid, smoothed=True)
-        diff = np.abs(s0 - est)
-        report.append(("eps_int", float(np.trapezoid(diff, grid, axis=1).mean()), data.n))
-        report.append(("eps_sup", float(diff.max(axis=1).mean()), data.n))
+        e_int, e_sup = oracle_errors(predict(model, data.X, grid, smoothed=True), s0, grid)
+        report += [("eps_int", e_int, data.n), ("eps_sup", e_sup, data.n)]
     elif args.require_truth:
         raise MissingTruth("oracle metrics requested but no --truth sidecar given")
     lines = ["metric,value,n"] + [f"{m},{_fmt(v)},{n}" for m, v, n in report]
@@ -193,24 +194,8 @@ BENCH_KEYS = {
 }
 
 
-def _parse_bench_spec(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{ln}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in BENCH_KEYS:
-                raise ParseError(f"{path}:{ln}: unknown key {key!r}")
-            out[key] = BENCH_KEYS[key](val)
-    return out
-
-
 def cmd_bench(args) -> int:
-    kw = _parse_bench_spec(args.spec)
+    kw = read_key_values(args.spec, BENCH_KEYS)
     if args.jobs is not None:
         kw["n_jobs"] = args.jobs
     spec = ExperimentSpec(out_dir=args.out, **kw)

@@ -5,6 +5,11 @@ times with the curve value *at and after* each knot (right-continuous).
 Before the first knot the curve is 1. An optional exponential tail,
 ``values[-1] * exp(-tail_rate * (t - times[-1]))``, extends the curve
 beyond the last knot; without it the curve stays flat there.
+
+``project_rows`` is the one implementation of the projection of a
+covariate-conditional curve onto a censoring interval; the carried-curve
+update, IMSE2 (both the OOB monitor and ``metrics.imse2``) and
+``conditional_project`` all call it.
 """
 
 from __future__ import annotations
@@ -16,10 +21,6 @@ import numpy as np
 from .exceptions import DegenerateInterval, InvariantViolation
 
 EPS_MASS = 1e-12
-
-# knot count used when a degenerate projection falls back to the
-# uniform-on-(L, R] curve; a step curve cannot be literally uniform
-UNIFORM_FALLBACK_KNOTS = 16
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class IntervalObservation:
             raise InvariantViolation(
                 f"interval must satisfy left < right, got ({self.left}, {self.right}]"
             )
-        if np.isinf(self.left):
-            raise InvariantViolation("left endpoint must be finite")
         object.__setattr__(
             self, "covariates", np.asarray(self.covariates, dtype=float)
         )
@@ -157,38 +156,50 @@ def constant_curve() -> StepSurvival:
     return StepSurvival(np.empty(0), np.empty(0))
 
 
-@dataclass(frozen=True)
-class ConditionalCurveSet:
-    """Per-subject full-conditional curves carried between recursion folds."""
-
-    curves: list
-    fold_index: int = 0
-
-    def __post_init__(self):
-        if self.fold_index < 0:
-            raise InvariantViolation("fold_index must be >= 0")
+def endpoint_values(evals, lefts, rights) -> tuple[np.ndarray, np.ndarray]:
+    """(S_i(L_i), S_i(R_i)) from one evaluator per subject, with S(L) = 1
+    at L <= 0 and S(R) = 0 at R = inf."""
+    s_l, s_r = [], []
+    for f, left, right in zip(evals, lefts, rights):
+        s_l.append(1.0 if left <= 0.0 else np.asarray(f(left)).item())
+        s_r.append(0.0 if np.isinf(right) else np.asarray(f(right)).item())
+    return np.asarray(s_l, dtype=float), np.asarray(s_r, dtype=float)
 
 
-def uniform_interval_curve(
-    left: float, right: float, tau: float, n_knots: int = UNIFORM_FALLBACK_KNOTS
-) -> StepSurvival:
-    """Fallback full-conditional curve when projection is degenerate.
+def project_rows(rows, s_l, s_r, lefts, rights, grid, tau: float) -> np.ndarray:
+    """Full-conditional curves S(t | X_i, I_i) on ``grid``, one row per subject.
 
-    Uniform mass on (left, right & tau] discretized into ``n_knots`` equal
-    steps; for right = +inf, exponential on (left, inf) with rate 1/tau.
+    ``rows`` holds S(grid | X_i) (a single row serves every subject);
+    ``s_l``/``s_r`` are S(L_i | X_i) and S(R_i | X_i) (0 at R_i = inf).
+    Row i is 1 on t <= L_i, the clipped renormalization of S(t | X_i) on
+    (L_i, R_i] and 0 beyond a finite R_i. When S(. | X_i) carries no mass
+    on the interval, the row falls back to the uniform curve on
+    (L_i, min(R_i, tau)], or to the exponential with mean tau beyond L_i
+    when R_i = inf. Rows are monotone up to rounding; the carried update
+    takes their running minimum.
     """
-    if np.isinf(right):
-        if left <= 0.0:
-            return StepSurvival(np.empty(0), np.empty(0), tail_rate=1.0 / tau)
-        return StepSurvival([left], [1.0], tail_rate=1.0 / tau)
-    hi = min(right, tau) if right > tau else right
-    if hi <= left:
-        hi = right  # interval entirely beyond tau; keep it
-    ts = np.linspace(left, hi, n_knots + 1)
-    vs = np.linspace(1.0, 0.0, n_knots + 1)
-    if left <= 0.0:
-        ts, vs = ts[1:], vs[1:]
-    return StepSurvival(ts, vs)
+    lefts, rights, s_l, s_r, grid = (
+        np.asarray(a, dtype=float) for a in (lefts, rights, s_l, s_r, grid)
+    )
+    rows = np.broadcast_to(rows, (lefts.size, grid.size))
+    out = np.empty(rows.shape)
+    unbounded = np.isinf(rights)
+    mass = np.where(unbounded, s_l, s_l - s_r)
+    empty = mass <= EPS_MASS
+    i = unbounded & ~empty
+    out[i] = np.minimum(rows[i] / s_l[i, None], 1.0)
+    i = ~unbounded & ~empty
+    out[i] = np.clip((rows[i] - s_r[i, None]) / mass[i, None], 0.0, 1.0)
+    i = unbounded & empty
+    out[i] = np.exp(-(grid - lefts[i, None]) / tau)
+    for i in np.nonzero(~unbounded & empty)[0]:
+        hi = min(rights[i], tau)
+        if hi <= lefts[i]:
+            hi = rights[i]  # interval entirely beyond tau; keep it
+        out[i] = np.where(grid > hi, 0.0, np.interp(grid, [lefts[i], hi], [1.0, 0.0]))
+    out[grid <= lefts[:, None]] = 1.0
+    out[grid > rights[:, None]] = 0.0
+    return out
 
 
 def conditional_project(
@@ -203,48 +214,25 @@ def conditional_project(
     Raises DegenerateInterval when s_x carries no mass on (L, R].
     """
     left, right = interval.left, interval.right
+    bounded = bool(np.isfinite(right))
     knots = np.asarray(s_x.times, dtype=float)
     if grid is not None:
         knots = np.union1d(knots, np.asarray(grid, dtype=float))
-    s_left = float(s_x.eval(left)) if left > 0.0 else 1.0
-
-    if np.isinf(right):
-        if s_left <= EPS_MASS:
-            raise DegenerateInterval(
-                f"no mass on ({left}, inf): S(L)={s_left:.3e}"
-            )
-        inner = knots[knots > left]
-        ts = np.concatenate(([left], inner)) if left > 0.0 else inner
-        if ts.size == 0:
-            return StepSurvival(np.empty(0), np.empty(0), tail_rate=s_x.tail_rate)
-        vs = np.minimum(np.asarray(s_x.eval(ts)) / s_left, 1.0)
-        vs = np.maximum.accumulate(vs[::-1])[::-1]  # guard fp monotonicity
-        return StepSurvival(ts, vs, tail_rate=s_x.tail_rate)
-
-    s_right = float(s_x.eval(right))
-    denom = s_left - s_right
-    if denom <= EPS_MASS:
-        raise DegenerateInterval(
-            f"no mass on ({left}, {right}]: S(L)-S(R)={denom:.3e}"
-        )
     inner = knots[(knots > left) & (knots < right)]
-    ts = np.concatenate(([left], inner, [right])) if left > 0.0 else np.concatenate((inner, [right]))
-    vs = np.clip((np.asarray(s_x.eval(ts)) - s_right) / denom, 0.0, 1.0)
-    if left > 0.0:
-        vs[0] = 1.0
-    vs[-1] = 0.0
-    vs = np.maximum.accumulate(vs[::-1])[::-1]
-    return StepSurvival(ts, vs)
-
-
-def project_or_fallback(
-    s_x: StepSurvival, interval: IntervalObservation, tau: float, grid=None
-) -> StepSurvival:
-    """conditional_project with the documented degenerate-interval fallback."""
-    try:
-        return conditional_project(s_x, interval, grid=grid)
-    except DegenerateInterval:
-        return uniform_interval_curve(interval.left, interval.right, tau)
+    ts = np.concatenate(([left] if left > 0.0 else [], inner, [right] if bounded else []))
+    vals = np.asarray(s_x.eval(ts))
+    s_left = float(s_x.eval(left)) if left > 0.0 else 1.0
+    s_right = float(vals[-1]) if bounded else 0.0
+    if s_left - s_right <= EPS_MASS:
+        raise DegenerateInterval(
+            f"no mass on ({left}, {right}]: S(L)-S(R)={s_left - s_right:.3e}"
+        )
+    if ts.size == 0:
+        return StepSurvival(np.empty(0), np.empty(0), tail_rate=s_x.tail_rate)
+    # never degenerate here, so tau (used only by the fallback) is moot
+    vs = project_rows(vals, [s_left], [s_right], [left], [right], ts, tau=np.inf)[0]
+    vs = np.maximum.accumulate(vs[::-1])[::-1]  # guard fp monotonicity
+    return StepSurvival(ts, vs, tail_rate=None if bounded else s_x.tail_rate)
 
 
 def refine_uniform(curve: StepSurvival, per_gap: int = 8) -> StepSurvival:
@@ -280,26 +268,3 @@ def refine_uniform(curve: StepSurvival, per_gap: int = 8) -> StepSurvival:
         level = float(curve.values[j])
         vs[-1] = level  # pin the endpoint exactly
     return StepSurvival(np.asarray(ts), np.asarray(vs), tail_rate=curve.tail_rate)
-
-
-def average_curves(curves, weights=None) -> StepSurvival:
-    """Pointwise (convex) average of step curves on the union of knots.
-
-    Exact at every knot of every input; beyond the last knot the average
-    plateaus at the mean of the inputs' own extensions there.
-    """
-    if len(curves) == 0:
-        raise InvariantViolation("cannot average zero curves")
-    if weights is None:
-        weights = np.full(len(curves), 1.0 / len(curves))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        weights = weights / weights.sum()
-    knots = np.unique(np.concatenate([c.times for c in curves]))
-    if knots.size == 0:
-        return constant_curve()
-    acc = np.zeros_like(knots)
-    for w, c in zip(weights, curves):
-        acc += w * np.asarray(c.eval(knots))
-    acc = np.maximum.accumulate(acc[::-1])[::-1]
-    return StepSurvival(knots, np.clip(acc, 0.0, 1.0))

@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import IntervalObservation
 from .exceptions import InvariantViolation, ParseError
 
 EPS_EXACT = 1e-9  # relative offset encoding an exactly observed time
@@ -45,10 +44,12 @@ class Dataset:
             raise InvariantViolation("feature_names length must match covariate columns")
         if not (self.tau > 0.0):
             raise InvariantViolation("tau must be > 0")
-        if np.any(lefts < 0.0) or np.any(np.isinf(lefts)):
+        if not np.all(np.isfinite(lefts) & (lefts >= 0.0)):
             raise InvariantViolation("left endpoints must be finite and >= 0")
-        if np.any(lefts >= rights):
-            raise InvariantViolation("every interval must satisfy L < R")
+        if np.any(np.isnan(rights)) or np.any(lefts >= rights):
+            raise InvariantViolation("every interval must satisfy L < R (R may be +inf)")
+        if not np.all(np.isfinite(X)):
+            raise InvariantViolation("covariates must be finite")
         for a in (lefts, rights, X):
             a.flags.writeable = False
         object.__setattr__(self, "lefts", lefts)
@@ -63,20 +64,8 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def observations(self) -> list[IntervalObservation]:
-        return [
-            IntervalObservation(l, r, x)
-            for l, r, x in zip(self.lefts, self.rights, self.X)
-        ]
-
     def has_unbounded(self) -> bool:
         return bool(np.any(np.isinf(self.rights)))
-
-    def with_permuted_column(self, j: int, perm: np.ndarray) -> "Dataset":
-        X = self.X.copy()
-        X[:, j] = X[perm, j]
-        return Dataset(self.lefts, self.rights, X, self.feature_names, self.tau)
 
 
 def encode_exact(t: float) -> tuple[float, float]:
@@ -227,9 +216,9 @@ CONFIG_KEYS = {
 }
 
 
-def parse_config(path: str) -> dict:
-    """Flat key=value file mirroring the tuning-parameter names
-    (n_tree, mtry, s, replace, n_min, n_fold, ...)."""
+def read_key_values(path: str, keys: dict) -> dict:
+    """Flat key=value file; ``keys`` maps each allowed key to the
+    function that converts its value. '#' starts a comment."""
     out = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -239,12 +228,19 @@ def parse_config(path: str) -> dict:
             if "=" not in line:
                 raise ParseError(f"{path}:{ln}: expected key=value, got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in CONFIG_KEYS:
+            if key not in keys:
                 raise ParseError(f"{path}:{ln}: unknown key {key!r}")
             try:
-                out[key] = CONFIG_KEYS[key](val)
+                out[key] = keys[key](val)
             except ValueError:
                 raise ParseError(f"{path}:{ln}: bad value for {key}: {val!r}") from None
+    return out
+
+
+def parse_config(path: str) -> dict:
+    """Flat key=value file mirroring the tuning-parameter names
+    (n_tree, mtry, s, replace, n_min, n_fold, ...)."""
+    out = read_key_values(path, CONFIG_KEYS)
     if out.get("replace", "no").lower() not in ("no", "false", "0"):
         raise ParseError(f"{path}: resampling with replacement is not supported")
     for key in ("initial_smooth",):

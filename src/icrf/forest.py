@@ -1,27 +1,32 @@
 """Recursive forest driver: per-fold ensembles with 95% subsampling,
 carried-curve updates between folds, OOB convergence monitoring,
 best-fold selection, prediction, and permutation variable importance.
+
+The carried-curve update and the IMSE2 monitor project curves onto the
+subjects' intervals with ``curves.project_rows``, the one projection
+kernel.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import EPS_MASS, StepSurvival, refine_uniform
+from .curves import StepSurvival, endpoint_values, project_rows, refine_uniform
 from .dataio import Dataset
 from .exceptions import (
     DimensionMismatch,
     EmptyOob,
     InsufficientData,
     InvalidFold,
+    InvariantViolation,
 )
 from .npmle import npmle_fit, tail_correct
 from .smooth import bandwidth, curve_atoms, smooth_curve, smoothed_values_matrix
-from .splits import slr_scores, swrs_scores
-from .tree import FoldContext, Tree, TreeParams, grow_tree_ctx, support_bound_of
+from .tree import Tree, TreeParams, fold_context, grow_tree_ctx, support_bound_of
 
 MONITOR_GRID_N = 201  # trapezoid resolution for smoothed-curve metrics
 GRID_REFINE_N = 64  # uniform refinement of (0, tau] added to the knot grid
@@ -83,9 +88,9 @@ def monitor_grid(tau: float) -> np.ndarray:
 # -- shared knot grid -------------------------------------------------------
 
 
-def build_grid(data: Dataset, extra=()) -> tuple[np.ndarray, int]:
+def build_grid(data: Dataset, extra=()) -> np.ndarray:
     """All finite positive interval endpoints, a uniform refinement of
-    (0, tau], and tau itself; returns (grid, #columns <= tau)."""
+    (0, tau], and tau itself."""
     tau = data.tau
     pieces = [
         data.lefts[data.lefts > 0.0],
@@ -94,54 +99,10 @@ def build_grid(data: Dataset, extra=()) -> tuple[np.ndarray, int]:
         np.asarray(extra, dtype=float),
     ]
     grid = np.unique(np.concatenate(pieces))
-    grid = grid[grid > 0.0]
-    m_split = int(np.searchsorted(grid, tau, side="right"))
-    return grid, m_split
+    return grid[grid > 0.0]
 
 
 # -- carried-curve update ---------------------------------------------------
-
-
-def _carried_rows(base_rows, s_left, s_right, data: Dataset, grid: np.ndarray):
-    """Materialize per-subject full-conditional curves on the grid.
-
-    base_rows: (n, m) covariate-conditional values (row broadcast allowed);
-    s_left/s_right: exact S(L_i|X_i), S(R_i|X_i).
-    """
-    n, m = data.n, grid.size
-    tau = data.tau
-    out = np.empty((n, m))
-    for i in range(n):
-        left, right = data.lefts[i], data.rights[i]
-        row = base_rows[i] if base_rows.shape[0] > 1 else base_rows[0]
-        if np.isinf(right):
-            if s_left[i] <= EPS_MASS:
-                v = np.where(grid > left, np.exp(-(grid - left) / tau), 1.0)
-            else:
-                v = np.minimum(row / s_left[i], 1.0)
-                v = np.where(grid <= left, 1.0, v)
-        else:
-            denom = s_left[i] - s_right[i]
-            if denom <= EPS_MASS:
-                hi = min(right, tau) if min(right, tau) > left else right
-                v = np.interp(grid, [left, hi], [1.0, 0.0])
-                v = np.where(grid > hi, 0.0, v)
-            else:
-                v = np.clip((row - s_right[i]) / denom, 0.0, 1.0)
-                v = np.where(grid <= left, 1.0, v)
-                v = np.where(grid > right, 0.0, v)
-        out[i] = np.minimum.accumulate(v)
-    return out
-
-
-def _endpoint_values_from_curve(eval_fn, data: Dataset):
-    s_l = np.asarray(
-        [1.0 if l <= 0.0 else float(eval_fn(l)) for l in data.lefts]
-    )
-    s_r = np.asarray(
-        [0.0 if np.isinf(r) else float(eval_fn(r)) for r in data.rights]
-    )
-    return s_l, s_r
 
 
 def _endpoint_values_from_rows(rows, data: Dataset, grid: np.ndarray):
@@ -186,49 +147,45 @@ def imse1_on_rows(rows, lefts, rights, tau, grid) -> float:
 
 def imse2_on_rows(rows, lefts, rights, tau, grid) -> float:
     """IMSE2 of per-subject covariate-conditional rows on ``grid``; the
-    full-conditional side is the pointwise projection of each row."""
-    terms = np.empty(rows.shape[0])
-    for i in range(rows.shape[0]):
-        v = rows[i]
-        left, right = lefts[i], rights[i]
-        s_l = 1.0 if left <= 0.0 else float(np.interp(left, grid, v))
-        if np.isinf(right):
-            if s_l <= EPS_MASS:
-                cond = np.where(grid > left, np.exp(-(grid - left) / tau), 1.0)
-            else:
-                cond = np.where(grid <= left, 1.0, np.minimum(v / s_l, 1.0))
-        else:
-            s_r = float(np.interp(right, grid, v))
-            denom = s_l - s_r
-            if denom <= EPS_MASS:
-                hi = min(right, tau) if min(right, tau) > left else right
-                cond = np.interp(grid, [left, hi], [1.0, 0.0])
-                cond = np.where(grid > hi, 0.0, cond)
-            else:
-                cond = np.clip((v - s_r) / denom, 0.0, 1.0)
-                cond = np.where(grid <= left, 1.0, cond)
-                cond = np.where(grid > right, 0.0, cond)
-        terms[i] = np.trapezoid((cond - v) ** 2, grid) / tau
+    full-conditional side is the projection of each row."""
+    s_l, s_r = endpoint_values(
+        (lambda t, v=v: np.interp(t, grid, v) for v in rows), lefts, rights
+    )
+    cond = project_rows(rows, s_l, s_r, lefts, rights, grid, tau)
+    terms = np.trapezoid((cond - rows) ** 2, grid, axis=1) / tau
     return float(terms.mean()) if terms.size else np.nan
 
 
-def _tree_leaf_smoothed_rows(tree: Tree, leaf_ids, h, grid) -> dict[int, np.ndarray]:
-    # masses are spread uniformly within their intervals before smoothing
-    atoms = [curve_atoms(refine_uniform(tree.leaves[i].curve)) for i in leaf_ids]
-    rows = smoothed_values_matrix(
-        [a[0] for a in atoms], [a[1] for a in atoms], h, grid
-    )
-    return {leaf: rows[j] for j, leaf in enumerate(leaf_ids)}
-
-
-def _tree_oob_error(tree, ctx: FoldContext, oob, h, grid, metric) -> float:
-    if oob.size == 0:
-        return np.nan
-    leaf_of = tree.apply(ctx.X[oob])
-    row_map = _tree_leaf_smoothed_rows(tree, sorted(set(int(v) for v in leaf_of)), h, grid)
-    rows = np.vstack([row_map[int(v)] for v in leaf_of])
+def _monitor_error(metric, rows, lefts, rights, tau, grid) -> float:
     fn = imse1_on_rows if metric == "imse1" else imse2_on_rows
-    return fn(rows, ctx.lefts[oob], ctx.rights[oob], ctx.tau, grid)
+    return fn(rows, lefts, rights, tau, grid)
+
+
+def _leaf_rows(tree: Tree, grid, h: float | None, leaf_ids=None) -> np.ndarray:
+    """Leaf curves of ``tree`` (those in ``leaf_ids``, default all) on
+    ``grid``, one row per leaf: smoothed with bandwidth ``h``, or read
+    through within-interval interpolation when h is None."""
+    leaves = tree.leaves if leaf_ids is None else [tree.leaves[i] for i in leaf_ids]
+    if h is None:
+        return np.vstack([leaf.curve.interpolate(grid) for leaf in leaves])
+    # masses are spread uniformly within their intervals before smoothing
+    atoms = [curve_atoms(refine_uniform(leaf.curve)) for leaf in leaves]
+    return smoothed_values_matrix([a[0] for a in atoms], [a[1] for a in atoms], h, grid)
+
+
+def _forest_rows(trees, leaf_rows, X) -> np.ndarray:
+    """Equal-weight average over trees of the rows of the leaves X routes to."""
+    acc = np.zeros((X.shape[0], leaf_rows[0].shape[1]))
+    for tree, rows in zip(trees, leaf_rows):
+        acc += rows[tree.apply(X)]
+    return acc / len(trees)
+
+
+def _tree_oob_error(tree, X, lefts, rights, tau, h, grid, metric) -> float:
+    """Monitor metric of the tree's smoothed prediction for its OOB subjects."""
+    leaf_ids, pos = np.unique(tree.apply(X), return_inverse=True)
+    rows = _leaf_rows(tree, grid, h, leaf_ids)[pos]
+    return _monitor_error(metric, rows, lefts, rights, tau, grid)
 
 
 # -- tree batch construction -------------------------------------------------
@@ -246,11 +203,11 @@ def _build_tree_batch(args):
         inbag = np.sort(rng.choice(n, size=s_size, replace=False))
         oob = np.setdiff1d(np.arange(n), inbag)
         tree = grow_tree_ctx(ctx, inbag, tparams, rng)
-        oob_errs.append(_tree_oob_error(tree, ctx, oob, h, mgrid, metric))
+        oob_errs.append(np.nan if oob.size == 0 else _tree_oob_error(
+            tree, ctx.X[oob], ctx.lefts[oob], ctx.rights[oob], ctx.tau, h, mgrid, metric))
         # leaf curves enter the forest through their within-interval
         # (uniform-density) interpolation, not the right-endpoint step
-        leaf_rows = np.vstack([leaf.curve.interpolate(ctx.grid) for leaf in tree.leaves])
-        rows = leaf_rows[tree.apply(ctx.X)]
+        rows = _leaf_rows(tree, ctx.grid, None)[tree.apply(ctx.X)]
         pred_sum += rows
         if update_mode == "oob":
             oob_sum[oob] += rows[oob]
@@ -282,8 +239,7 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
     else:
         h = bandwidth(marginal, n_min, tau=data.tau)
 
-    bound = support_bound_of(data.lefts, data.rights, data.tau)
-    grid, m_split = build_grid(data, extra=[bound])
+    grid = build_grid(data, extra=[support_bound_of(data.lefts, data.rights, data.tau)])
     mgrid = monitor_grid(data.tau)
 
     if params.initial_smooth:
@@ -292,23 +248,12 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
         # raw marginal consumed through within-interval interpolation
         cov_eval = marginal.interpolate
     base_rows = np.asarray(cov_eval(grid))[None, :]
-    s_l, s_r = _endpoint_values_from_curve(cov_eval, data)
+    s_l, s_r = endpoint_values(itertools.repeat(cov_eval), data.lefts, data.rights)
 
     folds: list[ForestFold] = []
     for k in range(1, params.n_fold + 1):
-        carried = _carried_rows(base_rows, s_l, s_r, data, grid)
-        ctx = FoldContext(
-            X=data.X,
-            lefts=data.lefts,
-            rights=data.rights,
-            tau=data.tau,
-            grid=grid,
-            m_split=m_split,
-            values=carried,
-            sw=swrs_scores(s_l, s_r),
-            slr=slr_scores(s_l, s_r),
-            support_bound=bound,
-        )
+        carried = project_rows(base_rows, s_l, s_r, data.lefts, data.rights, grid, data.tau)
+        ctx = fold_context(data, grid, np.minimum.accumulate(carried, axis=1), s_l, s_r)
         batches = [
             list(range(b0, min(b0 + TREE_BATCH, params.n_tree)))
             for b0 in range(0, params.n_tree, TREE_BATCH)
@@ -325,27 +270,14 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
             results = [_build_tree_batch(j) for j in jobs]
         results.sort(key=lambda r: r[0])
 
-        trees: list[Tree] = []
-        oob_errs: list[float] = []
-        pred_sum = np.zeros((n, grid.size))
-        oob_sum = np.zeros((n, grid.size)) if params.update_curves == "oob" else None
-        oob_cnt = np.zeros(n) if params.update_curves == "oob" else None
-        for _, batch_trees, batch_errs, psum, osum, ocnt in results:
-            trees.extend(batch_trees)
-            oob_errs.extend(batch_errs)
-            pred_sum += psum
-            if osum is not None:
-                oob_sum += osum
-                oob_cnt += ocnt
-        folds.append(ForestFold(k, trees, np.asarray(oob_errs)))
-
-        pred_rows = pred_sum / params.n_tree
+        trees = [tree for r in results for tree in r[1]]
+        folds.append(ForestFold(k, trees, np.asarray([e for r in results for e in r[2]])))
+        # batch sums are added in batch order, whatever the worker count
+        base_rows = sum(r[3] for r in results) / params.n_tree
         if params.update_curves == "oob":
+            oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (4, 5))
             have = oob_cnt > 0
-            rows = pred_rows.copy()
-            rows[have] = oob_sum[have] / oob_cnt[have, None]
-            pred_rows = rows
-        base_rows = pred_rows
+            base_rows[have] = oob_sum[have] / oob_cnt[have, None]
         s_l, s_r = _endpoint_values_from_rows(base_rows, data, grid)
 
     errors = np.asarray([f.oob_error for f in folds])
@@ -364,21 +296,6 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
 # -- prediction --------------------------------------------------------------
 
 
-def _fold_leaf_rows(model: IcrfModel, fold: ForestFold, grid, smoothed: bool):
-    """Per-tree matrices of leaf-curve values on ``grid``."""
-    out = []
-    for tree in fold.trees:
-        if smoothed:
-            atoms = [curve_atoms(refine_uniform(leaf.curve)) for leaf in tree.leaves]
-            rows = smoothed_values_matrix(
-                [a[0] for a in atoms], [a[1] for a in atoms], model.h, grid
-            )
-        else:
-            rows = np.vstack([leaf.curve.interpolate(grid) for leaf in tree.leaves])
-        out.append(rows)
-    return out
-
-
 def _check_fold(model: IcrfModel, fold: int | None) -> ForestFold:
     f = model.k_opt if fold is None else fold
     if not 1 <= f <= len(model.folds):
@@ -394,31 +311,25 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
         raise DimensionMismatch(
             f"query has {X.shape[1]} features, model expects {len(model.feature_names)}"
         )
+    if not np.all(np.isfinite(X)):
+        raise InvariantViolation("query covariates must be finite")
     grid = np.asarray(grid, dtype=float)
     fobj = _check_fold(model, fold)
-    acc = np.zeros((X.shape[0], grid.size))
-    for tree, rows in zip(fobj.trees, _fold_leaf_rows(model, fobj, grid, smoothed)):
-        acc += rows[tree.apply(X)]
-    return acc / len(fobj.trees)
+    h = model.h if smoothed else None
+    return _forest_rows(fobj.trees, [_leaf_rows(t, grid, h) for t in fobj.trees], X)
 
 
 def oob_error(fold: ForestFold, data: Dataset, metric: str = "imse1", h: float = None) -> float:
     """Recompute the fold's OOB error from scratch (mean per-tree metric
     of the smoothed tree prediction on its own held-out subjects)."""
-    from .tree import FoldContext as FC
-
     mgrid = monitor_grid(data.tau)
-    ctx = FC(
-        X=data.X, lefts=data.lefts, rights=data.rights, tau=data.tau,
-        grid=np.asarray([data.tau]), m_split=1,
-        values=np.ones((data.n, 1)), sw=np.zeros(data.n), slr=np.zeros(data.n),
-    )
     errs = []
     for tree in fold.trees:
         oob = np.setdiff1d(np.arange(data.n), tree.inbag_ids)
         if oob.size == 0:
             raise EmptyOob("a tree has no out-of-bag subjects")
-        errs.append(_tree_oob_error(tree, ctx, oob, h, mgrid, metric))
+        errs.append(_tree_oob_error(
+            tree, data.X[oob], data.lefts[oob], data.rights[oob], data.tau, h, mgrid, metric))
     return float(np.nanmean(errs))
 
 
@@ -447,16 +358,11 @@ def variable_importance(
         raise InsufficientData(f"unknown importance metric {metric!r}")
     fobj = _check_fold(model, None)
     grid = monitor_grid(model.tau)
-    rows_by_tree = _fold_leaf_rows(model, fobj, grid, smoothed=True)
-    n_tree = len(fobj.trees)
+    rows_by_tree = [_leaf_rows(t, grid, model.h) for t in fobj.trees]
 
     def metric_of(X):
-        acc = np.zeros((data.n, grid.size))
-        for tree, rows in zip(fobj.trees, rows_by_tree):
-            acc += rows[tree.apply(X)]
-        acc /= n_tree
-        fn = imse1_on_rows if metric == "imse1" else imse2_on_rows
-        return fn(acc, data.lefts, data.rights, data.tau, grid)
+        rows = _forest_rows(fobj.trees, rows_by_tree, X)
+        return _monitor_error(metric, rows, data.lefts, data.rights, data.tau, grid)
 
     base = metric_of(data.X)
     entropy = model.params.seed if seed is None else seed

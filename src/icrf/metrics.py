@@ -1,5 +1,8 @@
 """Error functionals: oracle errors against a known truth and the
-data-only integrated squared errors IMSE1 / IMSE2."""
+data-only integrated squared errors IMSE1 / IMSE2.
+
+IMSE2 projects each predicted curve onto the subject's interval with
+``curves.project_rows``, the one projection kernel."""
 
 from __future__ import annotations
 
@@ -7,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import StepSurvival, IntervalObservation, uniform_interval_curve
+from .curves import IntervalObservation, StepSurvival, endpoint_values, project_rows
 from .exceptions import AllSkipped
-from .smooth import SmoothedSurvival
 
 DEFAULT_GRID_N = 1001
 SMOOTH_SEG_N = 201  # per-segment trapezoid resolution for continuous curves
@@ -29,28 +31,33 @@ def _oracle_grid(tau: float, grid_resolution: int) -> np.ndarray:
     return np.linspace(0.0, tau, grid_resolution)
 
 
+def oracle_errors(est, s0, grid) -> tuple[float, float]:
+    """(eps_int, eps_sup): the mean over rows of the trapezoid integral
+    and of the grid supremum of |S0 - S_hat|; ``est`` and ``s0`` hold
+    one curve per row on ``grid``."""
+    diff = np.abs(np.asarray(s0) - np.asarray(est))
+    return float(np.trapezoid(diff, grid, axis=1).mean()), float(diff.max(axis=1).mean())
+
+
+def _oracle_rows(est_eval, truth_eval, x_set, tau, grid_resolution):
+    grid = _oracle_grid(tau, grid_resolution)
+    est = np.vstack([np.asarray(est_eval(x, grid), dtype=float) for x in x_set])
+    s0 = np.vstack([np.asarray(truth_eval(x, grid), dtype=float) for x in x_set])
+    return oracle_errors(est, s0, grid)
+
+
 def eps_int(est_eval, truth_eval, x_set, tau: float, grid_resolution: int = DEFAULT_GRID_N) -> float:
     """Mean over x of trapezoid integral of |S0 - S_hat| on [0, tau].
 
     ``est_eval(x, grid)`` and ``truth_eval(x, grid)`` return survival
     values on the grid.
     """
-    grid = _oracle_grid(tau, grid_resolution)
-    vals = [
-        np.trapezoid(np.abs(np.asarray(truth_eval(x, grid)) - np.asarray(est_eval(x, grid))), grid)
-        for x in x_set
-    ]
-    return float(np.mean(vals))
+    return _oracle_rows(est_eval, truth_eval, x_set, tau, grid_resolution)[0]
 
 
 def eps_sup(est_eval, truth_eval, x_set, tau: float, grid_resolution: int = DEFAULT_GRID_N) -> float:
     """Mean over x of the grid supremum of |S0 - S_hat| on [0, tau]."""
-    grid = _oracle_grid(tau, grid_resolution)
-    vals = [
-        np.max(np.abs(np.asarray(truth_eval(x, grid)) - np.asarray(est_eval(x, grid))))
-        for x in x_set
-    ]
-    return float(np.mean(vals))
+    return _oracle_rows(est_eval, truth_eval, x_set, tau, grid_resolution)[1]
 
 
 # -- exact / generic segment integrals -------------------------------------
@@ -140,38 +147,19 @@ def imse2(
     """
     tau = dataset.tau
     grid = np.linspace(0.0, tau, grid_resolution)
-    per_subject = np.empty(dataset.n)
-    for i, (left, right, x) in enumerate(zip(dataset.lefts, dataset.rights, dataset.X)):
-        curve = cov_predict(x)
-        v_cov = np.asarray(curve.eval(grid))
-        obs = IntervalObservation(left, right)
-        if full_cond is not None:
-            cond = full_cond(x, obs)
-            v_cond = np.asarray(cond.eval(grid))
-        else:
-            v_cond = _project_values(curve, v_cov, obs, grid, tau)
-        per_subject[i] = np.trapezoid((v_cond - v_cov) ** 2, grid) / tau
+    lefts, rights = dataset.lefts, dataset.rights
+    curves = [cov_predict(x) for x in dataset.X]
+    v_cov = np.vstack([np.asarray(c.eval(grid)) for c in curves])
+    if full_cond is not None:
+        v_cond = np.vstack([
+            np.asarray(full_cond(x, IntervalObservation(l, r)).eval(grid))
+            for x, l, r in zip(dataset.X, lefts, rights)
+        ])
+    else:
+        s_l, s_r = endpoint_values([c.eval for c in curves], lefts, rights)
+        v_cond = project_rows(v_cov, s_l, s_r, lefts, rights, grid, tau)
+    per_subject = np.trapezoid((v_cond - v_cov) ** 2, grid, axis=1) / tau
     value = float(per_subject.mean())
     if return_report:
         return ErrorReport("imse2", value, dataset.n, per_subject)
     return value
-
-
-def _project_values(curve, v_cov, obs, grid, tau) -> np.ndarray:
-    """Pointwise conditional projection of curve values on a grid."""
-    left, right = obs.left, obs.right
-    s_l = 1.0 if left <= 0.0 else float(curve.eval(left))
-    if np.isinf(right):
-        if s_l <= 1e-12:
-            return np.asarray(uniform_interval_curve(left, right, tau).eval(grid))
-        out = np.minimum(v_cov / s_l, 1.0)
-        out[grid <= left] = 1.0
-        return out
-    s_r = float(curve.eval(right))
-    denom = s_l - s_r
-    if denom <= 1e-12:
-        return np.asarray(uniform_interval_curve(left, right, tau).interpolate(grid))
-    out = np.clip((v_cov - s_r) / denom, 0.0, 1.0)
-    out[grid <= left] = 1.0
-    out[grid > right] = 0.0
-    return out

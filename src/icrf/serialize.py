@@ -8,6 +8,7 @@ keys make identical models produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -24,46 +25,19 @@ MAGIC = b"ICRFMDL1"
 
 
 def _params_dict(p: ForestParams) -> dict:
-    return {
-        "n_tree": p.n_tree,
-        "n_fold": p.n_fold,
-        "subsample": p.subsample,
-        "initial_smooth": p.initial_smooth,
-        "monitor_metric": p.monitor_metric,
-        "seed": p.seed,
-        # n_jobs is an execution detail, not a model property; keeping it
-        # out makes files byte-identical across worker counts
-        "update_curves": p.update_curves,
-        "c_override": p.c_override,
-        "tree": {
-            "mtry": p.tree.mtry,
-            "n_min": p.tree.n_min,
-            "prediction": p.tree.prediction,
-            "rng_seed": p.tree.rng_seed,
-            "rule": {"kind": p.tree.rule.kind, "glr_sign": p.tree.rule.glr_sign},
-        },
-    }
+    # n_jobs is an execution detail, not a model property; keeping it
+    # out makes files byte-identical across worker counts
+    d = dataclasses.asdict(p)
+    del d["n_jobs"]
+    return d
 
 
 def _params_from_dict(d: dict) -> ForestParams:
     t = d["tree"]
-    return ForestParams(
-        n_tree=d["n_tree"],
-        n_fold=d["n_fold"],
-        subsample=d["subsample"],
-        initial_smooth=d["initial_smooth"],
-        monitor_metric=d["monitor_metric"],
-        seed=d["seed"],
-        update_curves=d["update_curves"],
-        c_override=d["c_override"],
-        tree=TreeParams(
-            mtry=t["mtry"],
-            n_min=t["n_min"],
-            prediction=t["prediction"],
-            rng_seed=t["rng_seed"],
-            rule=SplitRule(kind=t["rule"]["kind"], glr_sign=t["rule"]["glr_sign"]),
-        ),
-    )
+    # named keys, so files that still carry a tree "rng_seed" load too
+    tree = TreeParams(mtry=t["mtry"], n_min=t["n_min"], prediction=t["prediction"],
+                      rule=SplitRule(**t["rule"]))
+    return ForestParams(**{**d, "tree": tree})
 
 
 def _flatten_curves(curves: list[StepSurvival]):
@@ -157,15 +131,24 @@ def save_model(model: IcrfModel, path: str):
 
 def load_model(path: str) -> IcrfModel:
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ParseError(f"{path}: not a model file")
-        (hlen,) = np.frombuffer(fh.read(8), dtype="<u8")
-        header = json.loads(fh.read(int(hlen)).decode())
-        arrays = {}
-        for name, dtype, shape in header["manifest"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * np.dtype(dtype).itemsize)
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        blob = fh.read()
+    start = len(MAGIC) + 8
+    if blob[: len(MAGIC)] != MAGIC or len(blob) < start:
+        raise ParseError(f"{path}: not a model file")
+    (hlen,) = np.frombuffer(blob[len(MAGIC) : start], dtype="<u8")
+    try:
+        header = json.loads(blob[start : start + int(hlen)].decode())
+    except ValueError:  # also covers invalid UTF-8
+        raise ParseError(f"{path}: malformed or truncated header") from None
+    pos = start + int(hlen)
+    arrays = {}
+    for name, dtype, shape in header["manifest"]:
+        count = int(np.prod(shape)) if shape else 1
+        nbytes = count * np.dtype(dtype).itemsize
+        if pos + nbytes > len(blob):
+            raise ParseError(f"{path}: truncated in array {name!r}")
+        arrays[name] = np.frombuffer(blob, dtype, count, pos).reshape(shape).copy()
+        pos += nbytes
 
     marginal = StepSurvival(
         arrays["marginal_times"],

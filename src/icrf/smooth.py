@@ -56,19 +56,8 @@ class SmoothedSurvival:
         scalar = t_arr.ndim == 0
         t_arr = np.atleast_1d(t_arr)
         tt = np.minimum(t_arr, self.support_end)  # clamp beyond tau
-        if self.locs.size == 0:
-            out = np.ones_like(tt)
-        else:
-            h = self.bandwidth
-            direct = ndtr((tt[:, None] - self.locs[None, :]) / h)
-            mirror = ndtr((-tt[:, None] - self.locs[None, :]) / h)
-            out = 1.0 - (direct - mirror) @ self.masses
-            out = np.clip(out, 0.0, 1.0)
+        out = smoothed_values_matrix([self.locs], [self.masses], self.bandwidth, tt)[0]
         return float(out[0]) if scalar else out
-
-    def knots_hint(self) -> np.ndarray:
-        """Natural evaluation points (mass locations) for discretization."""
-        return self.locs
 
 
 def bandwidth(
@@ -113,8 +102,8 @@ def smoothed_values_matrix(
 ) -> np.ndarray:
     """Evaluate many smoothed curves on one grid; rows follow the inputs.
 
-    Same mirror-form evaluation as SmoothedSurvival.eval, batched for the
-    forest's leaf curves.
+    The one implementation of the mirror-form evaluation: SmoothedSurvival.eval
+    calls it for a single curve, the forest for its leaf curves.
     """
     out = np.empty((len(atom_locs), grid.size))
     for i, (locs, masses) in enumerate(zip(atom_locs, atom_masses)):

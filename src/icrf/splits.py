@@ -7,8 +7,9 @@ no quadrature grid is involved.
 
 The module has two faces: the public functions take lists of
 StepSurvival, while the tree grower uses the same arithmetic on value
-matrices over one shared knot grid (``group_stat_from_sums``). Both
-paths agree to float associativity (tested at 1e-12).
+matrices over one shared knot grid (``gwrs_from_sums``,
+``glr_from_sums``). Both paths agree to float associativity (tested at
+1e-12).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import EPS_MASS, StepSurvival
+from .curves import EPS_MASS, endpoint_values
 from .exceptions import EmptyGroup, ZeroRisk
 
 SLR_FLOOR = 1e-12
@@ -159,52 +160,48 @@ def _check_groups(g1: GroupCurves, g2: GroupCurves):
         raise EmptyGroup("both groups must be non-empty")
 
 
-def gwrs(g1: GroupCurves, g2: GroupCurves) -> float:
+def _group_sums(g1: GroupCurves, g2: GroupCurves):
+    """Group totals and sizes of the curve values on the pooled grid."""
     _check_groups(g1, g2)
-    tau = min(g1.tau, g2.tau)
-    grid = pooled_grid([g1.curves, g2.curves], tau)
+    grid = pooled_grid([g1.curves, g2.curves], min(g1.tau, g2.tau))
     v1 = values_matrix(g1.curves, grid)
     v2 = values_matrix(g2.curves, grid)
-    return gwrs_from_sums(v1.sum(axis=0), v1.shape[0], v2.sum(axis=0), v2.shape[0])
+    return v1.sum(axis=0), v1.shape[0], v2.sum(axis=0), v2.shape[0]
+
+
+def gwrs(g1: GroupCurves, g2: GroupCurves) -> float:
+    return gwrs_from_sums(*_group_sums(g1, g2))
 
 
 def glr(g1: GroupCurves, g2: GroupCurves, glr_sign: str = "difference") -> float:
-    _check_groups(g1, g2)
-    tau = min(g1.tau, g2.tau)
-    grid = pooled_grid([g1.curves, g2.curves], tau)
-    v1 = values_matrix(g1.curves, grid)
-    v2 = values_matrix(g2.curves, grid)
-    stat = glr_from_sums(
-        v1.sum(axis=0), v1.shape[0], v2.sum(axis=0), v2.shape[0], sign=glr_sign
-    )
+    stat = glr_from_sums(*_group_sums(g1, g2), sign=glr_sign)
     if np.isnan(stat):
         raise ZeroRisk("log-rank variance term vanished")
     return stat
 
 
-def _endpoint_values(group: GroupCurves, cov_curves) -> tuple[np.ndarray, np.ndarray]:
-    s_l, s_r = [], []
-    for c, obs in zip(cov_curves, group.intervals):
-        s_l.append(1.0 if obs.left <= 0.0 else float(c.eval(obs.left)))
-        s_r.append(0.0 if np.isinf(obs.right) else float(c.eval(obs.right)))
-    return np.asarray(s_l), np.asarray(s_r)
+def _score_difference(score, g1: GroupCurves, g2: GroupCurves, cov_curves) -> float:
+    """Mean endpoint score of g1 minus that of g2; cov_curves holds
+    per-subject S(.|X_i), g1's subjects then g2's."""
+    _check_groups(g1, g2)
+    n1 = len(g1.curves)
+    means = []
+    for group, covs in ((g1, cov_curves[:n1]), (g2, cov_curves[n1:])):
+        s_l, s_r = endpoint_values(
+            [c.eval for c in covs],
+            [obs.left for obs in group.intervals],
+            [obs.right for obs in group.intervals],
+        )
+        means.append(score(s_l, s_r).mean())
+    return float(means[0] - means[1])
 
 
 def swrs(g1: GroupCurves, g2: GroupCurves, cov_curves) -> float:
-    """cov_curves: per-subject S(.|X_i), g1's subjects then g2's."""
-    _check_groups(g1, g2)
-    n1 = len(g1.curves)
-    sl1, sr1 = _endpoint_values(g1, cov_curves[:n1])
-    sl2, sr2 = _endpoint_values(g2, cov_curves[n1:])
-    return float(swrs_scores(sl1, sr1).mean() - swrs_scores(sl2, sr2).mean())
+    return _score_difference(swrs_scores, g1, g2, cov_curves)
 
 
 def slr(g1: GroupCurves, g2: GroupCurves, cov_curves) -> float:
-    _check_groups(g1, g2)
-    n1 = len(g1.curves)
-    sl1, sr1 = _endpoint_values(g1, cov_curves[:n1])
-    sl2, sr2 = _endpoint_values(g2, cov_curves[n1:])
-    return float(slr_scores(sl1, sr1).mean() - slr_scores(sl2, sr2).mean())
+    return _score_difference(slr_scores, g1, g2, cov_curves)
 
 
 def split_score(rule: SplitRule, g1: GroupCurves, g2: GroupCurves, cov_curves=None) -> float:

@@ -14,11 +14,11 @@ carried full-conditional curves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ConditionalCurveSet, StepSurvival
+from .curves import StepSurvival, endpoint_values
 from .exceptions import DimensionMismatch, InsufficientData
 from .npmle import npmle_fit, tail_correct
 from .splits import (
@@ -29,7 +29,6 @@ from .splits import (
     SplitRule,
     glr_from_sums,
     gwrs_from_sums,
-    pooled_grid,
     slr_scores,
     swrs_scores,
     values_matrix,
@@ -47,7 +46,6 @@ class TreeParams:
     n_min: int = 6
     rule: SplitRule = field(default_factory=SplitRule)
     prediction: str = QUASI_HONEST
-    rng_seed: int = 0
 
     def resolved_mtry(self, p: int) -> int:
         m = self.mtry if self.mtry is not None else int(np.ceil(np.sqrt(p)))
@@ -260,50 +258,46 @@ def support_bound_of(lefts, rights, tau: float) -> float:
     return max(hi, max_l * (1.0 + 1e-9) + 1e-12)
 
 
-def context_from_curves(data, carried, cov_curves=None, rule: SplitRule | None = None) -> FoldContext:
-    """Build a FoldContext from explicit curve lists (public path)."""
-    curves = carried.curves if isinstance(carried, ConditionalCurveSet) else list(carried)
-    if len(curves) != data.n:
-        raise DimensionMismatch("one carried curve per subject required")
-    tau = data.tau
-    full = np.unique(
-        np.concatenate(
-            [np.asarray([tau])] + [c.times[np.isfinite(c.times)] for c in curves]
-        )
-    )
-    full = full[full > 0.0]
-    m_split = int(np.searchsorted(full, tau, side="right"))
-    values = values_matrix(curves, full)
-    if cov_curves is not None:
-        s_l = np.asarray(
-            [1.0 if l <= 0 else float(c.eval(l)) for c, l in zip(cov_curves, data.lefts)]
-        )
-        s_r = np.asarray(
-            [0.0 if np.isinf(r) else float(c.eval(r)) for c, r in zip(cov_curves, data.rights)]
-        )
-        sw = swrs_scores(s_l, s_r)
-        slr = slr_scores(s_l, s_r)
-    else:
-        sw = np.zeros(data.n)
-        slr = np.zeros(data.n)
+def fold_context(data, grid: np.ndarray, values: np.ndarray, s_l, s_r) -> FoldContext:
+    """The FoldContext of ``data`` with carried curves ``values`` on
+    ``grid`` and covariate-conditional endpoint values S(L_i), S(R_i)."""
     return FoldContext(
         X=data.X,
         lefts=data.lefts,
         rights=data.rights,
-        tau=tau,
-        grid=full,
-        m_split=m_split,
+        tau=data.tau,
+        grid=grid,
+        m_split=int(np.searchsorted(grid, data.tau, side="right")),
         values=values,
-        sw=sw,
-        slr=slr,
-        support_bound=support_bound_of(data.lefts, data.rights, tau),
+        sw=swrs_scores(s_l, s_r),
+        slr=slr_scores(s_l, s_r),
+        support_bound=support_bound_of(data.lefts, data.rights, data.tau),
     )
 
 
-def grow_tree(data, carried, cov_curves, inbag, params: TreeParams) -> Tree:
+def context_from_curves(data, carried, cov_curves=None) -> FoldContext:
+    """Build a FoldContext from explicit curve lists (public path);
+    without ``cov_curves`` the SWRS/SLR scores are all zero."""
+    curves = list(carried)
+    if len(curves) != data.n:
+        raise DimensionMismatch("one carried curve per subject required")
+    full = np.unique(
+        np.concatenate(
+            [np.asarray([data.tau])] + [c.times[np.isfinite(c.times)] for c in curves]
+        )
+    )
+    full = full[full > 0.0]
+    if cov_curves is None:
+        s_l, s_r = np.ones(data.n), np.zeros(data.n)
+    else:
+        s_l, s_r = endpoint_values([c.eval for c in cov_curves], data.lefts, data.rights)
+    return fold_context(data, full, values_matrix(curves, full), s_l, s_r)
+
+
+def grow_tree(data, carried, cov_curves, inbag, params: TreeParams,
+              rng: np.random.Generator) -> Tree:
     """Public entry point matching the module contract; wraps the fast path."""
-    ctx = context_from_curves(data, carried, cov_curves, params.rule)
-    rng = np.random.default_rng(np.random.SeedSequence(params.rng_seed))
+    ctx = context_from_curves(data, carried, cov_curves)
     return grow_tree_ctx(ctx, np.asarray(inbag, dtype=np.int64), params, rng)
 
 
@@ -330,22 +324,18 @@ def terminal_predict_quasi_honest(
 
 
 def terminal_predict_exploitative(member_curves) -> StepSurvival:
-    """Equal-weight pointwise average of the members' carried curves."""
-    from .curves import average_curves
+    """Equal-weight mean of the members' carried curves at their knots,
+    compressed as a forest leaf is."""
+    curves = list(member_curves)
+    if not curves:
+        raise InsufficientData("an exploitative leaf needs at least one member")
+    knots = np.unique(np.concatenate([c.times for c in curves]))
+    return curve_from_grid_values(knots, values_matrix(curves, knots).mean(axis=0))
 
-    return average_curves(list(member_curves))
 
-
-def tree_predict(tree: Tree, x, smoothed=None):
-    """Route x to its leaf and return the leaf curve.
-
-    ``smoothed`` may be a SmoothedSurvival factory (curve -> smoothed);
-    None returns the raw step curve.
-    """
+def tree_predict(tree: Tree, x) -> StepSurvival:
+    """Route x to its leaf and return the leaf's step curve."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatch("tree_predict expects a single covariate vector")
-    leaf = tree.leaves[int(tree.apply(x[None, :])[0])]
-    if smoothed is None:
-        return leaf.curve
-    return smoothed(leaf.curve)
+    return tree.leaves[int(tree.apply(x[None, :])[0])].curve

@@ -115,3 +115,37 @@ def random_step_curve(rng: np.random.Generator, max_knots: int = 8,
         values[-1] = values[-1] if rng.uniform() < 0.5 else 0.0
         values = np.minimum.accumulate(values)
     return StepSurvival(times, values, tail_rate=tail)
+
+
+def carried_rows_loop(base_rows, s_left, s_right, lefts, rights, grid, tau,
+                      eps_mass: float = 1e-12):
+    """Per-subject loop form of the carried full-conditional update: the
+    projection of each covariate-conditional row onto the subject's
+    interval, then its running minimum. Reference for curves.project_rows.
+
+    base_rows: (n, m) values on ``grid`` (one row broadcasts to all);
+    s_left/s_right: S(L_i|X_i), S(R_i|X_i).
+    """
+    n, m = len(lefts), grid.size
+    out = np.empty((n, m))
+    for i in range(n):
+        left, right = lefts[i], rights[i]
+        row = base_rows[i] if base_rows.shape[0] > 1 else base_rows[0]
+        if np.isinf(right):
+            if s_left[i] <= eps_mass:
+                v = np.where(grid > left, np.exp(-(grid - left) / tau), 1.0)
+            else:
+                v = np.minimum(row / s_left[i], 1.0)
+                v = np.where(grid <= left, 1.0, v)
+        else:
+            denom = s_left[i] - s_right[i]
+            if denom <= eps_mass:
+                hi = min(right, tau) if min(right, tau) > left else right
+                v = np.interp(grid, [left, hi], [1.0, 0.0])
+                v = np.where(grid > hi, 0.0, v)
+            else:
+                v = np.clip((row - s_right[i]) / denom, 0.0, 1.0)
+                v = np.where(grid <= left, 1.0, v)
+                v = np.where(grid > right, 0.0, v)
+        out[i] = np.minimum.accumulate(v)
+    return out

@@ -118,6 +118,29 @@ class TestPredict:
         assert run(["predict", "--model", workspace / "m.bin", "--query", bad,
                     "--grid", "0:5:1", "--out", tmp_path / "o.csv"]) == 1
 
+    @pytest.mark.parametrize("cell, code", [("abc", "parse_error"),
+                                            ("nan", "invariant_violation")])
+    def test_bad_query_cell(self, workspace, tmp_path, capsys, cell, code):
+        with open(workspace / "q.csv") as fh:
+            lines = fh.read().splitlines()
+        lines[1] = ",".join([cell] + lines[1].split(",")[1:])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["predict", "--model", workspace / "m.bin", "--query", bad,
+                    "--grid", "0:5:1", "--out", tmp_path / "o.csv"]) == 1
+        assert f"error[{code}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [lambda size: 40, lambda size: size // 2,
+                                     lambda size: size - 3],
+                             ids=["40_bytes", "half", "3_short"])
+    def test_truncated_model(self, workspace, tmp_path, capsys, cut):
+        blob = (workspace / "m.bin").read_bytes()
+        model = tmp_path / "cut.bin"
+        model.write_bytes(blob[: cut(len(blob))])
+        assert run(["predict", "--model", model, "--query", workspace / "q.csv",
+                    "--grid", "0:5:1", "--out", tmp_path / "o.csv"]) == 1
+        assert "error[parse_error]" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_scenario1_covariate_count(self, workspace):
@@ -238,3 +261,9 @@ class TestBenchCli:
         with open(out / "raw.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 2  # replicates x folds
+
+    def test_bad_spec_value(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_tree = abc\n")
+        assert run(["bench", "--spec", spec, "--out", tmp_path / "res"]) == 1
+        assert "error[parse_error]" in capsys.readouterr().err

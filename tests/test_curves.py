@@ -6,11 +6,11 @@ import pytest
 from icrf import (
     IntervalObservation,
     StepSurvival,
-    average_curves,
     conditional_project,
     constant_curve,
-    uniform_interval_curve,
+    terminal_predict_exploitative,
 )
+from icrf.curves import project_rows
 from icrf.exceptions import DegenerateInterval, InvariantViolation
 
 from _oracles import random_step_curve
@@ -150,34 +150,41 @@ class TestConditionalProject:
 
 
 class TestUniformFallback:
+    """project_rows on a curve with no mass on the interval."""
+
     def test_bounded_interval_midpoint(self):
-        c = uniform_interval_curve(1.0, 2.0, tau=5.0)
-        assert np.isclose(c.interpolate(1.5)[0], 0.5, atol=1e-12)
-        assert c.eval(1.0) == 1.0
-        assert c.eval(2.0) == 0.0
+        grid = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+        v = project_rows(np.ones((1, 5)), [1.0], [1.0], [1.0], [2.0], grid, tau=5.0)[0]
+        assert np.isclose(v[2], 0.5, atol=1e-12)
+        assert v[0] == v[1] == 1.0
+        assert v[3] == v[4] == 0.0
 
     def test_unbounded_uses_exponential(self):
-        c = uniform_interval_curve(1.0, np.inf, tau=5.0)
-        assert c.tail_rate == 0.2
-        assert np.isclose(c.eval(6.0), np.exp(-1.0))
+        grid = np.array([0.5, 1.0, 3.5, 6.0])
+        v = project_rows(np.zeros((1, 4)), [0.0], [0.0], [1.0], [np.inf], grid, tau=5.0)[0]
+        assert v[0] == v[1] == 1.0
+        assert np.isclose(v[2], np.exp(-0.5))
+        assert np.isclose(v[3], np.exp(-1.0))
 
 
 class TestAverage:
+    """The exploitative leaf: the knotwise mean of member curves."""
+
     def test_mean_of_indicator_curves(self):
         a = StepSurvival([1.0], [0.0])
         b = StepSurvival([3.0], [0.0])
-        avg = average_curves([a, b])
+        avg = terminal_predict_exploitative([a, b])
         assert avg.eval(2.0) == 0.5
 
     def test_single_curve_identity(self):
         c = StepSurvival([1.0, 2.0], [0.4, 0.1])
-        avg = average_curves([c])
+        avg = terminal_predict_exploitative([c])
         np.testing.assert_allclose(avg.eval([0.5, 1.0, 2.5]), c.eval([0.5, 1.0, 2.5]))
 
     def test_convexity_preserved(self):
         rng = np.random.default_rng(5)
         curves = [random_step_curve(rng) for _ in range(5)]
-        avg = average_curves(curves)
+        avg = terminal_predict_exploitative(curves)
         grid = np.linspace(0, 6, 500)
         vals = np.asarray(avg.eval(grid))
         assert np.all(np.diff(vals) <= 1e-12)

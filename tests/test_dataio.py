@@ -113,3 +113,21 @@ class TestConfig:
         p.write_text("bogus = 1\n")
         with pytest.raises(ParseError):
             parse_config(str(p))
+
+
+class TestDatasetValidation:
+    @pytest.mark.parametrize("lefts, rights, X", [
+        ([np.nan, 1.0], [2.0, 3.0], [[0.0], [1.0]]),
+        ([0.0, 1.0], [np.nan, 3.0], [[0.0], [1.0]]),
+        ([0.0, 1.0], [2.0, 3.0], [[np.nan], [1.0]]),
+        ([0.0, 1.0], [2.0, 3.0], [[np.inf], [1.0]]),
+    ], ids=["nan_left", "nan_right", "nan_covariate", "inf_covariate"])
+    def test_nonfinite_rejected(self, lefts, rights, X):
+        with pytest.raises(InvariantViolation):
+            Dataset(lefts, rights, X, ["x1"], 5.0)
+
+    def test_bad_value_in_config(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("n_tree = abc\n")
+        with pytest.raises(ParseError):
+            parse_config(str(p))

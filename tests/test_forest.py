@@ -21,6 +21,8 @@ from icrf.exceptions import (
     EmptyOob,
     InsufficientData,
     InvalidFold,
+    InvariantViolation,
+    ParseError,
 )
 
 N_SMALL = 80
@@ -90,6 +92,10 @@ class TestFit:
         vals = predict(m, sim.dataset.X[:3], grid)
         assert np.all(np.diff(vals, axis=1) <= 1e-12)
 
+    def test_unsmoothed_initial_curve(self, sim):
+        m = fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=6, initial_smooth=False))
+        assert np.all(np.isfinite(m.oob_errors))
+
     def test_imse2_monitoring(self, sim):
         m = fit(sim.dataset, ForestParams(n_tree=6, n_fold=2, seed=6,
                                           monitor_metric="imse2"))
@@ -122,6 +128,12 @@ class TestPredict:
     def test_dimension_mismatch(self, model):
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros((1, 2)), np.linspace(0, 5, 11))
+
+    def test_nonfinite_query_rejected(self, sim, model):
+        q = sim.dataset.X[:2].copy()
+        q[1, 0] = np.nan
+        with pytest.raises(InvariantViolation):
+            predict(model, q, np.linspace(0, 5, 11))
 
     def test_fold_average_identity(self, sim, model):
         # forest prediction is the mean of per-tree leaf curves
@@ -187,3 +199,14 @@ class TestSerialization:
             str(pb),
         )
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("cut", [lambda size: 40, lambda size: size // 2,
+                                     lambda size: size - 3],
+                             ids=["40_bytes", "half", "3_short"])
+    def test_truncated_file_is_parse_error(self, model, tmp_path, cut):
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        path.write_bytes(blob[: cut(len(blob))])
+        with pytest.raises(ParseError):
+            load_model(str(path))

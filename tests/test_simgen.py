@@ -124,3 +124,18 @@ class TestGenerate:
         cdf = lambda t: 1.0 - np.asarray(truth_eval(sc, t, x))
         d = stats.ks_1samp(draws, cdf).statistic
         assert d < 0.03
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of `import icrf`; the package must not need it
+    import os
+    import subprocess
+    import sys
+
+    import icrf
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(icrf.__file__)))
+    code = "import sys, icrf; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

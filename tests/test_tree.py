@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from icrf import (
-    ConditionalCurveSet,
     Dataset,
     StepSurvival,
     SplitRule,
@@ -39,7 +38,11 @@ def exact_dataset(times, X) -> Dataset:
 
 
 def curves_for(times):
-    return ConditionalCurveSet([exact_curve(t) for t in times], fold_index=0)
+    return [exact_curve(t) for t in times]
+
+
+def seeded(seed: int) -> np.random.Generator:
+    return np.random.default_rng(seed)
 
 
 class TestGrowth:
@@ -47,8 +50,8 @@ class TestGrowth:
         times = np.linspace(1.0, 2.0, 6)
         data = exact_dataset(times, np.arange(6.0)[:, None])
         tree = grow_tree(
-            data, curves_for(times), list(curves_for(times).curves),
-            np.arange(6), TreeParams(rng_seed=1),
+            data, curves_for(times), curves_for(times),
+            np.arange(6), TreeParams(), seeded(1),
         )
         assert tree.n_leaves == 1
         assert tree.leaves[0].size == 6
@@ -62,8 +65,8 @@ class TestGrowth:
         curves = curves_for(times)
         for seed in range(50):
             tree = grow_tree(
-                data, curves, list(curves.curves), np.arange(40),
-                TreeParams(mtry=1, rng_seed=seed),
+                data, curves, curves, np.arange(40),
+                TreeParams(mtry=1), seeded(seed),
             )
             leaves = tree.apply(X)
             # realized split separates the two clusters
@@ -76,8 +79,8 @@ class TestGrowth:
         times = np.linspace(1.0, 2.0, 20)
         data = exact_dataset(times, np.ones((20, 3)))
         curves = curves_for(times)
-        tree = grow_tree(data, curves, list(curves.curves), np.arange(20),
-                         TreeParams(rng_seed=3))
+        tree = grow_tree(data, curves, curves, np.arange(20),
+                         TreeParams(), seeded(3))
         assert tree.n_leaves == 1
 
     def test_insufficient_data(self):
@@ -85,8 +88,8 @@ class TestGrowth:
         data = exact_dataset(times, np.arange(2.0)[:, None])
         curves = curves_for(times)
         with pytest.raises(InsufficientData):
-            grow_tree(data, curves, list(curves.curves), np.arange(2),
-                      TreeParams(n_min=6))
+            grow_tree(data, curves, curves, np.arange(2),
+                      TreeParams(n_min=6), seeded(0))
 
     def test_partition_property(self):
         rng = np.random.default_rng(31)
@@ -94,8 +97,8 @@ class TestGrowth:
         X = rng.normal(size=(60, 4))
         data = exact_dataset(times, X)
         curves = curves_for(times)
-        tree = grow_tree(data, curves, list(curves.curves), np.arange(60),
-                         TreeParams(rng_seed=5))
+        tree = grow_tree(data, curves, curves, np.arange(60),
+                         TreeParams(), seeded(5))
         # every subject reaches exactly one leaf, and membership matches
         leaf_of = tree.apply(X)
         sizes = np.bincount(leaf_of, minlength=tree.n_leaves)
@@ -111,10 +114,10 @@ class TestGrowth:
         X = rng.normal(size=(50, 5))
         data = exact_dataset(times, X)
         curves = curves_for(times)
-        t1 = grow_tree(data, curves, list(curves.curves), np.arange(50),
-                       TreeParams(rng_seed=7))
-        t2 = grow_tree(data, curves, list(curves.curves), np.arange(50),
-                       TreeParams(rng_seed=7))
+        t1 = grow_tree(data, curves, curves, np.arange(50),
+                       TreeParams(), seeded(7))
+        t2 = grow_tree(data, curves, curves, np.arange(50),
+                       TreeParams(), seeded(7))
         np.testing.assert_array_equal(t1.feature, t2.feature)
         np.testing.assert_array_equal(t1.cutoff, t2.cutoff)
 
@@ -126,8 +129,8 @@ class TestGrowth:
         curves = curves_for(times)
         for kind in ("GWRS", "GLR", "SWRS", "SLR"):
             tree = grow_tree(
-                data, curves, list(curves.curves), np.arange(40),
-                TreeParams(rule=SplitRule(kind), rng_seed=11),
+                data, curves, curves, np.arange(40),
+                TreeParams(rule=SplitRule(kind)), seeded(11),
             )
             assert tree.n_leaves >= 1
 
@@ -180,15 +183,15 @@ class TestRouting:
         X = np.concatenate([np.zeros(10), np.ones(10)])[:, None]
         data = exact_dataset(times, X)
         curves = curves_for(times)
-        return grow_tree(data, curves, list(curves.curves), np.arange(20),
-                         TreeParams(mtry=1, rng_seed=2)), data
+        return grow_tree(data, curves, curves, np.arange(20),
+                         TreeParams(mtry=1), seeded(2)), data
 
     def test_single_leaf_returns_root_curve(self):
         times = np.linspace(1.0, 2.0, 6)
         data = exact_dataset(times, np.arange(6.0)[:, None])
         curves = curves_for(times)
-        tree = grow_tree(data, curves, list(curves.curves), np.arange(6),
-                         TreeParams(rng_seed=1))
+        tree = grow_tree(data, curves, curves, np.arange(6),
+                         TreeParams(), seeded(1))
         c1 = tree_predict(tree, np.array([-10.0]))
         c2 = tree_predict(tree, np.array([10.0]))
         assert c1 is c2
