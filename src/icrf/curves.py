@@ -21,6 +21,7 @@ import numpy as np
 from .exceptions import DegenerateInterval, InvariantViolation
 
 EPS_MASS = 1e-12
+REFINE_PER_GAP = 8  # sub-drops per mass in refine_uniform
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,13 @@ def conditional_project(
     return StepSurvival(ts, vs, tail_rate=None if bounded else s_x.tail_rate)
 
 
-def refine_uniform(curve: StepSurvival, per_gap: int = 8) -> StepSurvival:
+def narrow_gaps(t0, t1, per_gap: int = REFINE_PER_GAP):
+    """Whether each gap (t0, t1] is too narrow to cut into ``per_gap``
+    sub-intervals without rounding them away; its mass stays at t1."""
+    return (t1 - t0) <= 4 * per_gap * np.finfo(float).eps * np.maximum(t1, 1.0)
+
+
+def refine_uniform(curve: StepSurvival, per_gap: int = REFINE_PER_GAP) -> StepSurvival:
     """Re-discretize each probability mass uniformly over its interval.
 
     The mass dropping at knot t_j is spread over (t_{j-1}, t_j] (with
@@ -248,13 +255,12 @@ def refine_uniform(curve: StepSurvival, per_gap: int = 8) -> StepSurvival:
         return curve
     masses = curve.jump_masses()
     prev = np.concatenate(([0.0], curve.times[:-1]))
+    narrow = narrow_gaps(prev, curve.times, per_gap)
     ts, vs = [], []
     level = 1.0
-    eps = np.finfo(float).eps
     for j in range(curve.times.size):
         t0, t1, m = prev[j], curve.times[j], masses[j]
-        too_narrow = (t1 - t0) <= 4 * per_gap * eps * max(t1, 1.0)
-        if m <= 0.0 or too_narrow:
+        if m <= 0.0 or narrow[j]:
             level = float(curve.values[j])
             ts.append(t1)
             vs.append(level)

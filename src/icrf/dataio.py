@@ -176,10 +176,12 @@ def write_truth_csv(path: str, latent_times: np.ndarray, s0: np.ndarray, grid: n
 
 
 def read_truth_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (latent_times, S0 matrix, grid)."""
+    """Returns (latent_times, S0 matrix, grid). Every row must hold an id,
+    a latent time and one value per grid column; a malformed file raises
+    ParseError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["id", "latent_time"] or not header[2:]:
             raise ParseError(f"{path}: not a truth sidecar file")
         try:
@@ -188,8 +190,16 @@ def read_truth_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ParseError(f"{path}: malformed grid columns") from None
         latent, rows = [], []
         for row in reader:
-            latent.append(float(row[1]))
-            rows.append([float(v) for v in row[2:]])
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: line {reader.line_num} has {len(row)} values, "
+                    f"expected {len(header)}"
+                )
+            try:
+                latent.append(float(row[1]))
+                rows.append([float(v) for v in row[2:]])
+            except ValueError:
+                raise ParseError(f"{path}: line {reader.line_num}: non-numeric value") from None
     return np.asarray(latent), np.asarray(rows), grid
 
 

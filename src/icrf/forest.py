@@ -4,7 +4,9 @@ best-fold selection, prediction, and permutation variable importance.
 
 The carried-curve update and the IMSE2 monitor project curves onto the
 subjects' intervals with ``curves.project_rows``, the one projection
-kernel.
+kernel. OOB monitoring, smoothed prediction and variable importance smooth
+a tree's leaves in ``_leaf_rows``: one kernel column per distinct mass
+interval and one matrix product.
 """
 
 from __future__ import annotations
@@ -25,7 +27,16 @@ from .exceptions import (
     InvariantViolation,
 )
 from .npmle import npmle_fit, tail_correct
-from .smooth import bandwidth, curve_atoms, smooth_curve, smoothed_values_matrix
+# curve_atoms is not called here (leaf smoothing works on mass intervals),
+# but perfbench/tracing.py wraps it as an attribute of this module
+from .smooth import (  # noqa: F401
+    bandwidth,
+    curve_atoms,
+    interval_atoms,
+    mass_intervals,
+    smooth_curve,
+    smoothed_values_matrix,
+)
 from .tree import Tree, TreeParams, fold_context, grow_tree_ctx, support_bound_of
 
 MONITOR_GRID_N = 201  # trapezoid resolution for smoothed-curve metrics
@@ -164,13 +175,28 @@ def _monitor_error(metric, rows, lefts, rights, tau, grid) -> float:
 def _leaf_rows(tree: Tree, grid, h: float | None, leaf_ids=None) -> np.ndarray:
     """Leaf curves of ``tree`` (those in ``leaf_ids``, default all) on
     ``grid``, one row per leaf: smoothed with bandwidth ``h``, or read
-    through within-interval interpolation when h is None."""
+    through within-interval interpolation when h is None.
+
+    Smoothing is linear in the jump masses, which are spread uniformly
+    over their intervals first (``smooth.mass_intervals``). Leaves share
+    many intervals (exploitative leaves put all their mass on fold-grid
+    cells, quasi-honest leaves on Turnbull intervals), so each distinct
+    interval is smoothed once, as a unit-mass column, and the rows are
+    1 - M @ F for the (leaf x interval) mass matrix M and the columns'
+    smoothed distribution functions F.
+    """
     leaves = tree.leaves if leaf_ids is None else [tree.leaves[i] for i in leaf_ids]
     if h is None:
         return np.vstack([leaf.curve.interpolate(grid) for leaf in leaves])
-    # masses are spread uniformly within their intervals before smoothing
-    atoms = [curve_atoms(refine_uniform(leaf.curve)) for leaf in leaves]
-    return smoothed_values_matrix([a[0] for a in atoms], [a[1] for a in atoms], h, grid)
+    parts = [mass_intervals(leaf.curve) for leaf in leaves]
+    owner = np.repeat(np.arange(len(leaves)), [part[0].size for part in parts])
+    t0, t1, masses = (np.concatenate([part[j] for part in parts]) for j in range(3))
+    keys, col = np.unique(np.column_stack((t0, t1)), axis=0, return_inverse=True)
+    mix = np.zeros((len(leaves), keys.shape[0]))
+    np.add.at(mix, (owner, col.reshape(-1)), masses)
+    locs, unit = interval_atoms(keys[:, 0], keys[:, 1])
+    cdf = 1.0 - smoothed_values_matrix(locs, unit, h, grid)
+    return np.clip(1.0 - mix @ cdf, 0.0, 1.0)
 
 
 def _forest_rows(trees, leaf_rows, X) -> np.ndarray:

@@ -5,6 +5,15 @@ S~(t) = 1 - sum_j dF_j * [Phi((t-u_j)/h) - Phi((-t-u_j)/h)],
 where dF_j are the base curve's jump masses at u_j. The reflected term
 is the mirror boundary correction near t = 0; it guarantees S~(0) = 1
 and monotonicity, and is below Phi(-4) ~ 3e-5 once t > 4h.
+
+S~ is linear in the jump masses. Before smoothing, each mass is spread
+uniformly over its interval (``curves.refine_uniform``), so a curve's
+smoothed distribution function is the mass-weighted sum of the smoothed
+unit-mass distribution functions of its mass intervals
+(``mass_intervals``). Many curves that share intervals, such as the
+leaves of a tree, are therefore smoothed by evaluating one kernel column
+per distinct interval (``interval_atoms``) and mixing the columns with
+one matrix product.
 """
 
 from __future__ import annotations
@@ -14,30 +23,57 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .curves import StepSurvival
+from .curves import REFINE_PER_GAP, StepSurvival, narrow_gaps
 from .exceptions import DegenerateQuantiles
 
 TAIL_ATOMS = 64
 
 
-def curve_atoms(base: StepSurvival) -> tuple[np.ndarray, np.ndarray]:
-    """Mass locations and sizes of a step curve.
+def mass_intervals(base: StepSurvival):
+    """Where a step curve's mass lies: arrays (t0, t1, mass), one entry
+    per interval (t0, t1] that ``refine_uniform`` spreads a mass over.
 
-    Exponential tails are discretized into TAIL_ATOMS equal-mass atoms at
+    A jump mass m_j > 0 at t_j spreads over (t_{j-1}, t_j], t_0 = 0. A
+    gap too narrow to refine is the point interval t0 = t1, and so is
+    each of the TAIL_ATOMS equal-mass atoms of an exponential tail, at
     the tail's conditional quantiles. Defective mass (plateau without a
     tail) is left unplaced.
     """
-    locs = base.times
+    times = base.times
     masses = base.jump_masses()
+    prev = np.concatenate(([0.0], times))[:-1]
     pos = masses > 0.0
-    locs, masses = locs[pos], masses[pos]
+    t0 = np.where(narrow_gaps(prev, times), times, prev)[pos]
+    t1, masses = times[pos], masses[pos]
     rest = base.mass_beyond_knots()
     if base.tail_rate is not None and base.tail_rate > 0.0 and rest > 0.0:
-        t0 = base.times[-1] if base.times.size else 0.0
+        last = base.times[-1] if base.times.size else 0.0
         k = np.arange(1, TAIL_ATOMS + 1)
-        qs = t0 - np.log(1.0 - (k - 0.5) / TAIL_ATOMS) / base.tail_rate
-        locs = np.concatenate((locs, qs))
+        qs = last - np.log(1.0 - (k - 0.5) / TAIL_ATOMS) / base.tail_rate
+        t0, t1 = np.concatenate((t0, qs)), np.concatenate((t1, qs))
         masses = np.concatenate((masses, np.full(TAIL_ATOMS, rest / TAIL_ATOMS)))
+    return t0, t1, masses
+
+
+def curve_atoms(base: StepSurvival) -> tuple[np.ndarray, np.ndarray]:
+    """Mass locations and sizes of a step curve: each mass at the right
+    end of its interval (see ``mass_intervals``)."""
+    _, locs, masses = mass_intervals(base)
+    return locs, masses
+
+
+def interval_atoms(t0: np.ndarray, t1: np.ndarray):
+    """Unit-mass atoms of each interval (t0, t1], as lists for
+    ``smoothed_values_matrix``: the REFINE_PER_GAP sub-interval ends that
+    ``refine_uniform`` places, of equal mass, or one atom at t1 for a
+    point interval."""
+    point = t0 == t1
+    subs = np.linspace(t0[~point], t1[~point], REFINE_PER_GAP + 1, axis=1)[:, 1:]
+    sub_masses = np.full(REFINE_PER_GAP, 1.0 / REFINE_PER_GAP)
+    locs, masses, rows = [], [], iter(subs)
+    for is_point, t in zip(point, t1):
+        locs.append(np.array([t]) if is_point else next(rows))
+        masses.append(np.ones(1) if is_point else sub_masses)
     return locs, masses
 
 

@@ -149,3 +149,15 @@ def carried_rows_loop(base_rows, s_left, s_right, lefts, rights, grid, tau,
                 v = np.where(grid > right, 0.0, v)
         out[i] = np.minimum.accumulate(v)
     return out
+
+
+def smoothed_rows_per_curve(curves, grid, h):
+    """Each curve smoothed on its own: its masses spread over their
+    intervals by refine_uniform, turned into atoms by curve_atoms and
+    evaluated as one row of smoothed_values_matrix. Reference for the
+    interval-column form in forest._leaf_rows."""
+    from icrf.curves import refine_uniform
+    from icrf.smooth import curve_atoms, smoothed_values_matrix
+
+    atoms = [curve_atoms(refine_uniform(c)) for c in curves]
+    return smoothed_values_matrix([a[0] for a in atoms], [a[1] for a in atoms], h, grid)

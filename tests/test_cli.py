@@ -7,6 +7,8 @@ import pytest
 
 from icrf.cli import main
 
+from test_dataio import BAD_TRUTH_ROWS, corrupt_truth_row
+
 TAU = 5.0
 
 
@@ -214,6 +216,16 @@ class TestEvaluate:
         va, vb = vals(a), vals(b)
         for k in va:
             assert np.isclose(va[k], vb[k], atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRUTH_ROWS))
+    def test_malformed_truth_row(self, workspace, tmp_path, capsys, case):
+        truth = tmp_path / "t.csv"
+        truth.write_bytes((workspace / "t.csv").read_bytes())
+        corrupt_truth_row(truth, case)
+        assert run(["evaluate", "--model", workspace / "m.bin",
+                    "--test", workspace / "d.csv", "--truth", truth,
+                    "--out", tmp_path / "r.csv"]) == 1
+        assert "error[parse_error]" in capsys.readouterr().err
 
 
 class TestImportance:

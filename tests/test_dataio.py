@@ -88,6 +88,32 @@ class TestRoundTrip:
         np.testing.assert_array_equal(gb, grid)
 
 
+# each turns the first data row of a truth sidecar into a malformed one
+BAD_TRUTH_ROWS = {
+    "non_numeric": lambda cells: cells[:2] + ["abc"] + cells[3:],
+    "short_row": lambda cells: cells[:1],
+    "fewer_values": lambda cells: cells[:-1],
+}
+
+
+def corrupt_truth_row(path, case):
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(BAD_TRUTH_ROWS[case](lines[1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestTruthSidecar:
+    @pytest.mark.parametrize("case", sorted(BAD_TRUTH_ROWS))
+    def test_malformed_row_is_parse_error(self, tmp_path, case):
+        grid = np.linspace(0, 5, 6)
+        s0 = np.tile(np.linspace(1, 0, 6), (3, 1))
+        p = tmp_path / "t.csv"
+        write_truth_csv(str(p), np.ones(3), s0, grid)
+        corrupt_truth_row(p, case)
+        with pytest.raises(ParseError):
+            read_truth_csv(str(p))
+
+
 class TestConfig:
     def test_parse_table_style_config(self, tmp_path):
         p = tmp_path / "c.cfg"

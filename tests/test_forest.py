@@ -1,7 +1,12 @@
 """Forest fitting, prediction, OOB monitoring, and importance."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icrf import (
     ForestParams,
@@ -200,6 +205,14 @@ class TestSerialization:
         )
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_byte_identity_across_worker_counts_exploitative(self, sim, tmp_path):
+        pa, pb = tmp_path / "a.bin", tmp_path / "b.bin"
+        tree = TreeParams(prediction="exploitative")
+        for path, n_jobs in ((pa, 1), (pb, 2)):
+            params = ForestParams(n_tree=10, n_fold=2, seed=9, n_jobs=n_jobs, tree=tree)
+            save_model(fit(sim.dataset, params), str(path))
+        assert pa.read_bytes() == pb.read_bytes()
+
     @pytest.mark.parametrize("cut", [lambda size: 40, lambda size: size // 2,
                                      lambda size: size - 3],
                              ids=["40_bytes", "half", "3_short"])
@@ -210,3 +223,26 @@ class TestSerialization:
         path.write_bytes(blob[: cut(len(blob))])
         with pytest.raises(ParseError):
             load_model(str(path))
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5]), st.integers(24, 48),
+       st.sampled_from(["quasi_honest", "exploitative"]), st.integers(1, 3),
+       st.integers(1, 2), st.integers(0, 2**16))
+def test_save_load_save_round_trip(scenario, n, prediction, n_tree, n_fold, seed):
+    sim = generate(Scenario(id=scenario, n=n, M=1, seed=seed))
+    params = ForestParams(n_tree=n_tree, n_fold=n_fold, seed=seed,
+                          tree=TreeParams(prediction=prediction))
+    model = fit(sim.dataset, params)
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "a.bin"), os.path.join(d, "b.bin")
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+    grid = np.linspace(0.0, model.tau, 41)
+    q = sim.dataset.X[:7]
+    for smoothed in (False, True):
+        assert np.array_equal(predict(model, q, grid, smoothed=smoothed),
+                              predict(loaded, q, grid, smoothed=smoothed))
