@@ -18,7 +18,7 @@ from .forest import (
     predict,
     variable_importance,
 )
-from .metrics import ErrorReport, eps_int, eps_sup, imse1, imse2
+from .metrics import eps_int, eps_sup, imse1, imse2
 from .npmle import NpmleFit, TurnbullIntervals, npmle_fit, tail_correct, turnbull_intervals
 from .serialize import load_model, save_model
 from .simgen import Scenario, SimulatedDataset, generate, intervals_from_monitoring, truth_eval
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "ErrorReport",
     "ForestFold",
     "ForestParams",
     "GroupCurves",

@@ -18,8 +18,8 @@ from .dataio import atomic_write, _fmt
 from .forest import ForestParams, fit, predict
 from .metrics import oracle_errors
 from .simgen import Scenario, draw_covariates, generate, truth_eval
-from .splits import SplitRule
-from .tree import TreeParams
+from .splits import RULE_KINDS, SplitRule
+from .tree import PREDICTIONS, TreeParams
 
 RAW_COLUMNS = [
     "scenario", "M", "n", "rule", "prediction", "replicate", "fold",
@@ -40,16 +40,39 @@ class ExperimentSpec:
     seed: int = 0
     n_tree: int = 50
     n_fold: int = 5
-    n_min: int = 6
-    mtry: int | None = None
-    subsample: float = 0.95
-    initial_smooth: bool = True
-    monitor_metric: str = "imse1"
-    glr_sign: str = "difference"
+    n_min: int = TreeParams.n_min
+    mtry: int | None = TreeParams.mtry
+    subsample: float = ForestParams.subsample
+    initial_smooth: bool = ForestParams.initial_smooth
+    monitor_metric: str = ForestParams.monitor_metric
+    glr_sign: str = SplitRule.glr_sign
     n_test: int = 100
     grid_resolution: int = 201
     n_jobs: int = 1
     out_dir: str | None = None
+
+    def __post_init__(self):
+        # every rule and prediction is checked by the parameter classes
+        # before any replicate runs, where a failure is only recorded
+        for rule in self.rules:
+            for pred in self.predictions:
+                self.forest_params(rule, pred, seed=0)
+
+    def forest_params(self, rule: str, pred: str, seed: int) -> ForestParams:
+        return ForestParams(
+            n_tree=self.n_tree,
+            n_fold=self.n_fold,
+            subsample=self.subsample,
+            initial_smooth=self.initial_smooth,
+            monitor_metric=self.monitor_metric,
+            seed=seed,
+            tree=TreeParams(
+                mtry=self.mtry,
+                n_min=self.n_min,
+                rule=SplitRule(rule, glr_sign=self.glr_sign),
+                prediction=pred,
+            ),
+        )
 
     def cells(self):
         for sc in self.scenarios:
@@ -62,9 +85,7 @@ class ExperimentSpec:
 
 def _rep_entropy(spec: ExperimentSpec, cell, rep: int) -> list[int]:
     sc, m, n, rule, pred = cell
-    rule_ix = ("GWRS", "GLR", "SWRS", "SLR").index(rule)
-    pred_ix = ("quasi_honest", "exploitative").index(pred)
-    return [spec.seed, sc, m, n, rule_ix, pred_ix, rep]
+    return [spec.seed, sc, m, n, RULE_KINDS.index(rule), PREDICTIONS.index(pred), rep]
 
 
 def run_replicate(spec: ExperimentSpec, cell, rep: int) -> list[dict]:
@@ -78,22 +99,8 @@ def run_replicate(spec: ExperimentSpec, cell, rep: int) -> list[dict]:
     test_rng = np.random.default_rng(np.random.SeedSequence(entropy + [1]))
     x_test = draw_covariates(sc, spec.n_test, test_rng)
 
-    params = ForestParams(
-        n_tree=spec.n_tree,
-        n_fold=spec.n_fold,
-        subsample=spec.subsample,
-        initial_smooth=spec.initial_smooth,
-        monitor_metric=spec.monitor_metric,
-        seed=data_seed,
-        tree=TreeParams(
-            mtry=spec.mtry,
-            n_min=spec.n_min,
-            rule=SplitRule(rule, glr_sign=spec.glr_sign),
-            prediction=pred,
-        ),
-    )
     t0 = time.perf_counter()
-    model = fit(sim.dataset, params)
+    model = fit(sim.dataset, spec.forest_params(rule, pred, data_seed))
     seconds = time.perf_counter() - t0
 
     tau = sim.dataset.tau

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from .dataio import (
 )
 from .exceptions import IcrfError, MissingTruth, ParseError
 from .forest import (
+    METRICS,
     ForestParams,
     fit,
     imse1_on_rows,
@@ -51,29 +53,24 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
+def _given(cls, cfg: dict) -> dict:
+    """The config values named after fields of ``cls``; fields the
+    config leaves out keep their defaults."""
+    return {f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg}
+
+
 def _forest_params(cfg: dict, n: int, seed: int | None, n_jobs: int | None) -> ForestParams:
-    sub = cfg.get("subsample")
+    cfg = dict(cfg)
+    if "rule" in cfg:
+        cfg["kind"] = cfg.pop("rule")
     if "s" in cfg:
-        sub = cfg["s"] / n
-    rule = SplitRule(cfg.get("rule", "GWRS"), glr_sign=cfg.get("glr_sign", "difference"))
-    tree = TreeParams(
-        mtry=cfg.get("mtry"),
-        n_min=cfg.get("n_min", 6),
-        rule=rule,
-        prediction=cfg.get("prediction", "quasi_honest"),
-    )
-    return ForestParams(
-        n_tree=cfg.get("n_tree", 300),
-        n_fold=cfg.get("n_fold", 10),
-        subsample=sub if sub is not None else 0.95,
-        tree=tree,
-        initial_smooth=cfg.get("initial_smooth", True),
-        monitor_metric=cfg.get("monitor_metric", "imse1"),
-        seed=seed if seed is not None else cfg.get("seed", 0),
-        n_jobs=n_jobs if n_jobs is not None else cfg.get("n_jobs", 1),
-        update_curves=cfg.get("update_curves", "full"),
-        c_override=cfg.get("c_override"),
-    )
+        cfg["subsample"] = cfg["s"] / n
+    if seed is not None:
+        cfg["seed"] = seed
+    if n_jobs is not None:
+        cfg["n_jobs"] = n_jobs
+    tree = TreeParams(**_given(TreeParams, cfg), rule=SplitRule(**_given(SplitRule, cfg)))
+    return ForestParams(**_given(ForestParams, cfg), tree=tree)
 
 
 def cmd_fit(args) -> int:
@@ -249,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--nperm", type=int, default=10)
-    p.add_argument("--metric", default="imse1", choices=("imse1", "imse2"))
+    p.add_argument("--metric", default="imse1", choices=METRICS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_importance)

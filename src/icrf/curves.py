@@ -14,7 +14,7 @@ update, IMSE2 (both the OOB monitor and ``metrics.imse2``) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,10 @@ REFINE_PER_GAP = 8  # sub-drops per mass in refine_uniform
 
 @dataclass(frozen=True)
 class IntervalObservation:
-    """One subject's censoring interval (left, right] plus covariates."""
+    """One subject's censoring interval (left, right]."""
 
     left: float
     right: float
-    covariates: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         if not (self.left >= 0.0):
@@ -39,9 +38,6 @@ class IntervalObservation:
             raise InvariantViolation(
                 f"interval must satisfy left < right, got ({self.left}, {self.right}]"
             )
-        object.__setattr__(
-            self, "covariates", np.asarray(self.covariates, dtype=float)
-        )
 
 
 @dataclass(frozen=True)
@@ -203,22 +199,18 @@ def project_rows(rows, s_l, s_r, lefts, rights, grid, tau: float) -> np.ndarray:
     return out
 
 
-def conditional_project(
-    s_x: StepSurvival, interval: IntervalObservation, grid=None
-) -> StepSurvival:
+def conditional_project(s_x: StepSurvival, interval: IntervalObservation) -> StepSurvival:
     """Project a covariate-conditional curve onto a censoring interval.
 
     Returns S(t | X, I): 1 on [0, L], clipped renormalization of s_x on
     (L, R], 0 beyond finite R. Knots are s_x's knots inside (L, R) plus
-    L and R themselves (plus ``grid`` points, for continuous inputs).
+    L and R themselves.
 
     Raises DegenerateInterval when s_x carries no mass on (L, R].
     """
     left, right = interval.left, interval.right
     bounded = bool(np.isfinite(right))
-    knots = np.asarray(s_x.times, dtype=float)
-    if grid is not None:
-        knots = np.union1d(knots, np.asarray(grid, dtype=float))
+    knots = s_x.times
     inner = knots[(knots > left) & (knots < right)]
     ts = np.concatenate(([left] if left > 0.0 else [], inner, [right] if bounded else []))
     vals = np.asarray(s_x.eval(ts))
@@ -236,17 +228,17 @@ def conditional_project(
     return StepSurvival(ts, vs, tail_rate=None if bounded else s_x.tail_rate)
 
 
-def narrow_gaps(t0, t1, per_gap: int = REFINE_PER_GAP):
-    """Whether each gap (t0, t1] is too narrow to cut into ``per_gap``
+def narrow_gaps(t0, t1):
+    """Whether each gap (t0, t1] is too narrow to cut into REFINE_PER_GAP
     sub-intervals without rounding them away; its mass stays at t1."""
-    return (t1 - t0) <= 4 * per_gap * np.finfo(float).eps * np.maximum(t1, 1.0)
+    return (t1 - t0) <= 4 * REFINE_PER_GAP * np.finfo(float).eps * np.maximum(t1, 1.0)
 
 
-def refine_uniform(curve: StepSurvival, per_gap: int = REFINE_PER_GAP) -> StepSurvival:
+def refine_uniform(curve: StepSurvival) -> StepSurvival:
     """Re-discretize each probability mass uniformly over its interval.
 
     The mass dropping at knot t_j is spread over (t_{j-1}, t_j] (with
-    t_0 = 0) in ``per_gap`` equal sub-drops, matching the piecewise-linear
+    t_0 = 0) in REFINE_PER_GAP equal sub-drops, matching the piecewise-linear
     ``interpolate`` reading of the curve. Zero-jump marker knots keep
     genuinely flat stretches flat. Used before kernel smoothing so that
     wide-interval masses are not treated as right-endpoint atoms.
@@ -255,7 +247,7 @@ def refine_uniform(curve: StepSurvival, per_gap: int = REFINE_PER_GAP) -> StepSu
         return curve
     masses = curve.jump_masses()
     prev = np.concatenate(([0.0], curve.times[:-1]))
-    narrow = narrow_gaps(prev, curve.times, per_gap)
+    narrow = narrow_gaps(prev, curve.times)
     ts, vs = [], []
     level = 1.0
     for j in range(curve.times.size):
@@ -265,8 +257,8 @@ def refine_uniform(curve: StepSurvival, per_gap: int = REFINE_PER_GAP) -> StepSu
             ts.append(t1)
             vs.append(level)
             continue
-        sub = np.linspace(t0, t1, per_gap + 1)[1:]
-        drops = np.full(per_gap, m / per_gap)
+        sub = np.linspace(t0, t1, REFINE_PER_GAP + 1)[1:]
+        drops = np.full(REFINE_PER_GAP, m / REFINE_PER_GAP)
         for t, d in zip(sub, drops):
             level -= d
             ts.append(t)

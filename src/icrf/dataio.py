@@ -205,6 +205,17 @@ def read_truth_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # -- flat key=value config ---------------------------------------------------
 
+def _flag(text: str) -> bool:
+    """A yes/no config value: true/false, yes/no or 1/0."""
+    value = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}.get(text.lower())
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
+# allowed values and defaults of the forest options are those of
+# ForestParams, TreeParams and SplitRule, which check them
 CONFIG_KEYS = {
     "n_tree": int,
     "n_fold": int,
@@ -212,11 +223,11 @@ CONFIG_KEYS = {
     "n_min": int,
     "s": int,  # absolute subsample size (alternative to subsample)
     "subsample": float,
-    "replace": str,
+    "replace": _flag,
     "rule": str,
     "glr_sign": str,
     "prediction": str,
-    "initial_smooth": str,
+    "initial_smooth": _flag,
     "monitor_metric": str,
     "seed": int,
     "tau": float,
@@ -251,9 +262,6 @@ def parse_config(path: str) -> dict:
     """Flat key=value file mirroring the tuning-parameter names
     (n_tree, mtry, s, replace, n_min, n_fold, ...)."""
     out = read_key_values(path, CONFIG_KEYS)
-    if out.get("replace", "no").lower() not in ("no", "false", "0"):
+    if out.get("replace"):
         raise ParseError(f"{path}: resampling with replacement is not supported")
-    for key in ("initial_smooth",):
-        if key in out:
-            out[key] = out[key].lower() in ("1", "true", "yes")
     return out

@@ -42,6 +42,8 @@ from .tree import Tree, TreeParams, fold_context, grow_tree_ctx, support_bound_o
 MONITOR_GRID_N = 201  # trapezoid resolution for smoothed-curve metrics
 GRID_REFINE_N = 64  # uniform refinement of (0, tau] added to the knot grid
 TREE_BATCH = 8  # fixed batching so results do not depend on worker count
+METRICS = ("imse1", "imse2")  # OOB monitoring and importance metrics
+UPDATE_MODES = ("full", "oob")  # carried curves from all trees, or from OOB trees only
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,10 @@ class ForestParams:
     subsample: float = 0.95
     tree: TreeParams = field(default_factory=TreeParams)
     initial_smooth: bool = True
-    monitor_metric: str = "imse1"
+    monitor_metric: str = "imse1"  # one of METRICS
     seed: int = 0
     n_jobs: int = 1
-    update_curves: str = "full"  # or "oob": carried curves from OOB trees only
+    update_curves: str = "full"  # one of UPDATE_MODES
     c_override: float | None = None
 
     def __post_init__(self):
@@ -62,8 +64,14 @@ class ForestParams:
             raise InsufficientData("n_tree and n_fold must be >= 1")
         if not 0.0 < self.subsample <= 1.0:
             raise InsufficientData("subsample must be in (0, 1]")
-        if self.monitor_metric not in ("imse1", "imse2"):
-            raise InsufficientData(f"unknown monitor metric {self.monitor_metric!r}")
+        if self.monitor_metric not in METRICS:
+            raise InsufficientData(
+                f"monitor_metric must be one of {METRICS}, got {self.monitor_metric!r}"
+            )
+        if self.update_curves not in UPDATE_MODES:
+            raise InsufficientData(
+                f"update_curves must be one of {UPDATE_MODES}, got {self.update_curves!r}"
+            )
 
 
 @dataclass
@@ -168,6 +176,8 @@ def imse2_on_rows(rows, lefts, rights, tau, grid) -> float:
 
 
 def _monitor_error(metric, rows, lefts, rights, tau, grid) -> float:
+    if metric not in METRICS:
+        raise InsufficientData(f"metric must be one of {METRICS}, got {metric!r}")
     fn = imse1_on_rows if metric == "imse1" else imse2_on_rows
     return fn(rows, lefts, rights, tau, grid)
 
@@ -252,7 +262,9 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
         raise InsufficientData(f"need at least {2 * n_min} subjects, got {n}")
     if p < 1:
         raise InsufficientData("at least one covariate required")
-    s_size = int(np.ceil(params.subsample * n))
+    # the guard absorbs rounding in subsample = k / n (an absolute size k)
+    # without moving ceil for any usual fraction
+    s_size = int(np.ceil(params.subsample * n - 1e-9))
     if s_size >= n and params.n_fold > 1:
         raise EmptyOob("subsample leaves no out-of-bag subjects; monitoring impossible")
     params.tree.resolved_mtry(p)
@@ -380,8 +392,6 @@ def variable_importance(
 ) -> ImportanceResult:
     """Mean increase in the metric when one covariate column is permuted
     across the sample, per feature; raw plus max-rescaled values."""
-    if metric not in ("imse1", "imse2"):
-        raise InsufficientData(f"unknown importance metric {metric!r}")
     fobj = _check_fold(model, None)
     grid = monitor_grid(model.tau)
     rows_by_tree = [_leaf_rows(t, grid, model.h) for t in fobj.trees]

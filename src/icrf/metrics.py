@@ -6,23 +6,13 @@ IMSE2 projects each predicted curve onto the subject's interval with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .curves import IntervalObservation, StepSurvival, endpoint_values, project_rows
+from .curves import StepSurvival, endpoint_values, project_rows
 from .exceptions import AllSkipped
 
 DEFAULT_GRID_N = 1001
 SMOOTH_SEG_N = 201  # per-segment trapezoid resolution for continuous curves
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    metric: str
-    value: float
-    n: int
-    per_subject: np.ndarray | None = None
 
 
 def _oracle_grid(tau: float, grid_resolution: int) -> np.ndarray:
@@ -110,7 +100,7 @@ def imse1_curve_terms(curve, left: float, right: float, tau: float):
     return num, length
 
 
-def imse1(predict, dataset, return_report: bool = False):
+def imse1(predict, dataset) -> float:
     """IMSE1: squared discrepancy from the known survival status, averaged
     over each subject's known-status region then over retained subjects.
 
@@ -126,40 +116,18 @@ def imse1(predict, dataset, return_report: bool = False):
         per_subject.append(num / length)
     if not per_subject:
         raise AllSkipped("every subject has zero known-status length")
-    per_subject = np.asarray(per_subject)
-    value = float(per_subject.mean())
-    if return_report:
-        return ErrorReport("imse1", value, per_subject.size, per_subject)
-    return value
+    return float(np.mean(per_subject))
 
 
-def imse2(
-    cov_predict,
-    dataset,
-    full_cond=None,
-    grid_resolution: int = DEFAULT_GRID_N,
-    return_report: bool = False,
-):
-    """IMSE2: mean over subjects of (1/tau) * int (S(t|X,I) - S(t|X))^2 dt.
-
-    ``full_cond(x, interval)`` defaults to the conditional projection of
-    ``cov_predict``'s curve onto the subject's interval.
-    """
+def imse2(cov_predict, dataset) -> float:
+    """IMSE2: mean over subjects of (1/tau) * int (S(t|X,I) - S(t|X))^2 dt,
+    where S(t|X,I) is the projection of ``cov_predict``'s curve onto the
+    subject's interval, on a DEFAULT_GRID_N-point grid of [0, tau]."""
     tau = dataset.tau
-    grid = np.linspace(0.0, tau, grid_resolution)
+    grid = np.linspace(0.0, tau, DEFAULT_GRID_N)
     lefts, rights = dataset.lefts, dataset.rights
     curves = [cov_predict(x) for x in dataset.X]
     v_cov = np.vstack([np.asarray(c.eval(grid)) for c in curves])
-    if full_cond is not None:
-        v_cond = np.vstack([
-            np.asarray(full_cond(x, IntervalObservation(l, r)).eval(grid))
-            for x, l, r in zip(dataset.X, lefts, rights)
-        ])
-    else:
-        s_l, s_r = endpoint_values([c.eval for c in curves], lefts, rights)
-        v_cond = project_rows(v_cov, s_l, s_r, lefts, rights, grid, tau)
-    per_subject = np.trapezoid((v_cond - v_cov) ** 2, grid, axis=1) / tau
-    value = float(per_subject.mean())
-    if return_report:
-        return ErrorReport("imse2", value, dataset.n, per_subject)
-    return value
+    s_l, s_r = endpoint_values([c.eval for c in curves], lefts, rights)
+    v_cond = project_rows(v_cov, s_l, s_r, lefts, rights, grid, tau)
+    return float((np.trapezoid((v_cond - v_cov) ** 2, grid, axis=1) / tau).mean())

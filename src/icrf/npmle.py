@@ -111,24 +111,14 @@ def _curve_from_masses(tb: TurnbullIntervals, masses: np.ndarray) -> StepSurviva
     return StepSurvival(np.asarray(times), np.asarray(values))
 
 
-def npmle_fit(
-    lefts,
-    rights,
-    weights=None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tb: TurnbullIntervals | None = None,
-) -> NpmleFit:
+def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> NpmleFit:
     """Weighted NPMLE via EM on the Turnbull mass simplex.
 
     Iterates p_j <- sum_i w_i a_ij p_j / (a_i . p) / sum_i w_i from the
-    uniform start until max|dp| < tol or max_iter. Non-convergence is
-    reported through ``converged=False`` (the best iterate is returned).
+    uniform start until max|dp| < DEFAULT_TOL or max_iter. Non-convergence
+    is reported through ``converged=False`` (the best iterate is returned).
     """
-    lefts = np.asarray(lefts, dtype=float)
-    rights = np.asarray(rights, dtype=float)
-    if tb is None:
-        tb = turnbull_intervals(lefts, rights)
+    tb = turnbull_intervals(lefts, rights)
     n, k = tb.membership.shape
     if weights is None:
         weights = np.ones(n)
@@ -162,7 +152,7 @@ def npmle_fit(
                         f"EM log-likelihood decreased: {state['prev_ll']} -> {ll}"
                     )
                 state["prev_ll"] = ll
-            if delta < tol:
+            if delta < DEFAULT_TOL:
                 return p, used, True
         return p, used, False
 
@@ -206,9 +196,7 @@ def self_consistency_residual(fit: NpmleFit, weights=None) -> float:
     return float(np.max(np.abs(p_new - p)))
 
 
-def tail_correct(
-    fit: NpmleFit, has_unbounded: bool, a: float | None = None, tau: float | None = None
-) -> StepSurvival:
+def tail_correct(fit: NpmleFit, has_unbounded: bool, tau: float | None = None) -> StepSurvival:
     """Exponential reallocation of the final probability mass.
 
     When unbounded intervals are present, the mass p in the last
@@ -224,8 +212,7 @@ def tail_correct(
         return fit.curve
     last = keep[-1]
     p_hat = float(fit.masses[last])
-    if a is None:
-        a = float(fit.intervals.lefts[last])
+    a = float(fit.intervals.lefts[last])
 
     if a <= 0.0:
         if tau is None:

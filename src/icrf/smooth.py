@@ -81,7 +81,6 @@ def interval_atoms(t0: np.ndarray, t1: np.ndarray):
 class SmoothedSurvival:
     """Continuous survival curve: Gaussian-smoothed step curve."""
 
-    base: StepSurvival
     bandwidth: float
     support_end: float
     locs: np.ndarray
@@ -122,7 +121,6 @@ def smooth_curve(base: StepSurvival, h: float, support_end: float) -> SmoothedSu
         raise DegenerateQuantiles(f"bandwidth must be > 0, got {h}")
     locs, masses = curve_atoms(base)
     return SmoothedSurvival(
-        base=base,
         bandwidth=float(h),
         support_end=float(support_end),
         locs=locs,

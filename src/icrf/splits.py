@@ -19,24 +19,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import EPS_MASS, endpoint_values
-from .exceptions import EmptyGroup, ZeroRisk
+from .exceptions import EmptyGroup, InsufficientData, ZeroRisk
 
 SLR_FLOOR = 1e-12
 
 GWRS, GLR, SWRS, SLR = "GWRS", "GLR", "SWRS", "SLR"
 RULE_KINDS = (GWRS, GLR, SWRS, SLR)
+GLR_SIGNS = ("difference", "printed_sum")
 
 
 @dataclass(frozen=True)
 class SplitRule:
-    kind: str = GWRS
-    glr_sign: str = "difference"  # or "printed_sum"
+    kind: str = GWRS  # one of RULE_KINDS
+    glr_sign: str = "difference"  # one of GLR_SIGNS
 
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown split rule {self.kind!r}")
-        if self.glr_sign not in ("difference", "printed_sum"):
-            raise ValueError(f"unknown glr_sign {self.glr_sign!r}")
+            raise InsufficientData(f"rule must be one of {RULE_KINDS}, got {self.kind!r}")
+        if self.glr_sign not in GLR_SIGNS:
+            raise InsufficientData(f"glr_sign must be one of {GLR_SIGNS}, got {self.glr_sign!r}")
 
 
 @dataclass
@@ -87,7 +88,7 @@ def gwrs_from_sums(sum1, n1, sum2, n2) -> float:
     return float(1.0 + check1 @ ds2 - 0.5 * m1[-1] * m2[-1])
 
 
-def glr_from_sums(sum1, n1, sum2, n2, sign: str = "difference") -> float:
+def glr_from_sums(sum1, n1, sum2, n2, sign: str) -> float:
     """Generalized log-rank statistic from group totals on the shared grid.
 
     Returns nan when the variance term vanishes (no usable events)."""
@@ -173,8 +174,9 @@ def gwrs(g1: GroupCurves, g2: GroupCurves) -> float:
     return gwrs_from_sums(*_group_sums(g1, g2))
 
 
-def glr(g1: GroupCurves, g2: GroupCurves, glr_sign: str = "difference") -> float:
-    stat = glr_from_sums(*_group_sums(g1, g2), sign=glr_sign)
+def glr(g1: GroupCurves, g2: GroupCurves, glr_sign: str = SplitRule.glr_sign) -> float:
+    rule = SplitRule(GLR, glr_sign)  # checks glr_sign
+    stat = glr_from_sums(*_group_sums(g1, g2), sign=rule.glr_sign)
     if np.isnan(stat):
         raise ZeroRisk("log-rank variance term vanished")
     return stat

@@ -36,6 +36,7 @@ from .splits import (
 
 QUASI_HONEST = "quasi_honest"
 EXPLOITATIVE = "exploitative"
+PREDICTIONS = (QUASI_HONEST, EXPLOITATIVE)
 
 LEAF_MASS_TOL = 1e-15
 
@@ -45,7 +46,13 @@ class TreeParams:
     mtry: int | None = None  # None -> ceil(sqrt(p))
     n_min: int = 6
     rule: SplitRule = field(default_factory=SplitRule)
-    prediction: str = QUASI_HONEST
+    prediction: str = QUASI_HONEST  # one of PREDICTIONS
+
+    def __post_init__(self):
+        if self.prediction not in PREDICTIONS:
+            raise InsufficientData(
+                f"prediction must be one of {PREDICTIONS}, got {self.prediction!r}"
+            )
 
     def resolved_mtry(self, p: int) -> int:
         m = self.mtry if self.mtry is not None else int(np.ceil(np.sqrt(p)))

@@ -1,8 +1,10 @@
 """Experiment harness: replicate rows, aggregation, resumability."""
 
 import numpy as np
+import pytest
 
 from icrf.bench import ExperimentSpec, aggregate, run_experiment, run_replicate
+from icrf.exceptions import InsufficientData
 
 
 def tiny_spec(**kw) -> ExperimentSpec:
@@ -50,6 +52,16 @@ class TestRunExperiment:
         assert len(rows_a) == len(rows_b)
         for ra, rb in zip(rows_a, rows_b):
             assert ra["eps_int"] == rb["eps_int"]
+
+
+class TestSpecOptions:
+    @pytest.mark.parametrize("kw", [
+        {"rules": ("GWRS", "foo")}, {"predictions": ("quasi-honest",)},
+        {"glr_sign": "sum"}, {"monitor_metric": "imse3"},
+    ], ids=["rules", "predictions", "glr_sign", "monitor_metric"])
+    def test_unknown_value_rejected(self, kw):
+        with pytest.raises(InsufficientData):
+            tiny_spec(**kw)
 
 
 class TestAggregate:

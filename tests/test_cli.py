@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from icrf import load_model
 from icrf.cli import main
 
 from test_dataio import BAD_TRUTH_ROWS, corrupt_truth_row
@@ -62,6 +63,37 @@ class TestFit:
         assert run(args + ["--out", tmp_path / "a.bin"]) == 0
         assert run(args + ["--out", tmp_path / "b.bin"]) == 0
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("line, code", [
+        ("rule = foo", "insufficient_data"),
+        ("glr_sign = sum", "insufficient_data"),
+        ("prediction = quasi-honest", "insufficient_data"),
+        ("update_curves = OOB", "insufficient_data"),
+        ("monitor_metric = imse3", "insufficient_data"),
+        ("initial_smooth = ture", "parse_error"),
+    ])
+    def test_unknown_value_is_typed_error(self, workspace, tmp_path, capsys, line, code):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n_tree = 2\nn_fold = 1\ntau = 5\n{line}\n")
+        assert run(["fit", "--data", workspace / "d.csv", "--config", cfg,
+                    "--out", tmp_path / "m.bin", "--report", tmp_path / "r.csv"]) == 1
+        assert f"error[{code}]" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("s, n", [(7, 25), (21, 300), (42, 300)])
+    def test_absolute_subsample_size_is_exact(self, tmp_path, s, n):
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--scenario", 2, "--n", n, "--seed", 1, "--out", data]) == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"n_tree = 3\nn_fold = 1\nn_min = 3\ntau = 5\ns = {s}\n"
+                       "prediction = exploitative\n")
+        model = tmp_path / "m.bin"
+        assert run(["fit", "--data", data, "--config", cfg, "--out", model,
+                    "--report", tmp_path / "r.csv"]) == 0
+        trees = load_model(str(model)).folds[0].trees
+        assert [t.inbag_ids.size for t in trees] == [s] * 3
 
 
 class TestPredict:
@@ -273,6 +305,14 @@ class TestBenchCli:
         with open(out / "raw.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 2  # replicates x folds
+
+    def test_unknown_rule_fails_before_any_replicate(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("rules = GWRS,foo\nn_values = 50\nn_replicates = 1\n")
+        out = tmp_path / "res"
+        assert run(["bench", "--spec", spec, "--out", out]) == 1
+        assert "error[insufficient_data]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_spec_value(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"

@@ -134,6 +134,20 @@ class TestConfig:
         with pytest.raises(ParseError):
             parse_config(str(p))
 
+    @pytest.mark.parametrize("text, value", [("true", True), ("Yes", True), ("1", True),
+                                             ("false", False), ("NO", False), ("0", False)])
+    def test_initial_smooth_flag(self, tmp_path, text, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"initial_smooth = {text}\n")
+        assert parse_config(str(p))["initial_smooth"] is value
+
+    @pytest.mark.parametrize("text", ["ture", "on", ""])
+    def test_initial_smooth_bad_flag_rejected(self, tmp_path, text):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"initial_smooth = {text}\n")
+        with pytest.raises(ParseError):
+            parse_config(str(p))
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("bogus = 1\n")

@@ -97,6 +97,23 @@ class TestFit:
         vals = predict(m, sim.dataset.X[:3], grid)
         assert np.all(np.diff(vals, axis=1) <= 1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ForestParams(monitor_metric="imse3"),
+        lambda: ForestParams(update_curves="OOB"),
+        lambda: TreeParams(prediction="quasi-honest"),
+    ], ids=["monitor_metric", "update_curves", "prediction"])
+    def test_unknown_option_value_rejected(self, make):
+        with pytest.raises(InsufficientData):
+            make()
+
+    @pytest.mark.parametrize("call", [
+        lambda m, data: oob_error(m.folds[0], data, metric="imse3", h=m.h),
+        lambda m, data: variable_importance(m, data, n_perm=1, metric="imse3"),
+    ], ids=["oob_error", "variable_importance"])
+    def test_unknown_metric_rejected(self, model, sim, call):
+        with pytest.raises(InsufficientData):
+            call(model, sim.dataset)
+
     def test_unsmoothed_initial_curve(self, sim):
         m = fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=6, initial_smooth=False))
         assert np.all(np.isfinite(m.oob_errors))

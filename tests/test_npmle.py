@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import icrf.npmle as npmle_mod
 from icrf import npmle_fit, tail_correct, turnbull_intervals
@@ -88,6 +90,39 @@ class TestNpmleFit:
             fit = npmle_fit(lefts, rights)
             assert abs(fit.masses.sum() - 1.0) < 1e-8
             assert np.all(fit.masses >= 0.0)
+
+
+# interval ends on a lattice, so that they often coincide, or anywhere
+ends = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), st.floats(0.0, 3.0))
+
+
+@st.composite
+def small_samples(draw):
+    """Up to eight unweighted intervals, bounded, exact and right-unbounded
+    ones mixed, that make at most five Turnbull intervals."""
+    lefts, rights = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        left = draw(ends)
+        kind = draw(st.sampled_from(["bounded", "exact", "unbounded"]))
+        if kind == "exact":
+            left, right = encode_exact(left + 0.25)
+        elif kind == "unbounded":
+            right = np.inf
+        else:
+            right = left + draw(st.one_of(st.just(0.5), st.floats(0.1, 2.5)))
+        lefts.append(left)
+        rights.append(right)
+    assume(turnbull_intervals(lefts, rights).n_intervals <= 5)
+    return np.asarray(lefts), np.asarray(rights)
+
+
+class TestNpmleProperty:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(small_samples())
+    def test_loglik_reaches_brute_force_maximum(self, sample):
+        lefts, rights = sample
+        fit = npmle_fit(lefts, rights)
+        assert fit.loglik >= simplex_grid_loglik(fit.intervals.membership) - 1e-4
 
 
 class TestEmProperties:

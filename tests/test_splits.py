@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icrf import GroupCurves, SplitRule, StepSurvival, glr, gwrs, slr, split_score, swrs
 from icrf.dataio import encode_exact
 from icrf.curves import IntervalObservation
-from icrf.exceptions import EmptyGroup
+from icrf.exceptions import EmptyGroup, InsufficientData
 from icrf.splits import gwrs_pairwise, pooled_grid, values_matrix
 
 from _oracles import logrank_scaled, random_step_curve, wilcoxon_theta
@@ -69,6 +71,44 @@ class TestGwrs:
             gwrs(GroupCurves([], tau=TAU), exact_group([1.0]))
 
 
+KNOT_POOL = np.arange(1, 13) * 0.4  # shared by every drawn curve, so knots tie
+
+
+@st.composite
+def step_curves(draw):
+    """A step curve on knots from KNOT_POOL: some drops zero, some curves
+    empty, defective or with an exponential tail."""
+    picks = draw(st.lists(st.integers(0, KNOT_POOL.size - 1), max_size=6, unique=True))
+    times = KNOT_POOL[np.sort(np.asarray(picks, dtype=int))]
+    drops = np.asarray([draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))) for _ in times])
+    rest = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    total = drops.sum() + rest
+    values = 1.0 - np.cumsum(drops) / total if total > 0.0 else np.ones(times.size)
+    tail = draw(st.one_of(st.none(), st.floats(0.1, 3.0)))
+    return StepSurvival(times, np.maximum(values, 0.0), tail_rate=tail)
+
+
+@st.composite
+def curve_groups(draw):
+    """Two non-empty groups; with probability about one half the second
+    group repeats curves of the first, so whole curves tie too."""
+    g1 = draw(st.lists(step_curves(), min_size=1, max_size=5))
+    g2 = draw(st.lists(step_curves(), min_size=1, max_size=5))
+    shared = draw(st.lists(st.sampled_from(g1), max_size=3))
+    return g1, g2 + shared, draw(st.sampled_from([2.0, TAU, 10.0]))
+
+
+class TestGwrsProperty:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(curve_groups())
+    def test_equals_pairwise_oracle(self, groups):
+        c1, c2, tau = groups
+        grid = pooled_grid([c1, c2], tau)
+        want = gwrs_pairwise(values_matrix(c1, grid), values_matrix(c2, grid))
+        got = gwrs(GroupCurves(c1, tau=tau), GroupCurves(c2, tau=tau))
+        assert abs(got - want) <= 1e-12
+
+
 class TestGlr:
     def test_identical_groups_zero(self):
         g = exact_group([1.0, 2.0, 3.0])
@@ -93,6 +133,18 @@ class TestGlr:
         d = glr(exact_group(t1), exact_group(t2), glr_sign="difference")
         s = glr(exact_group(t1), exact_group(t2), glr_sign="printed_sum")
         assert not np.isclose(d, s)
+
+
+class TestSplitRuleOptions:
+    @pytest.mark.parametrize("kw", [{"kind": "foo"}, {"kind": "gwrs"},
+                                    {"glr_sign": "sum"}], ids=["kind", "kind_case", "glr_sign"])
+    def test_unknown_value_rejected(self, kw):
+        with pytest.raises(InsufficientData):
+            SplitRule(**kw)
+
+    def test_glr_unknown_sign_rejected(self):
+        with pytest.raises(InsufficientData):
+            glr(exact_group([1.0]), exact_group([2.0]), glr_sign="sum")
 
 
 class TestScoreStatistics:
