@@ -47,7 +47,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ParseError(f"grid must be start:stop:step, got {spec!r}") from None
-    if step <= 0 or stop < start:
+    if not np.all(np.isfinite([start, stop, step])) or step <= 0 or stop < start:
         raise ParseError(f"bad grid spec {spec!r}")
     num = int(round((stop - start) / step)) + 1
     return np.linspace(start, stop, num)
@@ -264,8 +264,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IcrfError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+    except (IcrfError, OSError) as exc:
+        # an unreadable or missing file is bad input too
+        code = exc.code if isinstance(exc, IcrfError) else "io_error"
+        print(f"error[{code}]: {exc}", file=sys.stderr)
         return 1
 
 

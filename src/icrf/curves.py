@@ -9,7 +9,8 @@ beyond the last knot; without it the curve stays flat there.
 ``project_rows`` is the one implementation of the projection of a
 covariate-conditional curve onto a censoring interval; the carried-curve
 update, IMSE2 (both the OOB monitor and ``metrics.imse2``) and
-``conditional_project`` all call it.
+``conditional_project`` all call it. ``endpoint_values_on_grid`` reads the
+endpoint values of curves sampled on a grid.
 """
 
 from __future__ import annotations
@@ -161,6 +162,28 @@ def endpoint_values(evals, lefts, rights) -> tuple[np.ndarray, np.ndarray]:
         s_l.append(1.0 if left <= 0.0 else np.asarray(f(left)).item())
         s_r.append(0.0 if np.isinf(right) else np.asarray(f(right)).item())
     return np.asarray(s_l, dtype=float), np.asarray(s_r, dtype=float)
+
+
+def endpoint_values_on_grid(rows, lefts, rights, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(S_i(L_i), S_i(R_i)) read off row i of ``rows`` on the increasing
+    ``grid`` (a single row serves every subject), with S(L) = 1 at L <= 0
+    and S(R) = 0 at R = inf. Each read is np.interp(t, grid, rows[i]) bit
+    for bit: linear between grid points, flat beyond the ends."""
+    lefts, rights, grid = (np.asarray(a, dtype=float) for a in (lefts, rights, grid))
+    rows = np.broadcast_to(rows, (lefts.size, grid.size))
+    sub = np.arange(lefts.size)
+
+    def read(t):
+        j = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 1)
+        k = np.minimum(j + 1, grid.size - 1)
+        lo, hi = rows[sub, j], rows[sub, k]
+        between = (t > grid[j]) & (t < grid[-1])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            slope = (hi - lo) / (grid[k] - grid[j])
+            return np.where(between, slope * (t - grid[j]) + lo, lo)
+
+    return (np.where(lefts <= 0.0, 1.0, read(lefts)),
+            np.where(np.isinf(rights), 0.0, read(rights)))
 
 
 def project_rows(rows, s_l, s_r, lefts, rights, grid, tau: float) -> np.ndarray:

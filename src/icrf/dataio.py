@@ -42,8 +42,8 @@ class Dataset:
             raise InvariantViolation("covariates must be rectangular, one row per interval")
         if len(self.feature_names) != X.shape[1]:
             raise InvariantViolation("feature_names length must match covariate columns")
-        if not (self.tau > 0.0):
-            raise InvariantViolation("tau must be > 0")
+        if not (np.isfinite(self.tau) and self.tau > 0.0):
+            raise InvariantViolation(f"tau must be finite and > 0, got {self.tau}")
         if not np.all(np.isfinite(lefts) & (lefts >= 0.0)):
             raise InvariantViolation("left endpoints must be finite and >= 0")
         if np.any(np.isnan(rights)) or np.any(lefts >= rights):
@@ -101,50 +101,30 @@ def load_csv(path: str, tau: float, exact_time_mode: bool = False) -> Dataset:
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if exact_time_mode or header[:2] == ["time", "status"]:
-            if header[:2] != ["time", "status"]:
-                raise ParseError(f"{path}: exact mode needs 'time,status' columns")
-            feature_names = header[2:]
-            lefts, rights, rows = [], [], []
-            for ln, row in enumerate(reader, start=2):
-                try:
-                    t = float(row[0])
-                    status = int(float(row[1]))
-                    xs = [float(v) for v in row[2:]]
-                except (ValueError, IndexError) as e:
-                    raise ParseError(f"{path}:{ln}: {e}") from None
-                if t < 0:
-                    raise InvariantViolation(f"{path}:{ln}: negative time {t}")
-                if status == 1:
-                    l, r = encode_exact(t)
-                elif status == 0:
-                    l, r = t, np.inf
-                else:
+        exact = exact_time_mode or header[:2] == ["time", "status"]
+        first = ["time", "status"] if exact else ["left", "right"]
+        if header[:2] != first:
+            raise ParseError(f"{path}: expected '{','.join(first)},...' header, got {header[:2]}")
+        feature_names = header[2:]
+        lefts, rights, rows = [], [], []
+        for ln, row in enumerate(reader, start=2):
+            try:
+                left, right, *xs = (float(v) for v in row)
+            except ValueError as e:
+                raise ParseError(f"{path}:{ln}: {e}") from None
+            if exact:  # (time, status): exact at time, or censored after it
+                if right not in (0.0, 1.0):
                     raise ParseError(f"{path}:{ln}: status must be 0 or 1")
-                lefts.append(l)
-                rights.append(r)
-                rows.append(xs)
-        else:
-            if header[:2] != ["left", "right"]:
-                raise ParseError(f"{path}: expected 'left,right,...' header, got {header[:2]}")
-            feature_names = header[2:]
-            lefts, rights, rows = [], [], []
-            for ln, row in enumerate(reader, start=2):
-                try:
-                    l = float(row[0])
-                    r = float(row[1])
-                    xs = [float(v) for v in row[2:]]
-                except (ValueError, IndexError) as e:
-                    raise ParseError(f"{path}:{ln}: {e}") from None
-                if l < 0:
-                    raise InvariantViolation(f"{path}:{ln}: negative left endpoint {l}")
-                if l == r:
-                    l, r = encode_exact(r)
-                elif l > r:
-                    raise InvariantViolation(f"{path}:{ln}: L >= R ({l} >= {r})")
-                lefts.append(l)
-                rights.append(r)
-                rows.append(xs)
+                right = left if right == 1.0 else np.inf
+            if left < 0:
+                raise InvariantViolation(f"{path}:{ln}: negative time {left}")
+            if left == right:
+                left, right = encode_exact(right)
+            elif left > right:
+                raise InvariantViolation(f"{path}:{ln}: L >= R ({left} >= {right})")
+            lefts.append(left)
+            rights.append(right)
+            rows.append(xs)
     if not lefts:
         raise ParseError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

@@ -2,22 +2,25 @@
 carried-curve updates between folds, OOB convergence monitoring,
 best-fold selection, prediction, and permutation variable importance.
 
-The carried-curve update and the IMSE2 monitor project curves onto the
-subjects' intervals with ``curves.project_rows``, the one projection
-kernel. OOB monitoring, smoothed prediction and variable importance smooth
-a tree's leaves in ``_leaf_rows``: one kernel column per distinct mass
-interval and one matrix product.
+Each fold starts from rows on the knot grid, the marginal's for the first
+fold and the previous forest's after it, reads S(L_i), S(R_i) off them
+(``curves.endpoint_values_on_grid``) and projects them onto the subjects'
+intervals (``curves.project_rows``); so does the IMSE2 monitor. The first
+row, OOB monitoring, smoothed prediction and variable importance smooth
+with the leaves' kernel, ``_leaf_rows``: one kernel column per distinct
+mass interval and one matrix product.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import StepSurvival, endpoint_values, project_rows, refine_uniform
+# refine_uniform and curve_atoms are not called here (smoothing works on mass
+# intervals), but perfbench/tracing.py wraps them as attributes of this module
+from .curves import StepSurvival, endpoint_values_on_grid, project_rows, refine_uniform  # noqa: F401
 from .dataio import Dataset
 from .exceptions import (
     DimensionMismatch,
@@ -27,14 +30,11 @@ from .exceptions import (
     InvariantViolation,
 )
 from .npmle import npmle_fit, tail_correct
-# curve_atoms is not called here (leaf smoothing works on mass intervals),
-# but perfbench/tracing.py wraps it as an attribute of this module
 from .smooth import (  # noqa: F401
     bandwidth,
     curve_atoms,
     interval_atoms,
     mass_intervals,
-    smooth_curve,
     smoothed_values_matrix,
 )
 from .tree import Tree, TreeParams, fold_context, grow_tree_ctx, support_bound_of
@@ -121,19 +121,6 @@ def build_grid(data: Dataset, extra=()) -> np.ndarray:
     return grid[grid > 0.0]
 
 
-# -- carried-curve update ---------------------------------------------------
-
-
-def _endpoint_values_from_rows(rows, data: Dataset, grid: np.ndarray):
-    li = np.searchsorted(grid, data.lefts)
-    ri = np.searchsorted(grid, np.where(np.isinf(data.rights), grid[-1], data.rights))
-    s_l = np.where(
-        data.lefts <= 0.0, 1.0, rows[np.arange(data.n), np.minimum(li, grid.size - 1)]
-    )
-    s_r = np.where(np.isinf(data.rights), 0.0, rows[np.arange(data.n), ri])
-    return s_l, s_r
-
-
 # -- smoothed-curve metrics on a fixed grid ---------------------------------
 
 
@@ -167,9 +154,7 @@ def imse1_on_rows(rows, lefts, rights, tau, grid) -> float:
 def imse2_on_rows(rows, lefts, rights, tau, grid) -> float:
     """IMSE2 of per-subject covariate-conditional rows on ``grid``; the
     full-conditional side is the projection of each row."""
-    s_l, s_r = endpoint_values(
-        (lambda t, v=v: np.interp(t, grid, v) for v in rows), lefts, rights
-    )
+    s_l, s_r = endpoint_values_on_grid(rows, lefts, rights, grid)
     cond = project_rows(rows, s_l, s_r, lefts, rights, grid, tau)
     terms = np.trapezoid((cond - rows) ** 2, grid, axis=1) / tau
     return float(terms.mean()) if terms.size else np.nan
@@ -182,27 +167,26 @@ def _monitor_error(metric, rows, lefts, rights, tau, grid) -> float:
     return fn(rows, lefts, rights, tau, grid)
 
 
-def _leaf_rows(tree: Tree, grid, h: float | None, leaf_ids=None) -> np.ndarray:
-    """Leaf curves of ``tree`` (those in ``leaf_ids``, default all) on
-    ``grid``, one row per leaf: smoothed with bandwidth ``h``, or read
-    through within-interval interpolation when h is None.
+def _leaf_rows(curves, grid, h: float | None) -> np.ndarray:
+    """Step curves (a tree's leaf curves, or the marginal) on ``grid``,
+    one row per curve: smoothed with bandwidth ``h``, or read through
+    within-interval interpolation when h is None.
 
     Smoothing is linear in the jump masses, which are spread uniformly
     over their intervals first (``smooth.mass_intervals``). Leaves share
     many intervals (exploitative leaves put all their mass on fold-grid
     cells, quasi-honest leaves on Turnbull intervals), so each distinct
     interval is smoothed once, as a unit-mass column, and the rows are
-    1 - M @ F for the (leaf x interval) mass matrix M and the columns'
+    1 - M @ F for the (curve x interval) mass matrix M and the columns'
     smoothed distribution functions F.
     """
-    leaves = tree.leaves if leaf_ids is None else [tree.leaves[i] for i in leaf_ids]
     if h is None:
-        return np.vstack([leaf.curve.interpolate(grid) for leaf in leaves])
-    parts = [mass_intervals(leaf.curve) for leaf in leaves]
-    owner = np.repeat(np.arange(len(leaves)), [part[0].size for part in parts])
+        return np.vstack([c.interpolate(grid) for c in curves])
+    parts = [mass_intervals(c) for c in curves]
+    owner = np.repeat(np.arange(len(curves)), [part[0].size for part in parts])
     t0, t1, masses = (np.concatenate([part[j] for part in parts]) for j in range(3))
     keys, col = np.unique(np.column_stack((t0, t1)), axis=0, return_inverse=True)
-    mix = np.zeros((len(leaves), keys.shape[0]))
+    mix = np.zeros((len(curves), keys.shape[0]))
     np.add.at(mix, (owner, col.reshape(-1)), masses)
     locs, unit = interval_atoms(keys[:, 0], keys[:, 1])
     cdf = 1.0 - smoothed_values_matrix(locs, unit, h, grid)
@@ -217,10 +201,11 @@ def _forest_rows(trees, leaf_rows, X) -> np.ndarray:
     return acc / len(trees)
 
 
-def _tree_oob_error(tree, X, lefts, rights, tau, h, grid, metric) -> float:
-    """Monitor metric of the tree's smoothed prediction for its OOB subjects."""
-    leaf_ids, pos = np.unique(tree.apply(X), return_inverse=True)
-    rows = _leaf_rows(tree, grid, h, leaf_ids)[pos]
+def _tree_oob_error(tree, leaf_of, lefts, rights, tau, h, grid, metric) -> float:
+    """Monitor metric of the tree's smoothed prediction for its OOB
+    subjects, routed to the leaves ``leaf_of``."""
+    leaf_ids, pos = np.unique(leaf_of, return_inverse=True)
+    rows = _leaf_rows([tree.leaves[i].curve for i in leaf_ids], grid, h)[pos]
     return _monitor_error(metric, rows, lefts, rights, tau, grid)
 
 
@@ -239,17 +224,18 @@ def _build_tree_batch(args):
         inbag = np.sort(rng.choice(n, size=s_size, replace=False))
         oob = np.setdiff1d(np.arange(n), inbag)
         tree = grow_tree_ctx(ctx, inbag, tparams, rng)
+        leaf_of = tree.apply(ctx.X)
         oob_errs.append(np.nan if oob.size == 0 else _tree_oob_error(
-            tree, ctx.X[oob], ctx.lefts[oob], ctx.rights[oob], ctx.tau, h, mgrid, metric))
+            tree, leaf_of[oob], ctx.lefts[oob], ctx.rights[oob], ctx.tau, h, mgrid, metric))
         # leaf curves enter the forest through their within-interval
         # (uniform-density) interpolation, not the right-endpoint step
-        rows = _leaf_rows(tree, ctx.grid, None)[tree.apply(ctx.X)]
+        rows = _leaf_rows([leaf.curve for leaf in tree.leaves], ctx.grid, None)[leaf_of]
         pred_sum += rows
         if update_mode == "oob":
             oob_sum[oob] += rows[oob]
             oob_cnt[oob] += 1.0
         trees.append(tree)
-    return b_list[0], trees, oob_errs, pred_sum, oob_sum, oob_cnt
+    return trees, oob_errs, pred_sum, oob_sum, oob_cnt
 
 
 def fit(data: Dataset, params: ForestParams) -> IcrfModel:
@@ -280,43 +266,39 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
     grid = build_grid(data, extra=[support_bound_of(data.lefts, data.rights, data.tau)])
     mgrid = monitor_grid(data.tau)
 
+    # the marginal's row stands in for the forest before fold 1: smoothed
+    # (and held flat beyond tau), or read through within-interval
+    # interpolation
     if params.initial_smooth:
-        cov_eval = smooth_curve(refine_uniform(marginal), h, data.tau).eval
+        base_rows = _leaf_rows([marginal], np.minimum(grid, data.tau), h)
     else:
-        # raw marginal consumed through within-interval interpolation
-        cov_eval = marginal.interpolate
-    base_rows = np.asarray(cov_eval(grid))[None, :]
-    s_l, s_r = endpoint_values(itertools.repeat(cov_eval), data.lefts, data.rights)
+        base_rows = _leaf_rows([marginal], grid, None)
 
     folds: list[ForestFold] = []
     for k in range(1, params.n_fold + 1):
+        s_l, s_r = endpoint_values_on_grid(base_rows, data.lefts, data.rights, grid)
         carried = project_rows(base_rows, s_l, s_r, data.lefts, data.rights, grid, data.tau)
         ctx = fold_context(data, grid, np.minimum.accumulate(carried, axis=1), s_l, s_r)
-        batches = [
-            list(range(b0, min(b0 + TREE_BATCH, params.n_tree)))
-            for b0 in range(0, params.n_tree, TREE_BATCH)
-        ]
         jobs = [
-            (ctx, params.tree, params.seed, k, b_list, s_size, h, mgrid,
-             params.monitor_metric, params.update_curves)
-            for b_list in batches
+            (ctx, params.tree, params.seed, k, list(range(b0, min(b0 + TREE_BATCH, params.n_tree))),
+             s_size, h, mgrid, params.monitor_metric, params.update_curves)
+            for b0 in range(0, params.n_tree, TREE_BATCH)
         ]
         if params.n_jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(params.n_jobs) as pool:
                 results = list(pool.map(_build_tree_batch, jobs))
         else:
             results = [_build_tree_batch(j) for j in jobs]
-        results.sort(key=lambda r: r[0])
 
-        trees = [tree for r in results for tree in r[1]]
-        folds.append(ForestFold(k, trees, np.asarray([e for r in results for e in r[2]])))
-        # batch sums are added in batch order, whatever the worker count
-        base_rows = sum(r[3] for r in results) / params.n_tree
+        trees = [tree for r in results for tree in r[0]]
+        folds.append(ForestFold(k, trees, np.asarray([e for r in results for e in r[1]])))
+        # results are in batch order, so batch sums are added in that
+        # order whatever the worker count
+        base_rows = sum(r[2] for r in results) / params.n_tree
         if params.update_curves == "oob":
-            oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (4, 5))
+            oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (3, 4))
             have = oob_cnt > 0
             base_rows[have] = oob_sum[have] / oob_cnt[have, None]
-        s_l, s_r = _endpoint_values_from_rows(base_rows, data, grid)
 
     errors = np.asarray([f.oob_error for f in folds])
     k_opt = int(np.nanargmin(errors)) + 1
@@ -354,7 +336,8 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     grid = np.asarray(grid, dtype=float)
     fobj = _check_fold(model, fold)
     h = model.h if smoothed else None
-    return _forest_rows(fobj.trees, [_leaf_rows(t, grid, h) for t in fobj.trees], X)
+    rows = [_leaf_rows([leaf.curve for leaf in t.leaves], grid, h) for t in fobj.trees]
+    return _forest_rows(fobj.trees, rows, X)
 
 
 def oob_error(fold: ForestFold, data: Dataset, metric: str = "imse1", h: float = None) -> float:
@@ -367,7 +350,8 @@ def oob_error(fold: ForestFold, data: Dataset, metric: str = "imse1", h: float =
         if oob.size == 0:
             raise EmptyOob("a tree has no out-of-bag subjects")
         errs.append(_tree_oob_error(
-            tree, data.X[oob], data.lefts[oob], data.rights[oob], data.tau, h, mgrid, metric))
+            tree, tree.apply(data.X[oob]), data.lefts[oob], data.rights[oob], data.tau, h,
+            mgrid, metric))
     return float(np.nanmean(errs))
 
 
@@ -394,7 +378,8 @@ def variable_importance(
     across the sample, per feature; raw plus max-rescaled values."""
     fobj = _check_fold(model, None)
     grid = monitor_grid(model.tau)
-    rows_by_tree = [_leaf_rows(t, grid, model.h) for t in fobj.trees]
+    rows_by_tree = [_leaf_rows([leaf.curve for leaf in t.leaves], grid, model.h)
+                    for t in fobj.trees]
 
     def metric_of(X):
         rows = _forest_rows(fobj.trees, rows_by_tree, X)

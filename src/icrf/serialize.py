@@ -140,13 +140,22 @@ def load_model(path: str) -> IcrfModel:
         header = json.loads(blob[start : start + int(hlen)].decode())
     except ValueError:  # also covers invalid UTF-8
         raise ParseError(f"{path}: malformed or truncated header") from None
-    pos = start + int(hlen)
+    try:
+        return _model_from(header, blob, start + int(hlen), path)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # valid JSON, but a key is missing or a value has the wrong type
+        raise ParseError(f"{path}: malformed header: {exc!r}") from None
+
+
+def _model_from(header: dict, blob: bytes, pos: int, path: str) -> IcrfModel:
+    """The model a parsed header describes, its arrays read from ``blob``
+    starting at ``pos``."""
     arrays = {}
     for name, dtype, shape in header["manifest"]:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * np.dtype(dtype).itemsize
-        if pos + nbytes > len(blob):
-            raise ParseError(f"{path}: truncated in array {name!r}")
+        if min(shape, default=0) < 0 or pos + nbytes > len(blob):
+            raise ParseError(f"{path}: bad shape or truncated in array {name!r}")
         arrays[name] = np.frombuffer(blob, dtype, count, pos).reshape(shape).copy()
         pos += nbytes
 

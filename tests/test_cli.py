@@ -176,6 +176,31 @@ class TestPredict:
         assert "error[parse_error]" in capsys.readouterr().err
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("spec", ["0:nan:0.5", "0:inf:1"])
+    def test_nonfinite_grid(self, workspace, tmp_path, capsys, spec):
+        assert run(["predict", "--model", workspace / "m.bin", "--query", workspace / "q.csv",
+                    "--grid", spec, "--out", tmp_path / "o.csv"]) == 1
+        assert "error[parse_error]" in capsys.readouterr().err
+
+    def test_nonfinite_tau(self, workspace, tmp_path, capsys):
+        assert run(["fit", "--data", workspace / "d.csv", "--tau", "inf",
+                    "--out", tmp_path / "m.bin", "--report", tmp_path / "r.csv"]) == 1
+        assert "error[invariant_violation]" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("argv", [
+        lambda ws, d: ["fit", "--data", ws / "d.csv", "--config", d / "nope.cfg",
+                       "--out", d / "m.bin", "--report", d / "r.csv"],
+        lambda ws, d: ["predict", "--model", d / "nope.bin", "--query", ws / "q.csv",
+                       "--grid", "0:5:1", "--out", d / "o.csv"],
+    ], ids=["fit_config", "predict_model"])
+    def test_missing_file(self, workspace, tmp_path, capsys, argv):
+        assert run(argv(workspace, tmp_path)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error[io_error]: ")
+
+
 class TestSimulate:
     def test_scenario1_covariate_count(self, workspace):
         with open(workspace / "d.csv") as fh:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icrf import (
     IntervalObservation,
@@ -10,7 +12,7 @@ from icrf import (
     constant_curve,
     terminal_predict_exploitative,
 )
-from icrf.curves import project_rows
+from icrf.curves import endpoint_values_on_grid, project_rows
 from icrf.exceptions import DegenerateInterval, InvariantViolation
 
 from _oracles import random_step_curve
@@ -220,3 +222,40 @@ class TestMonotonicity:
             vals = np.asarray(c.eval(grid))
             assert np.all(np.diff(vals) <= 1e-15)
             assert vals.min() >= 0.0 and vals.max() <= 1.0
+
+
+@st.composite
+def rows_and_endpoints(draw):
+    """Rows on an increasing grid (starting at 0 or above it, so that
+    some reads fall before the first point) and endpoints on grid points,
+    between them, before the first, after the last, at L = 0 and R = inf.
+    A single row stands for every subject."""
+    start = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    grid = start + np.concatenate(
+        ([0.0], np.cumsum(draw(st.lists(st.floats(1e-3, 2.0), max_size=12)))))
+    grid = np.unique(grid)
+    n = draw(st.integers(1, 8))
+    n_rows = draw(st.sampled_from([1, n]))
+    rows = np.asarray(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=grid.size,
+                                             max_size=grid.size),
+                                    min_size=n_rows, max_size=n_rows)))
+    on_grid = st.sampled_from(list(grid))
+    inside = st.floats(grid[0], grid[-1])
+    before = st.floats(0.0, grid[0])
+    after = st.floats(grid[-1], grid[-1] + 5.0)
+    lefts = [draw(st.one_of(on_grid, inside, before, after, st.just(0.0))) for _ in range(n)]
+    rights = [draw(st.one_of(on_grid, inside, before, after, st.just(np.inf)))
+              for _ in range(n)]
+    return rows, np.asarray(lefts), np.asarray(rights), grid
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(rows_and_endpoints())
+def test_endpoint_values_on_grid_equal_np_interp(case):
+    rows, lefts, rights, grid = case
+    full = np.broadcast_to(rows, (lefts.size, grid.size))
+    want_l = [1.0 if a <= 0.0 else np.interp(a, grid, r) for a, r in zip(lefts, full)]
+    want_r = [0.0 if np.isinf(b) else np.interp(b, grid, r) for b, r in zip(rights, full)]
+    s_l, s_r = endpoint_values_on_grid(rows, lefts, rights, grid)
+    assert np.array_equal(s_l, want_l)
+    assert np.array_equal(s_r, want_r)

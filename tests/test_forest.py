@@ -18,9 +18,12 @@ from icrf import (
     oob_error,
     predict,
     save_model,
+    smooth_curve,
     tree_predict,
     variable_importance,
 )
+from icrf.curves import refine_uniform
+from icrf.forest import METRICS
 from icrf.exceptions import (
     DimensionMismatch,
     EmptyOob,
@@ -117,6 +120,57 @@ class TestFit:
     def test_unsmoothed_initial_curve(self, sim):
         m = fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=6, initial_smooth=False))
         assert np.all(np.isfinite(m.oob_errors))
+
+    def test_first_fold_starts_from_marginal_row(self, sim, monkeypatch):
+        import icrf.forest as forest
+
+        seen = []
+        real = forest.project_rows
+
+        def spy(rows, s_l, s_r, lefts, rights, grid, tau):
+            seen.append((np.array(rows), np.array(grid)))
+            return real(rows, s_l, s_r, lefts, rights, grid, tau)
+
+        monkeypatch.setattr(forest, "project_rows", spy)
+        for smoothed in (True, False):
+            seen.clear()
+            m = fit(sim.dataset, ForestParams(n_tree=2, n_fold=1, seed=4,
+                                              initial_smooth=smoothed))
+            (rows, grid), = seen
+            assert rows.shape == (1, grid.size) and grid[-1] > m.tau
+            if smoothed:
+                base = smooth_curve(refine_uniform(m.initial_marginal), m.h, m.tau)
+                np.testing.assert_allclose(rows[0], base.eval(grid), rtol=0.0, atol=1e-12)
+            else:
+                assert np.array_equal(rows[0], m.initial_marginal.interpolate(grid))
+
+    def test_fit_routes_each_tree_once(self, sim, monkeypatch):
+        import icrf.curves
+        import icrf.metrics
+        import icrf.smooth
+        import icrf.splits
+        import icrf.tree
+
+        def off_path(*args, **kwargs):
+            raise AssertionError("called during fit")
+
+        for module in (icrf.curves, icrf.metrics, icrf.splits, icrf.tree):
+            monkeypatch.setattr(module, "endpoint_values", off_path)
+        monkeypatch.setattr(icrf.smooth, "smooth_curve", off_path)
+        monkeypatch.setattr(icrf.smooth.SmoothedSurvival, "eval", off_path)
+        routed = []
+        real_apply = icrf.tree.Tree.apply
+
+        def apply(tree, X):
+            routed.append(id(tree))
+            return real_apply(tree, X)
+
+        monkeypatch.setattr(icrf.tree.Tree, "apply", apply)
+        for metric in METRICS:
+            routed.clear()
+            m = fit(sim.dataset, ForestParams(n_tree=3, n_fold=2, seed=4, monitor_metric=metric))
+            trees = [id(t) for f in m.folds for t in f.trees]
+            assert sorted(routed) == sorted(trees)
 
     def test_imse2_monitoring(self, sim):
         m = fit(sim.dataset, ForestParams(n_tree=6, n_fold=2, seed=6,

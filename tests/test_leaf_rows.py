@@ -1,6 +1,6 @@
-"""Property tests of the smoothed leaf rows of forest._leaf_rows: one
-kernel column per distinct mass interval, mixed by the leaves' masses,
-against each leaf smoothed on its own."""
+"""Property tests of the smoothed rows of forest._leaf_rows: one kernel
+column per distinct mass interval, mixed by the curves' masses, against
+each curve smoothed on its own."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from icrf import StepSurvival
 from icrf.curves import refine_uniform
 from icrf.forest import _leaf_rows
 from icrf.smooth import curve_atoms, interval_atoms, mass_intervals
-from icrf.tree import Leaf, Tree
 
 from _oracles import smoothed_rows_per_curve
 
@@ -40,11 +39,6 @@ def leaf_sets(draw):
     return curves
 
 
-def tree_of(curves):
-    leaves = [Leaf(curve=c, member_ids=np.empty(0, dtype=np.int64), size=0) for c in curves]
-    return Tree([-1], [0.0], [-1], [-1], [0], leaves, np.empty(0, dtype=np.int64))
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(leaf_sets(), st.floats(0.02, 2.0), st.integers(2, 60), st.floats(1.0, 12.0),
        st.data())
@@ -55,7 +49,7 @@ def test_interval_columns_equal_per_leaf_smoothing(curves, h, m, tau, data):
         st.lists(st.integers(0, len(curves) - 1), min_size=1, unique=True),
     ))
     chosen = curves if leaf_ids is None else [curves[i] for i in leaf_ids]
-    got = _leaf_rows(tree_of(curves), grid, h, leaf_ids)
+    got = _leaf_rows(chosen, grid, h)
     want = smoothed_rows_per_curve(chosen, grid, h)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -89,7 +83,7 @@ def test_shared_interval_is_smoothed_once(monkeypatch):
     a = StepSurvival([1.0, 2.0], [0.6, 0.1])
     b = StepSurvival([1.0, 2.0, 3.0], [0.3, 0.2, 0.0])
     grid = np.linspace(0.0, 4.0, 9)
-    got = forest._leaf_rows(tree_of([a, b]), grid, 0.3)
+    got = forest._leaf_rows([a, b], grid, 0.3)
     assert seen == [3]  # (0, 1], (1, 2] and (2, 3]
     np.testing.assert_allclose(got, smoothed_rows_per_curve([a, b], grid, 0.3),
                                rtol=0.0, atol=1e-12)
