@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import atomic_write, _fmt
+from .exceptions import InsufficientData
 from .forest import ForestParams, fit, predict
 from .metrics import oracle_errors
 from .simgen import Scenario, draw_covariates, generate, truth_eval
@@ -52,11 +53,19 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        # every rule and prediction is checked by the parameter classes
+        # every scenario, rule and prediction is checked by its own class
         # before any replicate runs, where a failure is only recorded
+        for sc in self.scenarios:
+            for m in self.m_values:
+                Scenario(id=sc, M=m)
         for rule in self.rules:
             for pred in self.predictions:
                 self.forest_params(rule, pred, seed=0)
+        if self.n_test < 1:
+            raise InsufficientData(f"n_test must be >= 1, got {self.n_test}")
+        if self.grid_resolution < 2:
+            raise InsufficientData(
+                f"grid_resolution must be >= 2, got {self.grid_resolution}")
 
     def forest_params(self, rule: str, pred: str, seed: int) -> ForestParams:
         return ForestParams(

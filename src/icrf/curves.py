@@ -6,11 +6,11 @@ Before the first knot the curve is 1. An optional exponential tail,
 ``values[-1] * exp(-tail_rate * (t - times[-1]))``, extends the curve
 beyond the last knot; without it the curve stays flat there.
 
-``project_rows`` is the one implementation of the projection of a
-covariate-conditional curve onto a censoring interval; the carried-curve
-update, IMSE2 (both the OOB monitor and ``metrics.imse2``) and
-``conditional_project`` all call it. ``endpoint_values_on_grid`` reads the
-endpoint values of curves sampled on a grid.
+Curves that take part in a fit are sampled on a grid, one row per
+subject. ``endpoint_values_on_grid`` is the one reader of S(L_i), S(R_i)
+off such rows, and ``project_rows`` the one implementation of the
+projection of a covariate-conditional curve onto a censoring interval;
+the carried-curve update and IMSE2 both call them.
 """
 
 from __future__ import annotations
@@ -19,26 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateInterval, InvariantViolation
+from .exceptions import InvariantViolation
 
 EPS_MASS = 1e-12
 REFINE_PER_GAP = 8  # sub-drops per mass in refine_uniform
-
-
-@dataclass(frozen=True)
-class IntervalObservation:
-    """One subject's censoring interval (left, right]."""
-
-    left: float
-    right: float
-
-    def __post_init__(self):
-        if not (self.left >= 0.0):
-            raise InvariantViolation(f"left endpoint must be >= 0, got {self.left}")
-        if not (self.left < self.right):
-            raise InvariantViolation(
-                f"interval must satisfy left < right, got ({self.left}, {self.right}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -149,21 +133,6 @@ class StepSurvival:
         return float(self.values[-1]) if self.times.size else 1.0
 
 
-def constant_curve() -> StepSurvival:
-    """The curve S == 1 (no jumps)."""
-    return StepSurvival(np.empty(0), np.empty(0))
-
-
-def endpoint_values(evals, lefts, rights) -> tuple[np.ndarray, np.ndarray]:
-    """(S_i(L_i), S_i(R_i)) from one evaluator per subject, with S(L) = 1
-    at L <= 0 and S(R) = 0 at R = inf."""
-    s_l, s_r = [], []
-    for f, left, right in zip(evals, lefts, rights):
-        s_l.append(1.0 if left <= 0.0 else np.asarray(f(left)).item())
-        s_r.append(0.0 if np.isinf(right) else np.asarray(f(right)).item())
-    return np.asarray(s_l, dtype=float), np.asarray(s_r, dtype=float)
-
-
 def endpoint_values_on_grid(rows, lefts, rights, grid) -> tuple[np.ndarray, np.ndarray]:
     """(S_i(L_i), S_i(R_i)) read off row i of ``rows`` on the increasing
     ``grid`` (a single row serves every subject), with S(L) = 1 at L <= 0
@@ -220,35 +189,6 @@ def project_rows(rows, s_l, s_r, lefts, rights, grid, tau: float) -> np.ndarray:
     out[grid <= lefts[:, None]] = 1.0
     out[grid > rights[:, None]] = 0.0
     return out
-
-
-def conditional_project(s_x: StepSurvival, interval: IntervalObservation) -> StepSurvival:
-    """Project a covariate-conditional curve onto a censoring interval.
-
-    Returns S(t | X, I): 1 on [0, L], clipped renormalization of s_x on
-    (L, R], 0 beyond finite R. Knots are s_x's knots inside (L, R) plus
-    L and R themselves.
-
-    Raises DegenerateInterval when s_x carries no mass on (L, R].
-    """
-    left, right = interval.left, interval.right
-    bounded = bool(np.isfinite(right))
-    knots = s_x.times
-    inner = knots[(knots > left) & (knots < right)]
-    ts = np.concatenate(([left] if left > 0.0 else [], inner, [right] if bounded else []))
-    vals = np.asarray(s_x.eval(ts))
-    s_left = float(s_x.eval(left)) if left > 0.0 else 1.0
-    s_right = float(vals[-1]) if bounded else 0.0
-    if s_left - s_right <= EPS_MASS:
-        raise DegenerateInterval(
-            f"no mass on ({left}, {right}]: S(L)-S(R)={s_left - s_right:.3e}"
-        )
-    if ts.size == 0:
-        return StepSurvival(np.empty(0), np.empty(0), tail_rate=s_x.tail_rate)
-    # never degenerate here, so tau (used only by the fallback) is moot
-    vs = project_rows(vals, [s_left], [s_right], [left], [right], ts, tau=np.inf)[0]
-    vs = np.maximum.accumulate(vs[::-1])[::-1]  # guard fp monotonicity
-    return StepSurvival(ts, vs, tail_rate=None if bounded else s_x.tail_rate)
 
 
 def narrow_gaps(t0, t1):

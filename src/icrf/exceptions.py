@@ -19,26 +19,12 @@ class EmptyInput(IcrfError):
     code = "empty_input"
 
 
-class DegenerateInterval(IcrfError):
-    """The carried curve assigns (numerically) no mass to a subject's interval."""
-
-    code = "degenerate_interval"
-
-
 class InvalidAnchor(IcrfError):
     code = "invalid_anchor"
 
 
 class DegenerateQuantiles(IcrfError):
     code = "degenerate_quantiles"
-
-
-class EmptyGroup(IcrfError):
-    code = "empty_group"
-
-
-class ZeroRisk(IcrfError):
-    code = "zero_risk"
 
 
 class InsufficientData(IcrfError):
@@ -55,10 +41,6 @@ class InvalidFold(IcrfError):
 
 class EmptyOob(IcrfError):
     code = "empty_oob"
-
-
-class AllSkipped(IcrfError):
-    code = "all_skipped"
 
 
 class MissingTruth(IcrfError):

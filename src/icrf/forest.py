@@ -340,18 +340,20 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     return _forest_rows(fobj.trees, rows, X)
 
 
-def oob_error(fold: ForestFold, data: Dataset, metric: str = "imse1", h: float = None) -> float:
-    """Recompute the fold's OOB error from scratch (mean per-tree metric
-    of the smoothed tree prediction on its own held-out subjects)."""
+def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float:
+    """Recompute a fold's stored OOB error (fold ``k_opt`` by default) on
+    the training data: the mean over trees of the monitor metric of the
+    tree's smoothed prediction on its own held-out subjects."""
+    fobj = _check_fold(model, fold)
     mgrid = monitor_grid(data.tau)
     errs = []
-    for tree in fold.trees:
+    for tree in fobj.trees:
         oob = np.setdiff1d(np.arange(data.n), tree.inbag_ids)
         if oob.size == 0:
             raise EmptyOob("a tree has no out-of-bag subjects")
         errs.append(_tree_oob_error(
-            tree, tree.apply(data.X[oob]), data.lefts[oob], data.rights[oob], data.tau, h,
-            mgrid, metric))
+            tree, tree.apply(data.X[oob]), data.lefts[oob], data.rights[oob], data.tau,
+            model.h, mgrid, model.params.monitor_metric))
     return float(np.nanmean(errs))
 
 

@@ -19,9 +19,6 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 2000
 PRUNE_MASS = 1e-12
 
-# set True to assert EM log-likelihood monotonicity at every iteration
-CHECK_MONOTONE = False
-
 
 @dataclass(frozen=True)
 class TurnbullIntervals:
@@ -132,7 +129,6 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
     p = np.full(k, 1.0 / k)
     converged = False
     iterations = 0
-    state = {"prev_ll": -np.inf}
 
     def em_until(p, budget):
         # ratio-first update keeps p_j/denom_i == 1 exact on identity
@@ -145,13 +141,6 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
             delta = np.max(np.abs(p_new - p))
             p = p_new
             used += 1
-            if CHECK_MONOTONE:
-                ll = _loglik(tb.membership, p, weights)
-                if ll < state["prev_ll"] - 1e-9:
-                    raise AssertionError(
-                        f"EM log-likelihood decreased: {state['prev_ll']} -> {ll}"
-                    )
-                state["prev_ll"] = ll
             if delta < DEFAULT_TOL:
                 return p, used, True
         return p, used, False
@@ -180,20 +169,6 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
         converged=converged,
         loglik=_loglik(tb.membership, p, weights),
     )
-
-
-def self_consistency_residual(fit: NpmleFit, weights=None) -> float:
-    """max_j |p_j - EM(p)_j| at the returned masses."""
-    a = fit.intervals.membership.astype(float)
-    n = a.shape[0]
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=float)
-    p = fit.masses
-    denom = np.maximum(a @ p, 1e-300)
-    ratio = p[None, :] / denom[:, None]
-    p_new = (weights @ (a * ratio)) / weights.sum()
-    return float(np.max(np.abs(p_new - p)))
 
 
 def tail_correct(fit: NpmleFit, has_unbounded: bool, tau: float | None = None) -> StepSurvival:

@@ -7,9 +7,13 @@ the best-scoring valid candidate wins (first index on ties). A node is
 terminal when its size is below 2*n_min, no valid candidate exists, or
 every candidate scores zero.
 
-Terminal prediction is either quasi-honest (NPMLE refit on the members'
-raw intervals, tail-corrected) or exploitative (mean of the members'
-carried full-conditional curves).
+The tree reads everything from its fold's ``FoldContext``: the carried
+full-conditional curves as a value matrix on one shared knot grid and the
+per-subject SWRS/SLR scores. Each candidate split is scored once by
+``_node_score``, each leaf curve is built once by ``_terminal_curve``, and
+``Tree.apply`` routes rows to leaves. A leaf is quasi-honest (the NPMLE
+of the members' raw intervals) or exploitative (the mean of the members'
+carried curves).
 """
 
 from __future__ import annotations
@@ -18,21 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import StepSurvival, endpoint_values
-from .exceptions import DimensionMismatch, InsufficientData
-from .npmle import npmle_fit, tail_correct
-from .splits import (
-    GLR,
-    GWRS,
-    SLR,
-    SWRS,
-    SplitRule,
-    glr_from_sums,
-    gwrs_from_sums,
-    slr_scores,
-    swrs_scores,
-    values_matrix,
-)
+from .curves import StepSurvival
+from .exceptions import InsufficientData
+from .npmle import npmle_fit
+from .splits import (GLR, GWRS, SWRS, SplitRule, glr_from_sums, gwrs_from_sums, slr_scores,
+                     swrs_scores)
 
 QUASI_HONEST = "quasi_honest"
 EXPLOITATIVE = "exploitative"
@@ -80,7 +74,7 @@ class FoldContext:
     values: np.ndarray
     sw: np.ndarray
     slr: np.ndarray
-    support_bound: float = np.inf
+    support_bound: float
 
     @property
     def n(self) -> int:
@@ -146,13 +140,18 @@ def _node_score(rule: SplitRule, ctx_arrays, mask: np.ndarray, counts) -> float:
 
 
 def _terminal_curve(ctx: FoldContext, members: np.ndarray, prediction: str) -> StepSurvival:
+    """The leaf curve of ``members``.
+
+    Quasi-honest: the NPMLE of the members' raw intervals, with
+    right-unbounded intervals confined to the observed time range
+    (``ctx.support_bound``) so that the final mass stays there;
+    re-allocating a small node's large final mass exponentially over
+    (a, inf) would inflate the whole ensemble. Exploitative: the mean of
+    the members' carried curves on the fold grid, compressed.
+    """
     if prediction == QUASI_HONEST:
-        return terminal_predict_quasi_honest(
-            ctx.lefts[members],
-            ctx.rights[members],
-            tau=ctx.tau,
-            support_bound=ctx.support_bound,
-        )
+        rights = np.minimum(ctx.rights[members], ctx.support_bound)
+        return npmle_fit(ctx.lefts[members], rights).curve
     mean = ctx.values[members].mean(axis=0)
     return curve_from_grid_values(ctx.grid, mean)
 
@@ -173,7 +172,7 @@ def curve_from_grid_values(grid: np.ndarray, vals: np.ndarray) -> StepSurvival:
 
 def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
                   rng: np.random.Generator) -> Tree:
-    """Grow one tree on the in-bag subjects (internal fast path)."""
+    """Grow one tree on the in-bag subjects."""
     inbag = np.asarray(inbag, dtype=np.int64)
     n_min = params.n_min
     if inbag.size < n_min:
@@ -280,69 +279,3 @@ def fold_context(data, grid: np.ndarray, values: np.ndarray, s_l, s_r) -> FoldCo
         slr=slr_scores(s_l, s_r),
         support_bound=support_bound_of(data.lefts, data.rights, data.tau),
     )
-
-
-def context_from_curves(data, carried, cov_curves=None) -> FoldContext:
-    """Build a FoldContext from explicit curve lists (public path);
-    without ``cov_curves`` the SWRS/SLR scores are all zero."""
-    curves = list(carried)
-    if len(curves) != data.n:
-        raise DimensionMismatch("one carried curve per subject required")
-    full = np.unique(
-        np.concatenate(
-            [np.asarray([data.tau])] + [c.times[np.isfinite(c.times)] for c in curves]
-        )
-    )
-    full = full[full > 0.0]
-    if cov_curves is None:
-        s_l, s_r = np.ones(data.n), np.zeros(data.n)
-    else:
-        s_l, s_r = endpoint_values([c.eval for c in cov_curves], data.lefts, data.rights)
-    return fold_context(data, full, values_matrix(curves, full), s_l, s_r)
-
-
-def grow_tree(data, carried, cov_curves, inbag, params: TreeParams,
-              rng: np.random.Generator) -> Tree:
-    """Public entry point matching the module contract; wraps the fast path."""
-    ctx = context_from_curves(data, carried, cov_curves)
-    return grow_tree_ctx(ctx, np.asarray(inbag, dtype=np.int64), params, rng)
-
-
-def terminal_predict_quasi_honest(
-    lefts, rights, tau: float | None = None, support_bound: float | None = None
-) -> StepSurvival:
-    """NPMLE of the members' raw intervals.
-
-    With ``support_bound`` (the forest path), right-unbounded intervals
-    are confined to the observed time range before fitting and the final
-    mass stays there; re-allocating a small node's large final mass
-    exponentially over (a, inf) inflates the whole ensemble. Without it,
-    the fit is on the raw intervals with the exponential tail correction.
-    """
-    lefts = np.asarray(lefts, dtype=float)
-    rights = np.asarray(rights, dtype=float)
-    if support_bound is not None:
-        capped = np.minimum(rights, support_bound)
-        if np.any(capped <= lefts):
-            raise InsufficientData("support_bound must exceed every left endpoint")
-        return npmle_fit(lefts, capped).curve
-    fit = npmle_fit(lefts, rights)
-    return tail_correct(fit, bool(np.any(np.isinf(rights))), tau=tau)
-
-
-def terminal_predict_exploitative(member_curves) -> StepSurvival:
-    """Equal-weight mean of the members' carried curves at their knots,
-    compressed as a forest leaf is."""
-    curves = list(member_curves)
-    if not curves:
-        raise InsufficientData("an exploitative leaf needs at least one member")
-    knots = np.unique(np.concatenate([c.times for c in curves]))
-    return curve_from_grid_values(knots, values_matrix(curves, knots).mean(axis=0))
-
-
-def tree_predict(tree: Tree, x) -> StepSurvival:
-    """Route x to its leaf and return the leaf's step curve."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch("tree_predict expects a single covariate vector")
-    return tree.leaves[int(tree.apply(x[None, :])[0])].curve

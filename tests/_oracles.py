@@ -3,8 +3,8 @@
 Each oracle deliberately avoids the code path it checks: the simplex
 grid search enumerates Turnbull masses directly, the Wilcoxon and
 log-rank oracles work from raw event times via pair counting and risk
-tables, and the pairwise-GWRS form lives in splits (it is never used by
-the tree grower).
+tables, and GWRS is summed over every pair of curves rather than over the
+group means.
 """
 
 from __future__ import annotations
@@ -161,3 +161,55 @@ def smoothed_rows_per_curve(curves, grid, h):
 
     atoms = [curve_atoms(refine_uniform(c)) for c in curves]
     return smoothed_values_matrix([a[0] for a in atoms], [a[1] for a in atoms], h, grid)
+
+
+def read_on_knots(curve_lists, tau: float):
+    """Step curves read on their pooled knots: the union of all knots at
+    or below tau, with tau appended, so tau is the last column. Returns
+    the knots and one (curves x knots) value matrix per list."""
+    knots = np.unique(np.concatenate(
+        [np.asarray([tau])] + [c.times[c.times <= tau] for cs in curve_lists for c in cs]))
+    return knots, [np.vstack([c.eval(knots) for c in cs]) for cs in curve_lists]
+
+
+def gwrs_pairwise(v1: np.ndarray, v2: np.ndarray) -> float:
+    """O(n1*n2) pairwise-zeta form of GWRS: the mean over pairs (i, j)
+    of 1 + int S_check_1i dS_2j - 0.5 S_1i(tau) S_2j(tau), on value
+    matrices whose last column is tau."""
+    l1 = np.concatenate((np.ones((v1.shape[0], 1)), v1[:, :-1]), axis=1)
+    l2 = np.concatenate((np.ones((v2.shape[0], 1)), v2[:, :-1]), axis=1)
+    check1 = 0.5 * (v1 + l1)
+    ds2 = v2 - l2
+    total = 0.0
+    for i in range(v1.shape[0]):
+        for j in range(v2.shape[0]):
+            total += 1.0 + check1[i] @ ds2[j] - 0.5 * v1[i, -1] * v2[j, -1]
+    return total / (v1.shape[0] * v2.shape[0])
+
+
+def self_consistency_residual(fit, weights=None) -> float:
+    """max_j |p_j - EM(p)_j| at an NpmleFit's returned masses."""
+    a = fit.intervals.membership.astype(float)
+    weights = np.ones(a.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    p = fit.masses
+    denom = np.maximum(a @ p, 1e-300)
+    p_new = (weights @ (a * (p[None, :] / denom[:, None]))) / weights.sum()
+    return float(np.max(np.abs(p_new - p)))
+
+
+def curve_context(data, carried, cov_curves=None):
+    """``tree.fold_context`` of ``data`` with the carried step curves read
+    on their pooled knots (knots beyond data.tau are dropped) and S(L_i),
+    S(R_i) read off ``cov_curves`` on theirs by the fold's endpoint
+    reader, which gives the step values exactly where the endpoints are
+    knots; without ``cov_curves``, S(L) = 1 and S(R) = 0 for everyone."""
+    from icrf.curves import endpoint_values_on_grid
+    from icrf.tree import fold_context
+
+    grid, (values,) = read_on_knots([carried], data.tau)
+    if cov_curves is None:
+        s_l, s_r = np.ones(data.n), np.zeros(data.n)
+    else:
+        knots, (rows,) = read_on_knots([cov_curves], data.tau)
+        s_l, s_r = endpoint_values_on_grid(rows, data.lefts, data.rights, knots)
+    return fold_context(data, grid, values, s_l, s_r)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icrf.bench import ExperimentSpec, aggregate, run_experiment, run_replicate
-from icrf.exceptions import InsufficientData
+from icrf.exceptions import InsufficientData, InvariantViolation
 
 
 def tiny_spec(**kw) -> ExperimentSpec:
@@ -61,6 +61,17 @@ class TestSpecOptions:
     ], ids=["rules", "predictions", "glr_sign", "monitor_metric"])
     def test_unknown_value_rejected(self, kw):
         with pytest.raises(InsufficientData):
+            tiny_spec(**kw)
+
+    @pytest.mark.parametrize("kw, error", [
+        ({"grid_resolution": 1}, InsufficientData),
+        ({"n_test": 0}, InsufficientData),
+        ({"scenarios": (1, 9)}, InvariantViolation),
+        ({"m_values": (1, 0)}, InvariantViolation),
+    ], ids=["grid_resolution", "n_test", "scenarios", "m_values"])
+    def test_bad_run_setting_rejected(self, kw, error):
+        # checked when the spec is built, not recorded per replicate
+        with pytest.raises(error):
             tiny_spec(**kw)
 
 

@@ -339,6 +339,19 @@ class TestBenchCli:
         assert "error[insufficient_data]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, code", [
+        ("grid_resolution = 1", "insufficient_data"),
+        ("n_test = 0", "insufficient_data"),
+        ("scenarios = 1,9", "invariant_violation"),
+    ], ids=["grid_resolution", "n_test", "scenarios"])
+    def test_bad_run_setting_fails_before_any_replicate(self, tmp_path, capsys, line, code):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"{line}\nn_values = 50\nn_replicates = 1\nn_tree = 2\nn_fold = 1\n")
+        out = tmp_path / "res"
+        assert run(["bench", "--spec", spec, "--out", out]) == 1
+        assert f"error[{code}]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_spec_value(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("n_tree = abc\n")

@@ -1,21 +1,35 @@
-"""Step-curve evaluation, interpolation, and conditional projection."""
+"""Step-curve evaluation, interpolation, and conditional projection.
+
+The projection is ``curves.project_rows`` applied to a curve sampled on a
+grid that holds the interval's endpoints, with S(L), S(R) read off the
+samples by ``curves.endpoint_values_on_grid``, as in a fit.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icrf import (
-    IntervalObservation,
-    StepSurvival,
-    conditional_project,
-    constant_curve,
-    terminal_predict_exploitative,
-)
+from icrf import Dataset, StepSurvival
 from icrf.curves import endpoint_values_on_grid, project_rows
-from icrf.exceptions import DegenerateInterval, InvariantViolation
+from icrf.exceptions import InvariantViolation
 
 from _oracles import random_step_curve
+from test_tree import exploitative_leaf
+
+
+def project(curve, left, right, grid, tau=np.inf):
+    """The projection of ``curve`` onto (left, right] on ``grid`` joined
+    with the finite endpoints; returns (grid, row)."""
+    ends = [left] if np.isinf(right) else [left, right]
+    grid = np.unique(np.concatenate([grid, ends]))
+    rows = np.asarray(curve.eval(grid))[None, :]
+    s_l, s_r = endpoint_values_on_grid(rows, [left], [right], grid)
+    return grid, project_rows(rows, s_l, s_r, [left], [right], grid, tau)[0]
+
+
+def at(grid, row, t):
+    return row[np.searchsorted(grid, t)]
 
 
 class TestEval:
@@ -107,38 +121,33 @@ class TestConditionalProject:
     def test_truncated_exponential_values(self):
         ts = np.linspace(0.001, 6.0, 6000)
         s_x = StepSurvival(ts, np.exp(-ts))
-        proj = conditional_project(s_x, IntervalObservation(1.0, 2.0))
+        grid, row = project(s_x, 1.0, 2.0, np.concatenate([ts, [1.5]]))
         want = (np.exp(-1.5) - np.exp(-2.0)) / (np.exp(-1.0) - np.exp(-2.0))
-        assert proj.eval(1.0) == 1.0
-        assert proj.eval(2.0) == 0.0
-        assert np.isclose(proj.eval(1.5), want, atol=1e-12)
+        assert at(grid, row, 1.0) == 1.0
+        assert at(grid, row, 2.0) == 0.0
+        assert np.isclose(at(grid, row, 1.5), want, atol=1e-12)
 
     def test_full_support_is_identity(self):
         rng = np.random.default_rng(3)
         c = random_step_curve(rng)
-        proj = conditional_project(c, IntervalObservation(0.0, np.inf))
-        np.testing.assert_array_equal(proj.times, c.times)
-        np.testing.assert_allclose(proj.values, c.values, atol=1e-15)
+        grid, row = project(c, 0.0, np.inf, c.times)
+        np.testing.assert_array_equal(grid, np.concatenate([[0.0], c.times]))
+        np.testing.assert_allclose(row[1:], c.values, atol=1e-15)
 
     def test_right_unbounded_ratio(self):
         ts = np.linspace(0.001, 8.0, 8000)
         s_x = StepSurvival(ts, np.exp(-ts))
-        proj = conditional_project(s_x, IntervalObservation(1.0, np.inf))
-        assert np.isclose(proj.eval(2.0), np.exp(-1.0), atol=1e-12)
+        grid, row = project(s_x, 1.0, np.inf, np.concatenate([ts, [2.0]]))
+        assert np.isclose(at(grid, row, 2.0), np.exp(-1.0), atol=1e-12)
 
     def test_projection_invariants_randomized(self):
+        # curves with no mass on the interval take the uniform fallback
         rng = np.random.default_rng(4)
-        grid = np.linspace(0.0, 6.0, 1000)
         for _ in range(60):
             c = random_step_curve(rng, with_tail=bool(rng.integers(2)))
             left = float(rng.uniform(0.0, 2.0))
             right = float(left + rng.uniform(0.2, 3.0)) if rng.uniform() < 0.7 else np.inf
-            obs = IntervalObservation(left, right)
-            try:
-                proj = conditional_project(c, obs)
-            except DegenerateInterval:
-                continue
-            vals = np.asarray(proj.eval(grid))
+            grid, vals = project(c, left, right, np.linspace(0.0, 6.0, 1000), tau=5.0)
             assert np.all(vals <= 1.0 + 1e-12) and np.all(vals >= -1e-12)
             assert np.all(np.diff(vals) <= 1e-12)
             assert np.all(vals[grid <= left] == 1.0)
@@ -146,9 +155,12 @@ class TestConditionalProject:
                 assert np.all(vals[grid > right] == 0.0)
 
     def test_degenerate_interval_raises(self):
+        # no mass on (2, 3]: the uniform curve on the interval stands in
         c = StepSurvival([1.0], [0.0])
-        with pytest.raises(DegenerateInterval):
-            conditional_project(c, IntervalObservation(2.0, 3.0))
+        grid, row = project(c, 2.0, 3.0, np.linspace(0.0, 5.0, 11), tau=5.0)
+        assert at(grid, row, 2.0) == 1.0
+        assert np.isclose(at(grid, row, 2.5), 0.5, atol=1e-12)
+        assert at(grid, row, 3.0) == 0.0
 
 
 class TestUniformFallback:
@@ -175,18 +187,18 @@ class TestAverage:
     def test_mean_of_indicator_curves(self):
         a = StepSurvival([1.0], [0.0])
         b = StepSurvival([3.0], [0.0])
-        avg = terminal_predict_exploitative([a, b])
+        avg = exploitative_leaf([a, b])
         assert avg.eval(2.0) == 0.5
 
     def test_single_curve_identity(self):
         c = StepSurvival([1.0, 2.0], [0.4, 0.1])
-        avg = terminal_predict_exploitative([c])
+        avg = exploitative_leaf([c])
         np.testing.assert_allclose(avg.eval([0.5, 1.0, 2.5]), c.eval([0.5, 1.0, 2.5]))
 
     def test_convexity_preserved(self):
         rng = np.random.default_rng(5)
         curves = [random_step_curve(rng) for _ in range(5)]
-        avg = terminal_predict_exploitative(curves)
+        avg = exploitative_leaf(curves)
         grid = np.linspace(0, 6, 500)
         vals = np.asarray(avg.eval(grid))
         assert np.all(np.diff(vals) <= 1e-12)
@@ -204,12 +216,12 @@ class TestValidation:
 
     def test_interval_validation(self):
         with pytest.raises(InvariantViolation):
-            IntervalObservation(2.0, 1.0)
+            Dataset([2.0], [1.0], [[0.0]], ["x1"], 5.0)
         with pytest.raises(InvariantViolation):
-            IntervalObservation(-1.0, 1.0)
+            Dataset([-1.0], [1.0], [[0.0]], ["x1"], 5.0)
 
     def test_constant_curve(self):
-        c = constant_curve()
+        c = StepSurvival([], [])
         assert c.eval(100.0) == 1.0
 
 

@@ -19,11 +19,12 @@ from icrf import (
     predict,
     save_model,
     smooth_curve,
-    tree_predict,
     variable_importance,
 )
 from icrf.curves import refine_uniform
-from icrf.forest import METRICS
+from icrf.forest import METRICS, _monitor_error, monitor_grid
+
+from test_tree import tree_predict
 from icrf.exceptions import (
     DimensionMismatch,
     EmptyOob,
@@ -71,10 +72,16 @@ class TestFit:
     def test_k_opt_is_argmin(self, model):
         assert model.k_opt == int(np.argmin(model.oob_errors)) + 1
 
-    def test_oob_recompute_matches_stored(self, sim, model):
-        fold = model.folds[0]
-        re = oob_error(fold, sim.dataset, metric="imse1", h=model.h)
-        assert np.isclose(re, fold.oob_error, atol=1e-12)
+    def test_oob_recompute_matches_stored(self, sim):
+        # the recomputation reads the bandwidth and the monitor metric off
+        # the model, so it equals the stored error exactly
+        for metric in METRICS:
+            m = fit(sim.dataset, ForestParams(n_tree=3, n_fold=2, seed=2, monitor_metric=metric))
+            for k, fold in enumerate(m.folds, start=1):
+                assert oob_error(m, sim.dataset, fold=k) == fold.oob_error
+            assert oob_error(m, sim.dataset) == m.folds[m.k_opt - 1].oob_error
+            with pytest.raises(InvalidFold):
+                oob_error(m, sim.dataset, fold=3)
 
     def test_subsample_one_requires_single_fold(self, sim):
         with pytest.raises(EmptyOob):
@@ -110,7 +117,8 @@ class TestFit:
             make()
 
     @pytest.mark.parametrize("call", [
-        lambda m, data: oob_error(m.folds[0], data, metric="imse3", h=m.h),
+        lambda m, data: _monitor_error("imse3", np.ones((data.n, 3)), data.lefts, data.rights,
+                                       data.tau, monitor_grid(data.tau)[:3]),
         lambda m, data: variable_importance(m, data, n_perm=1, metric="imse3"),
     ], ids=["oob_error", "variable_importance"])
     def test_unknown_metric_rejected(self, model, sim, call):
@@ -145,17 +153,12 @@ class TestFit:
                 assert np.array_equal(rows[0], m.initial_marginal.interpolate(grid))
 
     def test_fit_routes_each_tree_once(self, sim, monkeypatch):
-        import icrf.curves
-        import icrf.metrics
         import icrf.smooth
-        import icrf.splits
         import icrf.tree
 
         def off_path(*args, **kwargs):
             raise AssertionError("called during fit")
 
-        for module in (icrf.curves, icrf.metrics, icrf.splits, icrf.tree):
-            monkeypatch.setattr(module, "endpoint_values", off_path)
         monkeypatch.setattr(icrf.smooth, "smooth_curve", off_path)
         monkeypatch.setattr(icrf.smooth.SmoothedSurvival, "eval", off_path)
         routed = []

@@ -1,123 +1,137 @@
-"""Oracle errors and the data-only integrated squared errors."""
+"""Oracle errors and the data-only integrated squared errors.
+
+IMSE1 and IMSE2 are computed by ``forest.imse1_on_rows`` and
+``forest.imse2_on_rows``, the one implementation that OOB monitoring,
+variable importance and ``icrf evaluate`` use, on each subject's curve
+sampled over a grid that holds the curves' knots and the intervals'
+endpoints.
+"""
 
 import numpy as np
 import pytest
 
-from icrf import Dataset, StepSurvival, eps_int, eps_sup, imse1, imse2
-from icrf.curves import constant_curve
-from icrf.exceptions import AllSkipped
-from icrf.metrics import imse1_curve_terms
+from icrf import StepSurvival, oracle_errors
+from icrf.bench import ExperimentSpec
+from icrf.exceptions import InsufficientData
+from icrf.forest import imse1_on_rows, imse2_on_rows
 
 TAU = 5.0
+ORACLE_GRID = np.linspace(0.0, TAU, 1001)
+CONSTANT = StepSurvival([], [])  # S == 1
 
 
-def one_subject(left, right, tau=TAU) -> Dataset:
-    return Dataset([left], [right], [[0.0]], ["x1"], tau)
+def const_rows(value, n=1, grid=ORACLE_GRID):
+    return np.full((n, grid.size), value)
 
 
-def const_eval(value):
-    return lambda x, grid: np.full(np.asarray(grid).size, value)
+def sampled(curves, lefts, rights, tau=TAU, n_grid=1001):
+    """Each subject's curve on a uniform grid of [0, tau] joined with the
+    curves' knots and the finite endpoints, all at or below tau."""
+    lefts, rights = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
+    pieces = [np.linspace(0.0, tau, n_grid), lefts, rights[np.isfinite(rights)]]
+    pieces += [c.times for c in curves]
+    grid = np.unique(np.concatenate(pieces))
+    grid = grid[grid <= tau]
+    return np.vstack([c.eval(grid) for c in curves]), lefts, rights, tau, grid
+
+
+def imse1(curves, lefts, rights, **kw) -> float:
+    return imse1_on_rows(*sampled(curves, lefts, rights, **kw))
+
+
+def imse2(curves, lefts, rights, **kw) -> float:
+    return imse2_on_rows(*sampled(curves, lefts, rights, **kw))
 
 
 class TestOracleErrors:
     def test_identical_curves_zero(self):
-        f = const_eval(1.0)
-        assert eps_int(f, f, [np.zeros(1)], TAU) == 0.0
-        assert eps_sup(f, f, [np.zeros(1)], TAU) == 0.0
+        e_int, e_sup = oracle_errors(const_rows(1.0), const_rows(1.0), ORACLE_GRID)
+        assert e_int == 0.0
+        assert e_sup == 0.0
 
     def test_maximal_discrepancy(self):
-        assert np.isclose(eps_int(const_eval(1.0), const_eval(0.0), [0], TAU), 5.0)
-        assert np.isclose(eps_sup(const_eval(1.0), const_eval(0.0), [0], TAU), 1.0)
+        e_int, e_sup = oracle_errors(const_rows(1.0), const_rows(0.0), ORACLE_GRID)
+        assert np.isclose(e_int, 5.0)
+        assert np.isclose(e_sup, 1.0)
 
     def test_triangle_area(self):
-        est = lambda x, grid: 1.0 - np.asarray(grid) / TAU
-        assert abs(eps_int(est, const_eval(1.0), [0], TAU) - 2.5) < 1e-3
-        assert np.isclose(eps_sup(est, const_eval(1.0), [0], TAU), 1.0)
+        est = (1.0 - ORACLE_GRID / TAU)[None, :]
+        e_int, e_sup = oracle_errors(est, const_rows(1.0), ORACLE_GRID)
+        assert abs(e_int - 2.5) < 1e-3
+        assert np.isclose(e_sup, 1.0)
 
     def test_average_over_x_set(self):
-        def est(x, grid):
-            return np.full(np.asarray(grid).size, float(x))
-
-        x_set = [0.0, 1.0]
+        est = np.vstack([const_rows(0.0), const_rows(1.0)])
         # |1 - S| integrates to 5 and 0 -> mean 2.5
-        assert np.isclose(eps_int(est, const_eval(1.0), x_set, TAU), 2.5)
+        assert np.isclose(oracle_errors(est, const_rows(1.0, n=2), ORACLE_GRID)[0], 2.5)
 
     def test_grid_resolution_floor(self):
-        with pytest.raises(ValueError):
-            eps_int(const_eval(1.0), const_eval(1.0), [0], TAU, grid_resolution=50)
+        # a one-point grid integrates nothing, so a replicated experiment
+        # needs two points at least; with two the integral is exact here
+        with pytest.raises(InsufficientData):
+            ExperimentSpec(grid_resolution=1)
+        grid = np.linspace(0.0, TAU, ExperimentSpec(grid_resolution=2).grid_resolution)
+        assert oracle_errors(const_rows(1.0, grid=grid), const_rows(0.0, grid=grid), grid)[0] == TAU
 
 
 class TestImse1:
     def test_constant_one_closed_form(self):
         # L=2, R=3, tau=5: (0 + int_3^5 1 dt) / (5 - 3 + 2) = 0.5
-        val = imse1(lambda x: constant_curve(), one_subject(2.0, 3.0))
-        assert val == 0.5
+        assert imse1([CONSTANT], [2.0], [3.0]) == 0.5
 
     def test_right_unbounded_alive_region_only(self):
-        val = imse1(lambda x: constant_curve(), one_subject(2.0, np.inf))
-        assert val == 0.0
+        assert imse1([CONSTANT], [2.0], [np.inf]) == 0.0
 
     def test_perfect_oracle_zero(self):
         curve = StepSurvival([2.0, 3.0], [1.0, 0.0])
-        assert imse1(lambda x: curve, one_subject(2.0, 3.0)) == 0.0
+        assert imse1([curve], [2.0], [3.0]) == 0.0
 
     def test_all_skipped(self):
-        with pytest.raises(AllSkipped):
-            imse1(lambda x: constant_curve(), one_subject(0.0, np.inf))
+        # every subject has zero known-status length: no term to average
+        assert np.isnan(imse1([CONSTANT], [0.0], [np.inf]))
 
     def test_zero_length_subjects_excluded(self):
-        ds = Dataset([2.0, 0.0], [3.0, np.inf], [[0.0], [0.0]], ["x1"], TAU)
-        assert imse1(lambda x: constant_curve(), ds) == 0.5
+        assert imse1([CONSTANT] * 2, [2.0, 0.0], [3.0, np.inf]) == 0.5
 
     def test_replication_invariance(self):
-        ds1 = Dataset([2.0, 1.0], [3.0, 4.0], [[0.0], [1.0]], ["x1"], TAU)
-        ds2 = Dataset(
-            [2.0, 1.0, 2.0, 1.0],
-            [3.0, 4.0, 3.0, 4.0],
-            [[0.0], [1.0], [0.0], [1.0]],
-            ["x1"],
-            TAU,
-        )
-        f = lambda x: StepSurvival([1.0, 3.5], [0.7, 0.2])
-        assert np.isclose(imse1(f, ds1), imse1(f, ds2), atol=1e-15)
+        f = StepSurvival([1.0, 3.5], [0.7, 0.2])
+        a = imse1([f] * 2, [2.0, 1.0], [3.0, 4.0])
+        b = imse1([f] * 4, [2.0, 1.0, 2.0, 1.0], [3.0, 4.0, 3.0, 4.0])
+        assert np.isclose(a, b, atol=1e-15)
 
     def test_order_invariance(self):
-        ds1 = Dataset([2.0, 1.0], [3.0, 4.0], [[0.0], [1.0]], ["x1"], TAU)
-        ds2 = Dataset([1.0, 2.0], [4.0, 3.0], [[1.0], [0.0]], ["x1"], TAU)
-        f = lambda x: StepSurvival([1.0, 3.5], [0.7, 0.2])
-        assert np.isclose(imse1(f, ds1), imse1(f, ds2), atol=1e-15)
+        f = StepSurvival([1.0, 3.5], [0.7, 0.2])
+        a = imse1([f] * 2, [2.0, 1.0], [3.0, 4.0])
+        b = imse1([f] * 2, [1.0, 2.0], [4.0, 3.0])
+        assert np.isclose(a, b, atol=1e-15)
 
     def test_exact_tail_integration_matches_quadrature(self):
-        curve = StepSurvival([1.0], [0.6], tail_rate=0.7)
-        num, length = imse1_curve_terms(curve, 2.0, 3.0, TAU)
-        grid = np.linspace(0.0, 2.0, 400001)
-        part1 = np.trapezoid((1.0 - np.asarray(curve.eval(grid))) ** 2, grid)
-        grid2 = np.linspace(3.0, 5.0, 400001)
-        part2 = np.trapezoid(np.asarray(curve.eval(grid2)) ** 2, grid2)
-        assert np.isclose(num, part1 + part2, atol=1e-9)
-        assert length == 4.0
+        # S = 0.6 exp(-r (t - 1)) beyond its one knot at 1, r = 0.7;
+        # known status on [0, 2] (dead side) and [3, 5] (alive side)
+        v, r = 0.6, 0.7
+        curve = StepSurvival([1.0], [v], tail_rate=r)
+        e1 = (v / r) * (1.0 - np.exp(-r))
+        e2 = (v**2 / (2 * r)) * (1.0 - np.exp(-2 * r))
+        dead = 1.0 - 2 * e1 + e2  # int_1^2 (1 - S)^2; zero on [0, 1)
+        alive = (v**2 / (2 * r)) * (np.exp(-4 * r) - np.exp(-8 * r))  # int_3^5 S^2
+        got = imse1([curve], [2.0], [3.0], n_grid=400001)
+        assert np.isclose(got, (dead + alive) / 4.0, atol=1e-9)
 
 
 class TestImse2:
     def test_interval_adapted_curve_contributes_zero(self):
         # curve already 1 before L and 0 after R: projection is identity
         curve = StepSurvival([2.0, 3.0], [1.0, 0.0])
-        assert imse2(lambda x: curve, one_subject(2.0, 3.0)) < 1e-30
+        assert imse2([curve], [2.0], [3.0]) < 1e-30
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(41)
         from _oracles import random_step_curve
 
         curves = [random_step_curve(rng) for _ in range(10)]
-        ds = Dataset(
-            rng.uniform(0, 2, size=10),
-            rng.uniform(2.5, 4.5, size=10),
-            rng.normal(size=(10, 1)),
-            ["x1"],
-            TAU,
-        )
-        idx = {tuple(x): i for i, x in enumerate(ds.X)}
-        val = imse2(lambda x: curves[idx[tuple(x)]], ds)
+        lefts = rng.uniform(0, 2, size=10)
+        rights = rng.uniform(2.5, 4.5, size=10)
+        val = imse2(curves, lefts, rights)
         assert 0.0 <= val <= 1.0
 
     def test_exponential_hand_integral(self):
@@ -125,11 +139,10 @@ class TestImse2:
         ts = np.linspace(0.0005, TAU, 10001)
         curve = StepSurvival(ts, np.exp(-ts))
         eps = 1e-9
-        ds = one_subject(1.0 * (1 - eps), 1.0)
         want = (
             # int_0^1 (1 - e^-t)^2 + int_1^5 e^-2t, over tau
             (-0.5 + 2 * np.exp(-1.0) - 0.5 * np.exp(-2.0))
             + 0.5 * (np.exp(-2.0) - np.exp(-10.0))
         ) / TAU
-        got = imse2(lambda x: curve, ds)
+        got = imse2([curve], [1.0 * (1 - eps)], [1.0])
         assert np.isclose(got, want, rtol=5e-3)

@@ -9,9 +9,8 @@ import icrf.npmle as npmle_mod
 from icrf import npmle_fit, tail_correct, turnbull_intervals
 from icrf.dataio import encode_exact
 from icrf.exceptions import EmptyInput, InvalidAnchor
-from icrf.npmle import self_consistency_residual
 
-from _oracles import random_intervals, simplex_grid_loglik
+from _oracles import random_intervals, self_consistency_residual, simplex_grid_loglik
 
 
 class TestTurnbull:
@@ -127,21 +126,22 @@ class TestNpmleProperty:
 
 class TestEmProperties:
     def test_loglik_monotone_and_residual(self):
+        # EM never lowers the log-likelihood: the fit stopped after k steps
+        # is no worse than after k - 1, and the converged fit beats them all
         rng = np.random.default_rng(13)
-        old = npmle_mod.CHECK_MONOTONE
-        npmle_mod.CHECK_MONOTONE = True
-        try:
-            for _ in range(60):
-                n = int(rng.integers(3, 25))
-                lefts, rights = random_intervals(rng, n)
-                weights = rng.uniform(0.1, 3.0, size=n)
-                # generous budget: near-flat likelihood ridges converge slowly
-                fit = npmle_fit(lefts, rights, weights=weights, max_iter=50_000)
-                assert fit.converged
-                res = self_consistency_residual(fit, weights=weights)
-                assert res < 10 * npmle_mod.DEFAULT_TOL
-        finally:
-            npmle_mod.CHECK_MONOTONE = old
+        for _ in range(60):
+            n = int(rng.integers(3, 25))
+            lefts, rights = random_intervals(rng, n)
+            weights = rng.uniform(0.1, 3.0, size=n)
+            path = [npmle_fit(lefts, rights, weights=weights, max_iter=k).loglik
+                    for k in range(1, 51)]
+            assert np.all(np.diff(path) >= -1e-9)
+            # generous budget: near-flat likelihood ridges converge slowly
+            fit = npmle_fit(lefts, rights, weights=weights, max_iter=50_000)
+            assert fit.converged
+            assert fit.loglik >= max(path) - 1e-9
+            res = self_consistency_residual(fit, weights=weights)
+            assert res < 10 * npmle_mod.DEFAULT_TOL
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(14)

@@ -1,20 +1,15 @@
-"""Tree growth, terminal prediction rules, and routing."""
+"""Tree growth on a fold context, leaf curves, and routing."""
 
 import numpy as np
 import pytest
 
-from icrf import (
-    Dataset,
-    StepSurvival,
-    SplitRule,
-    TreeParams,
-    grow_tree,
-    terminal_predict_exploitative,
-    terminal_predict_quasi_honest,
-    tree_predict,
-)
+from icrf import (Dataset, ForestFold, ForestParams, IcrfModel, StepSurvival, SplitRule,
+                  TreeParams, predict)
 from icrf.dataio import encode_exact
 from icrf.exceptions import DimensionMismatch, InsufficientData
+from icrf.tree import EXPLOITATIVE, QUASI_HONEST, _terminal_curve, grow_tree_ctx
+
+from _oracles import curve_context, random_step_curve
 
 TAU = 5.0
 
@@ -43,6 +38,32 @@ def curves_for(times):
 
 def seeded(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def grow_tree(data, carried, cov_curves, inbag, params, rng):
+    """Grow a tree on the fold context of explicit curve lists."""
+    ctx = curve_context(data, carried, cov_curves)
+    return grow_tree_ctx(ctx, np.asarray(inbag, dtype=np.int64), params, rng)
+
+
+def quasi_honest_leaf(lefts, rights):
+    """The quasi-honest leaf curve of subjects with these intervals."""
+    n = len(lefts)
+    data = Dataset(lefts, rights, np.zeros((n, 1)), ["x1"], TAU)
+    ctx = curve_context(data, [StepSurvival([], [])] * n)
+    return _terminal_curve(ctx, np.arange(n), QUASI_HONEST)
+
+
+def exploitative_leaf(curves):
+    """The exploitative leaf curve of subjects carrying these curves."""
+    n = len(curves)
+    data = exact_dataset(np.ones(n), np.zeros((n, 1)))
+    return _terminal_curve(curve_context(data, curves), np.arange(n), EXPLOITATIVE)
+
+
+def tree_predict(tree, x) -> StepSurvival:
+    """The step curve of the leaf that the single row x routes to."""
+    return tree.leaves[int(tree.apply(x[None, :])[0])].curve
 
 
 class TestGrowth:
@@ -139,39 +160,35 @@ class TestTerminalPrediction:
     def test_quasi_honest_exact_members(self):
         times = np.array([1.0, 2.0, 3.0])
         pairs = [encode_exact(t) for t in times]
-        curve = terminal_predict_quasi_honest(
-            [p[0] for p in pairs], [p[1] for p in pairs], tau=TAU
-        )
+        curve = quasi_honest_leaf([p[0] for p in pairs], [p[1] for p in pairs])
         np.testing.assert_allclose(
             [curve.eval(t) for t in times], [2 / 3, 1 / 3, 0.0], atol=1e-12
         )
 
     def test_quasi_honest_single_member(self):
-        curve = terminal_predict_quasi_honest([1.0], [2.0], tau=TAU)
+        curve = quasi_honest_leaf([1.0], [2.0])
         assert curve.eval(1.0) == 1.0 and curve.eval(2.0) == 0.0
 
     def test_quasi_honest_two_members(self):
-        curve = terminal_predict_quasi_honest([1.0, 1.5], [2.0, 3.0], tau=TAU)
+        curve = quasi_honest_leaf([1.0, 1.5], [2.0, 3.0])
         assert curve.eval(1.5) == 1.0
         assert curve.eval(2.0) == 0.0
 
     def test_exploitative_single_member(self):
         c = exact_curve(2.0)
-        out = terminal_predict_exploitative([c])
+        out = exploitative_leaf([c])
         np.testing.assert_allclose(out.eval([1.0, 2.0, 3.0]), c.eval([1.0, 2.0, 3.0]))
 
     def test_exploitative_mean(self):
         a = StepSurvival([1.0], [0.0])
         b = StepSurvival([3.0], [0.0])
-        out = terminal_predict_exploitative([a, b])
+        out = exploitative_leaf([a, b])
         assert out.eval(2.0) == 0.5
 
     def test_exploitative_knotwise_mean(self):
         rng = np.random.default_rng(34)
-        from _oracles import random_step_curve
-
         curves = [random_step_curve(rng) for _ in range(4)]
-        out = terminal_predict_exploitative(curves)
+        out = exploitative_leaf(curves)
         knots = np.unique(np.concatenate([c.times for c in curves]))
         want = np.mean([np.asarray(c.eval(knots)) for c in curves], axis=0)
         np.testing.assert_allclose(np.asarray(out.eval(knots)), want, atol=1e-14)
@@ -211,6 +228,9 @@ class TestRouting:
         assert c_lo.eval(2.0) != c_hi.eval(2.0)
 
     def test_dimension_mismatch(self):
+        # the width check lives in predict, which routes queries to trees
         tree, _ = self._two_leaf_tree()
+        fold = ForestFold(1, [tree], np.zeros(1))
+        model = IcrfModel(ForestParams(), ["x1"], TAU, 0.1, StepSurvival([], []), [fold], 1)
         with pytest.raises(DimensionMismatch):
-            tree_predict(tree, np.zeros((2, 2)))
+            predict(model, np.zeros((2, 2)), np.linspace(0.0, TAU, 11))
