@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 
 class IcrfError(Exception):
@@ -45,3 +45,7 @@ class EmptyOob(IcrfError):
 
 class MissingTruth(IcrfError):
     code = "missing_truth"
+
+
+class NpmleWarning(UserWarning):
+    """An NPMLE stopped without meeting its optimality certificate."""

@@ -14,6 +14,7 @@ mass interval and one matrix product.
 from __future__ import annotations
 
 import concurrent.futures
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,9 @@ from .exceptions import (
     InsufficientData,
     InvalidFold,
     InvariantViolation,
+    NpmleWarning,
 )
-from .npmle import npmle_fit, tail_correct
+from .npmle import KKT_TOL, npmle_fit, tail_correct
 from .smooth import (  # noqa: F401
     bandwidth,
     curve_atoms,
@@ -219,13 +221,14 @@ def _build_tree_batch(args):
     pred_sum = np.zeros((n, ctx.grid.size))
     oob_sum = np.zeros((n, ctx.grid.size)) if update_mode == "oob" else None
     oob_cnt = np.zeros(n) if update_mode == "oob" else None
+    npmle_gaps = []
     for b in b_list:
         rng = np.random.default_rng(np.random.SeedSequence([seed, fold_k, b]))
         inbag = np.sort(rng.choice(n, size=s_size, replace=False))
         oob = np.setdiff1d(np.arange(n), inbag)
-        tree = grow_tree_ctx(ctx, inbag, tparams, rng)
+        tree = grow_tree_ctx(ctx, inbag, tparams, rng, npmle_gaps)
         leaf_of = tree.apply(ctx.X)
-        oob_errs.append(np.nan if oob.size == 0 else _tree_oob_error(
+        oob_errs.append(_tree_oob_error(
             tree, leaf_of[oob], ctx.lefts[oob], ctx.rights[oob], ctx.tau, h, mgrid, metric))
         # leaf curves enter the forest through their within-interval
         # (uniform-density) interpolation, not the right-endpoint step
@@ -235,7 +238,20 @@ def _build_tree_batch(args):
             oob_sum[oob] += rows[oob]
             oob_cnt[oob] += 1.0
         trees.append(tree)
-    return trees, oob_errs, pred_sum, oob_sum, oob_cnt
+    return trees, oob_errs, pred_sum, oob_sum, oob_cnt, npmle_gaps
+
+
+def _warn_uncertified(marginal_gap: float, leaf_gaps: list) -> None:
+    """One NpmleWarning for the NPMLEs of a fit that stopped without
+    their certificate (KKT gap above KKT_TOL), marginal and leaves apart."""
+    gaps = np.asarray([marginal_gap] + leaf_gaps)
+    bad = ~(gaps <= KKT_TOL)
+    if bad.any():
+        warnings.warn(
+            f"{int(bad[0])} of 1 marginal and {int(bad[1:].sum())} of {len(leaf_gaps)} leaf "
+            f"NPMLE fits stopped without their certificate; worst KKT gap "
+            f"{gaps[bad].max():.3g} > {KKT_TOL:g}",
+            NpmleWarning, stacklevel=3)
 
 
 def fit(data: Dataset, params: ForestParams) -> IcrfModel:
@@ -251,13 +267,12 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
     # the guard absorbs rounding in subsample = k / n (an absolute size k)
     # without moving ceil for any usual fraction
     s_size = int(np.ceil(params.subsample * n - 1e-9))
-    if s_size >= n and params.n_fold > 1:
+    if s_size >= n:
         raise EmptyOob("subsample leaves no out-of-bag subjects; monitoring impossible")
     params.tree.resolved_mtry(p)
 
-    marginal = tail_correct(
-        npmle_fit(data.lefts, data.rights), data.has_unbounded(), tau=data.tau
-    )
+    marginal_fit = npmle_fit(data.lefts, data.rights)
+    marginal = tail_correct(marginal_fit, data.has_unbounded(), tau=data.tau)
     if params.c_override is not None:
         h = float(params.c_override * n_min ** (-0.2))
     else:
@@ -275,6 +290,7 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
         base_rows = _leaf_rows([marginal], grid, None)
 
     folds: list[ForestFold] = []
+    leaf_gaps: list[float] = []
     for k in range(1, params.n_fold + 1):
         s_l, s_r = endpoint_values_on_grid(base_rows, data.lefts, data.rights, grid)
         carried = project_rows(base_rows, s_l, s_r, data.lefts, data.rights, grid, data.tau)
@@ -292,6 +308,7 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
 
         trees = [tree for r in results for tree in r[0]]
         folds.append(ForestFold(k, trees, np.asarray([e for r in results for e in r[1]])))
+        leaf_gaps += [g for r in results for g in r[5]]
         # results are in batch order, so batch sums are added in that
         # order whatever the worker count
         base_rows = sum(r[2] for r in results) / params.n_tree
@@ -300,6 +317,7 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
             have = oob_cnt > 0
             base_rows[have] = oob_sum[have] / oob_cnt[have, None]
 
+    _warn_uncertified(marginal_fit.kkt_gap, leaf_gaps)
     errors = np.asarray([f.oob_error for f in folds])
     k_opt = int(np.nanargmin(errors)) + 1
     return IcrfModel(

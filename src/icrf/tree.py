@@ -139,7 +139,8 @@ def _node_score(rule: SplitRule, ctx_arrays, mask: np.ndarray, counts) -> float:
     return abs(left_sum / n_left - (total - left_sum) / n_right)
 
 
-def _terminal_curve(ctx: FoldContext, members: np.ndarray, prediction: str) -> StepSurvival:
+def _terminal_curve(ctx: FoldContext, members: np.ndarray, prediction: str,
+                    npmle_gaps: list | None = None) -> StepSurvival:
     """The leaf curve of ``members``.
 
     Quasi-honest: the NPMLE of the members' raw intervals, with
@@ -147,11 +148,15 @@ def _terminal_curve(ctx: FoldContext, members: np.ndarray, prediction: str) -> S
     (``ctx.support_bound``) so that the final mass stays there;
     re-allocating a small node's large final mass exponentially over
     (a, inf) would inflate the whole ensemble. Exploitative: the mean of
-    the members' carried curves on the fold grid, compressed.
+    the members' carried curves on the fold grid, compressed. A
+    quasi-honest leaf appends its NPMLE's KKT gap to ``npmle_gaps``.
     """
     if prediction == QUASI_HONEST:
         rights = np.minimum(ctx.rights[members], ctx.support_bound)
-        return npmle_fit(ctx.lefts[members], rights).curve
+        fit = npmle_fit(ctx.lefts[members], rights)
+        if npmle_gaps is not None:
+            npmle_gaps.append(fit.kkt_gap)
+        return fit.curve
     mean = ctx.values[members].mean(axis=0)
     return curve_from_grid_values(ctx.grid, mean)
 
@@ -171,8 +176,9 @@ def curve_from_grid_values(grid: np.ndarray, vals: np.ndarray) -> StepSurvival:
 
 
 def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
-                  rng: np.random.Generator) -> Tree:
-    """Grow one tree on the in-bag subjects."""
+                  rng: np.random.Generator, npmle_gaps: list | None = None) -> Tree:
+    """Grow one tree on the in-bag subjects; the KKT gaps of its leaf
+    NPMLEs go to ``npmle_gaps``."""
     inbag = np.asarray(inbag, dtype=np.int64)
     n_min = params.n_min
     if inbag.size < n_min:
@@ -196,7 +202,7 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
         leaf_idx[node_id] = len(leaves)
         leaves.append(
             Leaf(
-                curve=_terminal_curve(ctx, members, params.prediction),
+                curve=_terminal_curve(ctx, members, params.prediction, npmle_gaps),
                 member_ids=members,
                 size=members.size,
             )

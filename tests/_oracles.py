@@ -1,7 +1,8 @@
 """Independent oracles used by the module and acceptance tests.
 
 Each oracle deliberately avoids the code path it checks: the simplex
-grid search enumerates Turnbull masses directly, the Wilcoxon and
+grid search enumerates Turnbull masses directly and the EM oracle runs the
+self-consistency recursion rather than Newton steps, the Wilcoxon and
 log-rank oracles work from raw event times via pair counting and risk
 tables, and GWRS is summed over every pair of curves rather than over the
 group means.
@@ -187,14 +188,31 @@ def gwrs_pairwise(v1: np.ndarray, v2: np.ndarray) -> float:
     return total / (v1.shape[0] * v2.shape[0])
 
 
-def self_consistency_residual(fit, weights=None) -> float:
-    """max_j |p_j - EM(p)_j| at an NpmleFit's returned masses."""
+def kkt_gap(fit, weights=None) -> float:
+    """max_j d_j - 1 at an NpmleFit's returned masses, where d_j =
+    sum_i w_i a_ij / (a_i . p) / sum(w); the masses are the NPMLE exactly
+    when it is <= 0."""
     a = fit.intervals.membership.astype(float)
     weights = np.ones(a.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    p = fit.masses
-    denom = np.maximum(a @ p, 1e-300)
-    p_new = (weights @ (a * (p[None, :] / denom[:, None]))) / weights.sum()
-    return float(np.max(np.abs(p_new - p)))
+    live = weights > 0.0
+    d = (weights[live] / (a[live] @ fit.masses)) @ a[live] / weights.sum()
+    return float(d.max() - 1.0)
+
+
+def em_loglik(membership: np.ndarray, weights=None, n_iter: int = 50_000) -> float:
+    """Log-likelihood sum_i w_i log(a_i . p) reached by plain EM
+    (self-consistency) on the Turnbull simplex from the uniform start,
+    after n_iter steps or at the first step that leaves p unchanged."""
+    weights = np.ones(membership.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    live = weights > 0.0
+    a, w = membership[live].astype(float), weights[live] / weights.sum()
+    p = np.full(a.shape[1], 1.0 / a.shape[1])
+    for _ in range(n_iter):
+        p_new = (w / (a @ p)) @ a * p
+        if (p_new == p).all():
+            break
+        p = p_new
+    return float(weights[live] @ np.log(a @ p))
 
 
 def curve_context(data, carried, cov_curves=None):

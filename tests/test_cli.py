@@ -82,6 +82,15 @@ class TestFitOptions:
         assert f"error[{code}]" in capsys.readouterr().err
         assert not (tmp_path / "m.bin").exists()
 
+    def test_single_fold_without_oob_is_typed_error(self, workspace, tmp_path, capsys):
+        # s = n leaves no out-of-bag subject to pick k_opt by, even for one fold
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n_tree = 2\nn_fold = 1\ntau = 5\ns = 90\n")
+        assert run(["fit", "--data", workspace / "d.csv", "--config", cfg,
+                    "--out", tmp_path / "m.bin", "--report", tmp_path / "r.csv"]) == 1
+        assert "error[empty_oob]" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
     @pytest.mark.parametrize("s, n", [(7, 25), (21, 300), (42, 300)])
     def test_absolute_subsample_size_is_exact(self, tmp_path, s, n):
         data = tmp_path / "d.csv"

@@ -1,7 +1,10 @@
 """Forest fitting, prediction, OOB monitoring, and importance."""
 
+import functools
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +24,11 @@ from icrf import (
     smooth_curve,
     variable_importance,
 )
+import icrf.forest as forest_mod
+import icrf.tree as tree_mod
 from icrf.curves import refine_uniform
 from icrf.forest import METRICS, _monitor_error, monitor_grid
+from icrf.npmle import npmle_fit
 
 from test_tree import tree_predict
 from icrf.exceptions import (
@@ -31,6 +37,7 @@ from icrf.exceptions import (
     InsufficientData,
     InvalidFold,
     InvariantViolation,
+    NpmleWarning,
     ParseError,
 )
 
@@ -86,6 +93,27 @@ class TestFit:
     def test_subsample_one_requires_single_fold(self, sim):
         with pytest.raises(EmptyOob):
             fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, subsample=1.0))
+
+    def test_subsample_one_single_fold_is_empty_oob(self, sim):
+        # with no out-of-bag subject no fold has an OOB error to pick k_opt by
+        with pytest.raises(EmptyOob):
+            fit(sim.dataset, ForestParams(n_tree=2, n_fold=1, subsample=1.0))
+
+    def test_certified_fit_does_not_warn(self, sim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NpmleWarning)
+            fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=1))
+
+    def test_uncertified_npmle_warns_once(self, sim, monkeypatch):
+        # a one-step budget leaves the marginal and some leaf NPMLEs uncertified
+        one_step = functools.partial(npmle_fit, max_iter=1)
+        monkeypatch.setattr(forest_mod, "npmle_fit", one_step)
+        monkeypatch.setattr(tree_mod, "npmle_fit", one_step)
+        with pytest.warns(NpmleWarning) as record:
+            fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=1))
+        messages = [str(w.message) for w in record if issubclass(w.category, NpmleWarning)]
+        assert len(messages) == 1
+        assert re.match(r"1 of 1 marginal and [1-9]\d* of \d+ leaf NPMLE fits", messages[0])
 
     def test_insufficient_data(self, sim):
         ds = sim.dataset

@@ -1,4 +1,4 @@
-"""Turnbull intervals, EM self-consistency, and the tail correction."""
+"""Turnbull intervals, the certified Newton NPMLE, and the tail correction."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from icrf import npmle_fit, tail_correct, turnbull_intervals
 from icrf.dataio import encode_exact
 from icrf.exceptions import EmptyInput, InvalidAnchor
 
-from _oracles import random_intervals, self_consistency_residual, simplex_grid_loglik
+from _oracles import em_loglik, kkt_gap, random_intervals, simplex_grid_loglik
 
 
 class TestTurnbull:
@@ -124,10 +124,46 @@ class TestNpmleProperty:
         assert fit.loglik >= simplex_grid_loglik(fit.intervals.membership) - 1e-4
 
 
+@st.composite
+def weighted_samples(draw):
+    """Up to twelve weighted intervals: bounded, exact, right-unbounded
+    and repeats (ties) of earlier ones."""
+    lefts, rights = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["bounded", "exact", "unbounded", "tie"]))
+        if kind == "tie" and lefts:
+            j = draw(st.integers(0, len(lefts) - 1))
+            left, right = lefts[j], rights[j]
+        elif kind == "exact":
+            left, right = encode_exact(draw(ends) + 0.25)
+        elif kind == "unbounded":
+            left, right = draw(ends), np.inf
+        else:
+            left = draw(ends)
+            right = left + draw(st.one_of(st.just(0.5), st.floats(0.1, 2.5)))
+        lefts.append(left)
+        rights.append(right)
+    weights = draw(st.lists(st.floats(0.05, 5.0), min_size=len(lefts), max_size=len(lefts)))
+    return np.asarray(lefts), np.asarray(rights), np.asarray(weights)
+
+
+class TestNpmleKkt:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(weighted_samples())
+    def test_certified_and_not_below_em(self, sample):
+        lefts, rights, weights = sample
+        fit = npmle_fit(lefts, rights, weights=weights)
+        assert fit.kkt_gap <= npmle_mod.KKT_TOL
+        assert kkt_gap(fit, weights=weights) <= npmle_mod.KKT_TOL
+        assert abs(fit.masses.sum() - 1.0) <= 1e-12
+        assert fit.loglik >= em_loglik(fit.intervals.membership, weights) - 1e-12
+
+
 class TestEmProperties:
     def test_loglik_monotone_and_residual(self):
-        # EM never lowers the log-likelihood: the fit stopped after k steps
-        # is no worse than after k - 1, and the converged fit beats them all
+        # no accepted Newton step lowers the log-likelihood: the fit stopped
+        # after k steps is no worse than after k - 1, and the certified fit
+        # is not below any of them
         rng = np.random.default_rng(13)
         for _ in range(60):
             n = int(rng.integers(3, 25))
@@ -136,12 +172,10 @@ class TestEmProperties:
             path = [npmle_fit(lefts, rights, weights=weights, max_iter=k).loglik
                     for k in range(1, 51)]
             assert np.all(np.diff(path) >= -1e-9)
-            # generous budget: near-flat likelihood ridges converge slowly
-            fit = npmle_fit(lefts, rights, weights=weights, max_iter=50_000)
+            fit = npmle_fit(lefts, rights, weights=weights)
             assert fit.converged
             assert fit.loglik >= max(path) - 1e-9
-            res = self_consistency_residual(fit, weights=weights)
-            assert res < 10 * npmle_mod.DEFAULT_TOL
+            assert kkt_gap(fit, weights=weights) <= npmle_mod.KKT_TOL
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(14)

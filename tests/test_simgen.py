@@ -126,8 +126,8 @@ class TestGenerate:
         assert d < 0.03
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of `import icrf`; the package must not need it
+def _loaded_by_import_icrf(modules) -> list:
+    """Which of ``modules`` a fresh ``import icrf`` loads."""
     import os
     import subprocess
     import sys
@@ -135,7 +135,18 @@ def test_import_leaves_out_scipy_stats():
     import icrf
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(icrf.__file__)))
-    code = "import sys, icrf; print('scipy.stats' in sys.modules)"
+    code = f"import sys, icrf; print(','.join(m for m in {list(modules)!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    return [m for m in out.strip().split(",") if m]
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of `import icrf`; the package must not need it
+    assert _loaded_by_import_icrf(["scipy.stats"]) == []
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize (the NPMLE's nnls) costs about 0.2 s to import; the
+    # NPMLE imports it on first use, so `import icrf` stays without it
+    assert _loaded_by_import_icrf(["scipy.stats", "scipy.optimize"]) == []
