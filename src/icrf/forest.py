@@ -8,7 +8,11 @@ fold and the previous forest's after it, reads S(L_i), S(R_i) off them
 intervals (``curves.project_rows``); so does the IMSE2 monitor. The first
 row, OOB monitoring, smoothed prediction and variable importance smooth
 with the leaves' kernel, ``_leaf_rows``: one kernel column per distinct
-mass interval and one matrix product.
+mass interval, and per curve the sum of its own masses times its own
+columns, so a leaf's row depends on that leaf alone. Prediction and OOB
+monitoring route first (``_routed_rows``) and smooth or interpolate only
+the leaves their rows reach; variable importance, which routes the whole
+sample many times, computes every leaf's row once.
 """
 
 from __future__ import annotations
@@ -178,21 +182,44 @@ def _leaf_rows(curves, grid, h: float | None) -> np.ndarray:
     over their intervals first (``smooth.mass_intervals``). Leaves share
     many intervals (exploitative leaves put all their mass on fold-grid
     cells, quasi-honest leaves on Turnbull intervals), so each distinct
-    interval is smoothed once, as a unit-mass column, and the rows are
-    1 - M @ F for the (curve x interval) mass matrix M and the columns'
-    smoothed distribution functions F.
+    interval is smoothed once, as a unit-mass column F_k, and a curve's
+    row is 1 - sum_j m_j F_k(j) over its own intervals j in its own order.
+    A column depends on its interval alone and each sum on its curve
+    alone, so a curve's row does not depend on the other curves of the
+    call, to the last bit.
     """
     if h is None:
-        return np.vstack([c.interpolate(grid) for c in curves])
+        rows = np.empty((len(curves), grid.size))
+        for row, c in zip(rows, curves):
+            row[:] = c.interpolate(grid)
+        return rows
     parts = [mass_intervals(c) for c in curves]
-    owner = np.repeat(np.arange(len(curves)), [part[0].size for part in parts])
+    sizes = np.asarray([part[0].size for part in parts], dtype=np.intp)
+    if not sizes.any():  # no curve places any mass, or there is no curve
+        return np.ones((len(curves), grid.size))
     t0, t1, masses = (np.concatenate([part[j] for part in parts]) for j in range(3))
     keys, col = np.unique(np.column_stack((t0, t1)), axis=0, return_inverse=True)
-    mix = np.zeros((len(curves), keys.shape[0]))
-    np.add.at(mix, (owner, col.reshape(-1)), masses)
     locs, unit = interval_atoms(keys[:, 0], keys[:, 1])
     cdf = 1.0 - smoothed_values_matrix(locs, unit, h, grid)
+    # a CSR matrix times a dense one adds each row's stored entries to that
+    # row one after another, in their stored order (a dense product's
+    # summation order would depend on which columns the call holds); a curve
+    # with no interval sums to 0. Imported here, as nnls is: `import icrf`
+    # should not pay for scipy.sparse
+    from scipy.sparse import csr_array
+
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    mix = csr_array((masses, col.reshape(-1), offsets), shape=(len(curves), keys.shape[0]))
     return np.clip(1.0 - mix @ cdf, 0.0, 1.0)
+
+
+def _routed_rows(tree, leaf_of, grid, h: float | None) -> np.ndarray:
+    """Rows (``_leaf_rows``) of the leaves ``leaf_of`` names, one per
+    entry; only the leaves reached are smoothed or interpolated."""
+    reached = np.flatnonzero(np.bincount(leaf_of, minlength=tree.n_leaves))
+    slot = np.zeros(tree.n_leaves, dtype=np.intp)
+    slot[reached] = np.arange(reached.size)
+    return _leaf_rows([tree.leaves[i].curve for i in reached], grid, h)[slot[leaf_of]]
 
 
 def _forest_rows(trees, leaf_rows, X) -> np.ndarray:
@@ -206,8 +233,7 @@ def _forest_rows(trees, leaf_rows, X) -> np.ndarray:
 def _tree_oob_error(tree, leaf_of, lefts, rights, tau, h, grid, metric) -> float:
     """Monitor metric of the tree's smoothed prediction for its OOB
     subjects, routed to the leaves ``leaf_of``."""
-    leaf_ids, pos = np.unique(leaf_of, return_inverse=True)
-    rows = _leaf_rows([tree.leaves[i].curve for i in leaf_ids], grid, h)[pos]
+    rows = _routed_rows(tree, leaf_of, grid, h)
     return _monitor_error(metric, rows, lefts, rights, tau, grid)
 
 
@@ -232,7 +258,7 @@ def _build_tree_batch(args):
             tree, leaf_of[oob], ctx.lefts[oob], ctx.rights[oob], ctx.tau, h, mgrid, metric))
         # leaf curves enter the forest through their within-interval
         # (uniform-density) interpolation, not the right-endpoint step
-        rows = _leaf_rows([leaf.curve for leaf in tree.leaves], ctx.grid, None)[leaf_of]
+        rows = _routed_rows(tree, leaf_of, ctx.grid, None)
         pred_sum += rows
         if update_mode == "oob":
             oob_sum[oob] += rows[oob]
@@ -343,7 +369,13 @@ def _check_fold(model: IcrfModel, fold: int | None) -> ForestFold:
 
 def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool = True) -> np.ndarray:
     """Survival values on ``grid`` for each query row of X: the
-    equal-weight average of the routed (smoothed) leaf curves."""
+    equal-weight average of the routed (smoothed) leaf curves.
+
+    Each tree routes X first and smooths (or interpolates) only the
+    leaves the queries reach. A leaf's row depends on that leaf, the grid
+    and the bandwidth alone, so a query's row is the same, bit for bit,
+    whichever other queries share the call.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(model.feature_names):
         raise DimensionMismatch(
@@ -351,11 +383,15 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
         )
     if not np.all(np.isfinite(X)):
         raise InvariantViolation("query covariates must be finite")
-    grid = np.asarray(grid, dtype=float)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if not np.all(np.isfinite(grid)):
+        raise InvariantViolation("prediction grid must be finite")
     fobj = _check_fold(model, fold)
     h = model.h if smoothed else None
-    rows = [_leaf_rows([leaf.curve for leaf in t.leaves], grid, h) for t in fobj.trees]
-    return _forest_rows(fobj.trees, rows, X)
+    acc = np.zeros((X.shape[0], grid.size))
+    for tree in fobj.trees:
+        acc += _routed_rows(tree, tree.apply(X), grid, h)
+    return acc / len(fobj.trees)
 
 
 def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float:

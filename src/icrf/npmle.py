@@ -23,6 +23,7 @@ KKT_TOL = 1e-9  # certificate: max_j d_j <= 1 + KKT_TOL, near float resolution
 DEFAULT_MAX_ITER = 50  # Newton-step budget
 ARMIJO = 1.0 / 3.0  # sufficient-increase fraction of the line search
 MAX_HALVINGS = 30  # backtracking steps before a Newton step counts as stalled
+STALL_EM_STEPS = 100  # EM steps that may follow a stalled Newton step
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,15 @@ def _curve_from_masses(tb: TurnbullIntervals, masses: np.ndarray) -> StepSurviva
     return StepSurvival(np.asarray(times), np.asarray(values))
 
 
+def _em_step(a: np.ndarray, w: np.ndarray, p: np.ndarray):
+    """One self-consistency (EM) step from masses p; returns the new masses,
+    a @ p, the ratios a_ij / (a_i . p) and the KKT gap max_j d_j - 1."""
+    p = w @ (a * (p[None, :] / (a @ p)[:, None]))
+    ap = a @ p
+    s = a / ap[:, None]
+    return p, ap, s, float((w @ s).max()) - 1.0
+
+
 def _newton(a: np.ndarray, w: np.ndarray, budget: int):
     """Constrained Newton ascent of sum_i w_i log(a_i . p) on the simplex,
     for weights ``w`` summing to one, from the uniform start.
@@ -125,19 +135,18 @@ def _newton(a: np.ndarray, w: np.ndarray, budget: int):
     Each round first takes one self-consistency (EM) step, which never
     lowers the log-likelihood and, ratio first, puts all-exact data
     exactly on w (p_j / (a_i . p) == 1 on identity memberships). It stops
-    when the masses then carry the certificate, after ``budget`` Newton
-    steps, or when no Newton step raises the log-likelihood. Returns the
-    masses, the Newton steps taken and the KKT gap max_j d_j - 1.
+    when the masses then carry the certificate or after ``budget`` Newton
+    steps. When no Newton step raises the log-likelihood, up to
+    STALL_EM_STEPS further EM steps run until the certificate holds.
+    Returns the masses, the Newton steps taken and the KKT gap
+    max_j d_j - 1.
     """
     k = a.shape[1]
     p = np.full(k, 1.0 / k)
     target = np.zeros(a.shape[0] + 1)
     target[-1] = 1.0
     for step in range(budget + 1):
-        p = w @ (a * (p[None, :] / (a @ p)[:, None]))
-        ap = a @ p
-        s = a / ap[:, None]
-        gap = float((w @ s).max()) - 1.0
+        p, ap, s, gap = _em_step(a, w, p)
         if gap <= KKT_TOL or step == budget:
             break
         # the quadratic model at p is -sum_i w_i (s_i . q - 2)^2 / 2 + const;
@@ -171,6 +180,14 @@ def _newton(a: np.ndarray, w: np.ndarray, budget: int):
         else:
             break
         p = (1.0 - alpha) * p + alpha * q
+    if gap > KKT_TOL and step < budget:
+        # a Newton step stalled: near the optimum its gain, of order gap**2,
+        # falls below the rounding of the log-likelihood sums. EM steps need
+        # no such comparison and still close the gap, if slowly
+        for _ in range(STALL_EM_STEPS):
+            p, ap, s, gap = _em_step(a, w, p)
+            if gap <= KKT_TOL:
+                break
     return p, step, gap
 
 
@@ -185,9 +202,12 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
     nonnegative least-squares problem, and moves toward that maximum by a
     backtracking Armijo search. Before each step, and before returning,
     one self-consistency (EM) step is taken; the fit stops when its masses
-    carry the certificate ``kkt_gap`` = max_j d_j - 1 <= KKT_TOL, when no
-    Newton step raises the log-likelihood, or after ``max_iter`` Newton
-    steps. ``converged`` reports the certificate at the returned masses.
+    carry the certificate ``kkt_gap`` = max_j d_j - 1 <= KKT_TOL or after
+    ``max_iter`` Newton steps. When no Newton step raises the
+    log-likelihood, which happens near the optimum once the gain falls
+    below rounding, EM steps (at most STALL_EM_STEPS) continue toward the
+    certificate. ``converged`` reports the certificate at the returned
+    masses.
     """
     tb = turnbull_intervals(lefts, rights)
     n = tb.membership.shape[0]

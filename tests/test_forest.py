@@ -242,6 +242,12 @@ class TestPredict:
         with pytest.raises(InvariantViolation):
             predict(model, q, np.linspace(0, 5, 11))
 
+    @pytest.mark.parametrize("smoothed", [True, False], ids=["smoothed", "raw"])
+    def test_nonfinite_grid_rejected(self, sim, model, smoothed):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvariantViolation):
+                predict(model, sim.dataset.X[:2], [0.0, bad, 1.0], smoothed=smoothed)
+
     def test_fold_average_identity(self, sim, model):
         # forest prediction is the mean of per-tree leaf curves
         grid = np.linspace(0, 5, 26)
@@ -251,6 +257,55 @@ class TestPredict:
         want = np.mean(rows, axis=0)
         got = predict(model, x[None, :], grid, smoothed=False)[0]
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def leaf_kind_models(sim):
+    return {kind: fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=3,
+                                                tree=TreeParams(prediction=kind)))
+            for kind in ("quasi_honest", "exploitative")}
+
+
+def all_leaves_prediction(model, X, grid, smoothed):
+    """Reference: every leaf's row of the k_opt fold computed, then routed."""
+    fold = model.folds[model.k_opt - 1]
+    h = model.h if smoothed else None
+    rows = [forest_mod._leaf_rows([leaf.curve for leaf in t.leaves], grid, h)
+            for t in fold.trees]
+    return forest_mod._forest_rows(fold.trees, rows, X)
+
+
+@pytest.mark.parametrize("smoothed", [True, False], ids=["smoothed", "raw"])
+@pytest.mark.parametrize("kind", ["quasi_honest", "exploitative"])
+class TestBatchIndependence:
+    """A query's row depends on the leaves it reaches, not on the other
+    queries of the call."""
+
+    def test_each_row_equals_its_single_query_call(self, sim, leaf_kind_models, kind, smoothed):
+        m = leaf_kind_models[kind]
+        grid = np.linspace(0.0, 5.0, 41)
+        X = sim.dataset.X
+        got = predict(m, X, grid, smoothed=smoothed)
+        for i in range(X.shape[0]):
+            assert np.array_equal(got[i], predict(m, X[i:i + 1], grid, smoothed=smoothed)[0])
+        np.testing.assert_allclose(got, all_leaves_prediction(m, X, grid, smoothed),
+                                   rtol=0.0, atol=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_subset_in_any_order(self, sim, leaf_kind_models, kind, smoothed, data):
+        m = leaf_kind_models[kind]
+        grid = np.linspace(0.0, 5.0, 23)
+        X = sim.dataset.X
+        idx = np.asarray(data.draw(st.lists(st.integers(0, X.shape[0] - 1), max_size=12)),
+                         dtype=int)
+        full = predict(m, X, grid, smoothed=smoothed)
+        assert np.array_equal(predict(m, X[idx], grid, smoothed=smoothed), full[idx])
+
+    def test_zero_queries(self, sim, leaf_kind_models, kind, smoothed):
+        grid = np.linspace(0.0, 5.0, 17)
+        out = predict(leaf_kind_models[kind], sim.dataset.X[:0], grid, smoothed=smoothed)
+        assert out.shape == (0, grid.size)
 
 
 class TestImportance:

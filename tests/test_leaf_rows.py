@@ -52,6 +52,9 @@ def test_interval_columns_equal_per_leaf_smoothing(curves, h, m, tau, data):
     got = _leaf_rows(chosen, grid, h)
     want = smoothed_rows_per_curve(chosen, grid, h)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    # a curve's row does not depend on the other curves of the call
+    for row, c in zip(got, chosen):
+        assert np.array_equal(row, _leaf_rows([c], grid, h)[0])
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -87,3 +90,20 @@ def test_shared_interval_is_smoothed_once(monkeypatch):
     assert seen == [3]  # (0, 1], (1, 2] and (2, 3]
     np.testing.assert_allclose(got, smoothed_rows_per_curve([a, b], grid, 0.3),
                                rtol=0.0, atol=1e-12)
+
+
+def test_curve_without_mass_intervals_gives_ones():
+    # a curve that places no mass (no knots, or only a zero-jump knot) is
+    # the row 1 wherever it stands, and the curves around it keep the rows
+    # they have on their own
+    a = StepSurvival([1.0, 2.0], [0.6, 0.1])
+    b = StepSurvival([1.5, 3.0], [0.5, 0.2])
+    grid = np.linspace(0.0, 4.0, 9)
+    for empty in (StepSurvival([], []), StepSurvival([1.0], [1.0])):
+        got = _leaf_rows([a, empty, b, empty], grid, 0.3)
+        assert np.all(got[[1, 3]] == 1.0)
+        assert np.array_equal(got[0], _leaf_rows([a], grid, 0.3)[0])
+        assert np.array_equal(got[2], _leaf_rows([b], grid, 0.3)[0])
+        assert np.all(_leaf_rows([empty], grid, 0.3) == 1.0)
+    assert _leaf_rows([], grid, 0.3).shape == (0, grid.size)
+    assert _leaf_rows([], grid, None).shape == (0, grid.size)

@@ -13,6 +13,30 @@ from icrf.exceptions import EmptyInput, InvalidAnchor
 from _oracles import em_loglik, kkt_gap, random_intervals, simplex_grid_loglik
 
 
+# One quasi-honest leaf of a scenario-5 forest (n=300, M=3, GWRS; 39
+# members, 7 Turnbull intervals, right ends capped at the support bound).
+# Newton steps alone stall here at a KKT gap of 2.2e-9: near the optimum
+# the line search's gain falls below the rounding of its sums.
+STALL_LEFTS = [
+    0.0, 0.0, 0.0, 0.4256032228234547, 0.0, 0.9071475779207285, 0.0, 0.7770623337043312,
+    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1857838899927382, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.305932553698678, 0.0, 0.0, 0.03611837779105082, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.18641459183613102, 0.0, 0.0, 0.4713337725322065, 0.0, 0.0, 0.0, 0.0, 0.0
+]
+STALL_RIGHTS = [
+    9.271807821089547, 0.1271600105725368, 8.42285144995296, 7.829899994316235,
+    0.64849270423751, 3.064396840265792, 0.7450508400002078, 1.2779814173673434,
+    1.3535865850415139, 0.9514449746560579, 0.7432057693668538, 7.621623254912185,
+    20.57865652952546, 0.4438686718801834, 1.798702875657949, 0.685769883654266,
+    0.4988154441756733, 0.6546977258575586, 1.7614272293656155, 3.3974455467513063,
+    2.7416469852607404, 2.726955276328017, 1.8402318847383135, 4.249817532665022,
+    0.40045559912596795, 7.5642090770692825, 0.6252386993505521, 0.6054830852351283,
+    1.456369496543572, 20.6072503609422, 1.438890984765966, 0.6265702727492383,
+    0.2699424880392059, 5.510450140463964, 5.729520788517979, 1.3337258116443773,
+    0.6367448318762606, 0.8794605836899437, 20.398921023248306
+]
+
+
 class TestTurnbull:
     def test_single_observation(self):
         tb = turnbull_intervals([1.0], [2.0])
@@ -176,6 +200,15 @@ class TestEmProperties:
             assert fit.converged
             assert fit.loglik >= max(path) - 1e-9
             assert kkt_gap(fit, weights=weights) <= npmle_mod.KKT_TOL
+
+    def test_stalled_newton_step_is_certified_by_em(self):
+        fit = npmle_fit(STALL_LEFTS, STALL_RIGHTS)
+        assert fit.iterations < npmle_mod.DEFAULT_MAX_ITER  # stalled, not out of budget
+        assert fit.intervals.n_intervals == 7
+        assert fit.converged
+        assert kkt_gap(fit) <= npmle_mod.KKT_TOL
+        assert abs(fit.masses.sum() - 1.0) <= 1e-12
+        assert fit.loglik >= em_loglik(fit.intervals.membership) - 1e-12
 
     def test_nonconvergence_flagged(self):
         rng = np.random.default_rng(14)
