@@ -1,10 +1,19 @@
 """Step survival curves and the full-conditional projection.
 
-A step survival curve is stored as its jump knots: strictly increasing
-times with the curve value *at and after* each knot (right-continuous).
-Before the first knot the curve is 1. An optional exponential tail,
+A step survival curve is stored as its knots: strictly increasing times
+with the curve value *at and after* each knot (right-continuous). Before
+the first knot the curve is 1. An optional exponential tail,
 ``values[-1] * exp(-tail_rate * (t - times[-1]))``, extends the curve
 beyond the last knot; without it the curve stays flat there.
+
+Every step curve a fit builds (leaf NPMLEs, the tail-corrected marginal,
+exploitative leaves) holds masses on disjoint, ordered intervals
+(start_j, end_j], encoded by ``step_knots``: a drop knot at each finite
+end_j, valued the survival after its mass, and a flat marker knot at
+start_j, valued the survival before it, where start_j is beyond the
+previous end (0 for the first). A mass thus lies on (previous knot, its
+knot], as interpolation and ``smooth.mass_intervals`` read it; an
+unbounded last interval keeps its mass in the plateau or the tail.
 
 Curves that take part in a fit are sampled on a grid, one row per
 subject. ``endpoint_values_on_grid`` is the one reader of S(L_i), S(R_i)
@@ -59,17 +68,6 @@ class StepSurvival:
 
     def eval(self, t) -> np.ndarray | float:
         """Right-continuous value S(t)."""
-        return self._eval(t, side="right")
-
-    def eval_left(self, t) -> np.ndarray | float:
-        """Left limit S(t-)."""
-        return self._eval(t, side="left")
-
-    def eval_check(self, t) -> np.ndarray | float:
-        """The half-mass-shifted value 0.5*S(t) + 0.5*S(t-)."""
-        return 0.5 * (self.eval(t) + self.eval_left(t))
-
-    def _eval(self, t, side):
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0
         t_arr = np.atleast_1d(t_arr)
@@ -78,7 +76,7 @@ class StepSurvival:
             if self.tail_rate is not None:
                 out = np.exp(-self.tail_rate * np.maximum(t_arr, 0.0))
         else:
-            idx = np.searchsorted(self.times, t_arr, side=side) - 1
+            idx = np.searchsorted(self.times, t_arr, side="right") - 1
             out = np.where(idx < 0, 1.0, self.values[np.clip(idx, 0, None)])
             if self.tail_rate is not None:
                 last_t, last_v = self.times[-1], self.values[-1]
@@ -131,6 +129,17 @@ class StepSurvival:
     def mass_beyond_knots(self) -> float:
         """Mass not dropped at any knot (tail and/or defect)."""
         return float(self.values[-1]) if self.times.size else 1.0
+
+
+def step_knots(starts, ends, before, after) -> tuple[np.ndarray, np.ndarray]:
+    """Knot times and values of the masses on (starts[j], ends[j]], with
+    survival before[j] before and after[j] (floored at 0) after each; the
+    encoding of the module docstring."""
+    prev_end = np.concatenate(([0.0], ends))[:-1]
+    keep = np.array((starts > prev_end, np.isfinite(ends))).T
+    times = np.array((starts, ends)).T[keep]
+    values = np.array((before, np.where(after < 0.0, 0.0, after))).T[keep]
+    return times, values
 
 
 def endpoint_values_on_grid(rows, lefts, rights, grid) -> tuple[np.ndarray, np.ndarray]:

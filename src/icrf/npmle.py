@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import StepSurvival
+from .curves import StepSurvival, step_knots
 from .exceptions import EmptyInput, InvalidAnchor
 
 KKT_TOL = 1e-9  # certificate: max_j d_j <= 1 + KKT_TOL, near float resolution
@@ -61,13 +61,8 @@ def turnbull_intervals(lefts, rights) -> TurnbullIntervals:
     order = np.lexsort((is_left, pts))
     pv, pl = pts[order], is_left[order]
 
-    q, p = [], []
-    for k in range(len(pv) - 1):
-        if pl[k] == 1 and pl[k + 1] == 0:
-            q.append(pv[k])
-            p.append(pv[k + 1])
-    q = np.asarray(q)
-    p = np.asarray(p)
+    hit = (pl[:-1] == 1) & (pl[1:] == 0)
+    q, p = pv[:-1][hit], pv[1:][hit]
     membership = (lefts[:, None] <= q[None, :]) & (p[None, :] <= rights[:, None])
     if not membership.any(axis=1).all():
         # cannot happen for valid L < R input; guard anyway
@@ -96,27 +91,18 @@ def _loglik(membership, masses, weights):
     return float(weights @ np.log(probs))
 
 
-def _curve_from_masses(tb: TurnbullIntervals, masses: np.ndarray) -> StepSurvival:
-    """Step curve: survival drops by mass_j at p_j, with a zero-jump knot
-    at q_j marking where the j-th mass interval begins.
+def _curve_from_masses(lefts, rights, masses, tail_rate=None) -> StepSurvival:
+    """Step curve of the masses on the Turnbull intervals (lefts_j,
+    rights_j], knots as in ``curves.step_knots``.
 
     Values use the same cumulative-complement arithmetic as the
     empirical survival function, so all-exact fits match it bit-for-bit.
     """
     keep = masses > 0.0
-    q, p, m = tb.lefts[keep], tb.rights[keep], masses[keep]
-    after = 1.0 - np.cumsum(m)
-    before = np.concatenate(([1.0], after[:-1]))
-    times, values = [], []
-    for j in range(m.size):
-        if q[j] > 0.0 and (not times or q[j] > times[-1]):
-            times.append(q[j])
-            values.append(before[j])
-        if np.isfinite(p[j]):
-            times.append(p[j])
-            values.append(max(after[j], 0.0))
-        # an unbounded last interval leaves the curve at its plateau
-    return StepSurvival(np.asarray(times), np.asarray(values))
+    after = 1.0 - np.cumsum(masses[keep])
+    before = np.concatenate(([1.0], after))[:-1]
+    times, values = step_knots(lefts[keep], rights[keep], before, after)
+    return StepSurvival(times, values, tail_rate=tail_rate)
 
 
 def _em_step(a: np.ndarray, w: np.ndarray, p: np.ndarray):
@@ -223,7 +209,7 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
     return NpmleFit(
         intervals=tb,
         masses=p,
-        curve=_curve_from_masses(tb, p),
+        curve=_curve_from_masses(tb.lefts, tb.rights, p),
         iterations=iterations,
         kkt_gap=kkt_gap,
         loglik=_loglik(tb.membership, p, weights),
@@ -255,14 +241,8 @@ def tail_correct(fit: NpmleFit, has_unbounded: bool, tau: float | None = None) -
     else:
         rate = -np.log(max(p_hat, 1e-300)) / a if p_hat < 1.0 else 0.0
 
-    # rebuild the curve with the final drop removed (treat the last
-    # mass-bearing interval as unbounded), then attach the tail
+    # the last mass-bearing interval as unbounded: no final drop, so its
+    # mass stays in the tail
     rights = fit.intervals.rights.copy()
     rights[last] = np.inf
-    tb_mod = TurnbullIntervals(fit.intervals.lefts, rights, fit.intervals.membership)
-    base = _curve_from_masses(tb_mod, fit.masses)
-    ts, vs = base.times, base.values
-    if a > 0.0 and (ts.size == 0 or a > ts[-1]):
-        ts = np.concatenate((ts, [a]))
-        vs = np.concatenate((vs, [p_hat]))
-    return StepSurvival(ts, vs, tail_rate=rate)
+    return _curve_from_masses(fit.intervals.lefts, rights, fit.masses, tail_rate=rate)

@@ -178,14 +178,7 @@ def _model_from(header: dict, blob: bytes, pos: int, path: str) -> IcrfModel:
             )
             moff = arrays[pre + "lmoffsets"]
             members = arrays[pre + "lmembers"]
-            leaves = [
-                Leaf(
-                    curve=curves[j],
-                    member_ids=members[moff[j] : moff[j + 1]],
-                    size=int(moff[j + 1] - moff[j]),
-                )
-                for j in range(len(curves))
-            ]
+            leaves = [Leaf(curves[j], members[moff[j] : moff[j + 1]]) for j in range(len(curves))]
             trees.append(
                 Tree(
                     arrays[pre + "feature"],

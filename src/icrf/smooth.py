@@ -116,7 +116,11 @@ def bandwidth(
 
 
 def smooth_curve(base: StepSurvival, h: float, support_end: float) -> SmoothedSurvival:
-    """Gaussian-kernel smoothing with mirror boundary correction at 0."""
+    """Gaussian-kernel smoothing with mirror boundary correction at 0, each
+    mass at the right end of its interval (``curve_atoms``). The forest
+    spreads each mass over its interval, which moves the curve by up to
+    about 5e-3; ``smooth_curve(refine_uniform(base), h, support_end)``
+    matches it."""
     if not (h > 0.0):
         raise DegenerateQuantiles(f"bandwidth must be > 0, got {h}")
     locs, masses = curve_atoms(base)
@@ -146,5 +150,5 @@ def smoothed_values_matrix(
             continue
         direct = ndtr((grid[:, None] - locs[None, :]) / h)
         mirror = ndtr((-grid[:, None] - locs[None, :]) / h)
-        out[i] = np.clip(1.0 - (direct - mirror) @ masses, 0.0, 1.0)
-    return out
+        out[i] = 1.0 - (direct - mirror) @ masses
+    return np.clip(out, 0.0, 1.0, out=out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import StepSurvival
+from .curves import StepSurvival, step_knots
 from .exceptions import InsufficientData
 from .npmle import npmle_fit
 from .splits import (GLR, GWRS, SWRS, SplitRule, glr_from_sums, gwrs_from_sums, slr_scores,
@@ -89,7 +89,6 @@ class FoldContext:
 class Leaf:
     curve: StepSurvival
     member_ids: np.ndarray
-    size: int
 
 
 class Tree:
@@ -162,17 +161,14 @@ def _terminal_curve(ctx: FoldContext, members: np.ndarray, prediction: str,
 
 
 def curve_from_grid_values(grid: np.ndarray, vals: np.ndarray) -> StepSurvival:
-    """Compress grid values to a step curve.
-
-    Keeps the actual drops plus the flat knot preceding each drop, so
-    the interval carrying each mass survives compression (flat stretches
-    stay flat under within-interval interpolation)."""
+    """Compress grid values to a step curve of the masses of the cells
+    (grid[j-1], grid[j]] that drop by more than LEAF_MASS_TOL, knots as in
+    ``curves.step_knots``: each mass keeps its cell."""
     vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
     prev = np.concatenate(([1.0], vals[:-1]))
     drops = (prev - vals) > LEAF_MASS_TOL
-    keep = drops.copy()
-    keep[:-1] |= drops[1:]
-    return StepSurvival(grid[keep], vals[keep])
+    starts = np.concatenate(([0.0], grid[:-1]))
+    return StepSurvival(*step_knots(starts[drops], grid[drops], prev[drops], vals[drops]))
 
 
 def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
@@ -200,13 +196,7 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
 
     def make_leaf(node_id, members):
         leaf_idx[node_id] = len(leaves)
-        leaves.append(
-            Leaf(
-                curve=_terminal_curve(ctx, members, params.prediction, npmle_gaps),
-                member_ids=members,
-                size=members.size,
-            )
-        )
+        leaves.append(Leaf(_terminal_curve(ctx, members, params.prediction, npmle_gaps), members))
 
     root = new_node()
     stack = [(root, inbag)]

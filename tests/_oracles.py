@@ -5,7 +5,10 @@ grid search enumerates Turnbull masses directly and the EM oracle runs the
 self-consistency recursion rather than Newton steps, the Wilcoxon and
 log-rank oracles work from raw event times via pair counting and risk
 tables, and GWRS is summed over every pair of curves rather than over the
-group means.
+group means. The knot encoders are the loop forms that ``curves.step_knots``
+replaced: a scan over sorted endpoints for Turnbull's intervals, a walk
+over the masses for NPMLE curves (and the tail correction that rebuilds
+one), and a keep-mask over grid cells for exploitative leaves.
 """
 
 from __future__ import annotations
@@ -231,3 +234,75 @@ def curve_context(data, carried, cov_curves=None):
         knots, (rows,) = read_on_knots([cov_curves], data.tau)
         s_l, s_r = endpoint_values_on_grid(rows, data.lefts, data.rights, knots)
     return fold_context(data, grid, values, s_l, s_r)
+
+
+def turnbull_intervals_loop(lefts, rights):
+    """Turnbull's maximal intersections (q, p) by a scan over the sorted
+    endpoints, R-points before L-points at ties: each L-point directly
+    followed by an R-point."""
+    lefts = np.asarray(lefts, dtype=float)
+    rights = np.asarray(rights, dtype=float)
+    pts = np.concatenate((lefts, rights))
+    is_left = np.concatenate((np.ones(lefts.size, dtype=int), np.zeros(rights.size, dtype=int)))
+    order = np.lexsort((is_left, pts))
+    pv, pl = pts[order], is_left[order]
+    q, p = [], []
+    for k in range(len(pv) - 1):
+        if pl[k] == 1 and pl[k + 1] == 0:
+            q.append(pv[k])
+            p.append(pv[k + 1])
+    return np.asarray(q), np.asarray(p)
+
+
+def curve_from_masses_loop(lefts, rights, masses):
+    """Walk over the positive masses on (lefts_j, rights_j]: a zero-jump
+    knot at lefts_j where it is positive and beyond the last knot, then a
+    drop at each finite rights_j. Returns (times, values)."""
+    keep = masses > 0.0
+    q, p, m = lefts[keep], rights[keep], masses[keep]
+    after = 1.0 - np.cumsum(m)
+    before = np.concatenate(([1.0], after[:-1]))
+    times, values = [], []
+    for j in range(m.size):
+        if q[j] > 0.0 and (not times or q[j] > times[-1]):
+            times.append(q[j])
+            values.append(before[j])
+        if np.isfinite(p[j]):
+            times.append(p[j])
+            values.append(max(after[j], 0.0))
+    return np.asarray(times), np.asarray(values)
+
+
+def tail_correct_loop(fit, has_unbounded: bool, tau=None):
+    """The tail correction that rebuilds the curve with the last
+    mass-bearing interval unbounded and, should the rebuilt curve end
+    before that interval's start, appends a knot there. Returns (times,
+    values, tail_rate); the rate is None without unbounded intervals."""
+    if not has_unbounded:
+        return fit.curve.times, fit.curve.values, fit.curve.tail_rate
+    last = np.nonzero(fit.masses > 0.0)[0][-1]
+    p_hat = float(fit.masses[last])
+    a = float(fit.intervals.lefts[last])
+    if a <= 0.0:
+        rate = 1.0 / tau
+    else:
+        rate = -np.log(max(p_hat, 1e-300)) / a if p_hat < 1.0 else 0.0
+    rights = fit.intervals.rights.copy()
+    rights[last] = np.inf
+    ts, vs = curve_from_masses_loop(fit.intervals.lefts, rights, fit.masses)
+    if a > 0.0 and (ts.size == 0 or a > ts[-1]):
+        ts = np.concatenate((ts, [a]))
+        vs = np.concatenate((vs, [p_hat]))
+    return ts, vs, rate
+
+
+def curve_from_grid_values_mask(grid, vals):
+    """Grid values compressed by a keep-mask: every cell that drops by
+    more than 1e-15 and the grid point just before it. Returns (times,
+    values)."""
+    vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
+    prev = np.concatenate(([1.0], vals[:-1]))
+    drops = (prev - vals) > 1e-15
+    keep = drops.copy()
+    keep[:-1] |= drops[1:]
+    return grid[keep], vals[keep]

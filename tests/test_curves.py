@@ -55,47 +55,6 @@ class TestEval:
         np.testing.assert_allclose(c.eval([0.0, 1.0, 3.0]), [1.0, 0.6, 0.2])
 
 
-class TestEvalLeft:
-    def test_left_limit_at_jump(self):
-        c = StepSurvival([1.0], [0.0])
-        assert c.eval_left(1.0) == 1.0
-
-    def test_after_jump(self):
-        c = StepSurvival([1.0], [0.0])
-        assert c.eval_left(1.5) == 0.0
-
-    def test_dominates_eval_everywhere(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            c = random_step_curve(rng)
-            ts = rng.uniform(0.0, 6.0, size=200)
-            assert np.all(np.asarray(c.eval_left(ts)) >= np.asarray(c.eval(ts)))
-
-
-class TestEvalCheck:
-    def test_midpoint_at_unit_jump(self):
-        c = StepSurvival([1.0], [0.0])
-        assert c.eval_check(1.0) == 0.5
-
-    def test_equals_eval_off_jumps(self):
-        c = StepSurvival([1.0, 2.0], [0.6, 0.2])
-        for t in (0.5, 1.5, 3.0):
-            assert c.eval_check(t) == c.eval(t)
-
-    def test_two_knot_average(self):
-        c = StepSurvival([1.0, 2.0], [0.6, 0.2])
-        assert np.isclose(c.eval_check(2.0), 0.4)
-
-    def test_half_sum_identity_everywhere(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            c = random_step_curve(rng)
-            ts = np.concatenate([c.times, rng.uniform(0, 6, size=50)])
-            lhs = np.asarray(c.eval_check(ts))
-            rhs = 0.5 * (np.asarray(c.eval(ts)) + np.asarray(c.eval_left(ts)))
-            np.testing.assert_allclose(lhs, rhs, rtol=0, atol=0)
-
-
 class TestInterpolate:
     def test_linear_midpoint(self):
         c = StepSurvival([1.0, 2.0], [1.0, 0.0])  # mass 1 on (1, 2]

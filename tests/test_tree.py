@@ -75,7 +75,7 @@ class TestGrowth:
             np.arange(6), TreeParams(), seeded(1),
         )
         assert tree.n_leaves == 1
-        assert tree.leaves[0].size == 6
+        assert tree.leaves[0].member_ids.size == 6
 
     def test_perfect_binary_separation(self):
         times = np.concatenate([np.full(20, 1.0), np.full(20, 4.0)])
@@ -127,7 +127,7 @@ class TestGrowth:
         for j, leaf in enumerate(tree.leaves):
             np.testing.assert_array_equal(np.sort(leaf.member_ids),
                                           np.sort(np.nonzero(leaf_of == j)[0]))
-            assert leaf.size >= 6
+            assert leaf.member_ids.size >= 6
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(32)
