@@ -15,6 +15,15 @@ previous end (0 for the first). A mass thus lies on (previous knot, its
 knot], as interpolation and ``smooth.mass_intervals`` read it; an
 unbounded last interval keeps its mass in the plateau or the tail.
 
+Many curves are held column-wise in a ``LeafStore``: the knot times and
+values of all of them concatenated, int64 offsets delimiting each curve,
+one tail rate per curve (NaN: no tail) and, for a tree's leaves, the
+member ids with their offsets. These are the arrays a model file stores.
+A tree holds its leaves this way, and ``LeafStore.interpolate`` (here)
+and ``smooth.mass_intervals_of`` read any subset of the curves in one
+vectorized pass, each curve's result the same, bit for bit, as
+``StepSurvival.interpolate`` and ``smooth.mass_intervals`` of that curve.
+
 Curves that take part in a fit are sampled on a grid, one row per
 subject. ``endpoint_values_on_grid`` is the one reader of S(L_i), S(R_i)
 off such rows, and ``project_rows`` the one implementation of the
@@ -52,7 +61,7 @@ class StepSurvival:
                 raise InvariantViolation("jump times must be finite and > 0")
             if np.any(np.diff(times) <= 0.0):
                 raise InvariantViolation("jump times must be strictly increasing")
-            if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
+            if not np.all((values >= -1e-12) & (values <= 1.0 + 1e-12)):
                 raise InvariantViolation("values must lie in [0, 1]")
             if np.any(np.diff(values) > 1e-12):
                 raise InvariantViolation("values must be non-increasing")
@@ -129,6 +138,131 @@ class StepSurvival:
     def mass_beyond_knots(self) -> float:
         """Mass not dropped at any knot (tail and/or defect)."""
         return float(self.values[-1]) if self.times.size else 1.0
+
+
+@dataclass(frozen=True)
+class LeafStore:
+    """Step curves held column-wise (see the module docstring): curve i
+    has the knots times[offsets[i]:offsets[i + 1]] with their values, the
+    tail rate rates[i] (NaN: none) and, for a tree's leaf, the members
+    members[member_offsets[i]:member_offsets[i + 1]]. The arrays are
+    taken as they are: a store built here holds validated curves, and
+    ``serialize.load_model`` validates the arrays it reads."""
+
+    times: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    rates: np.ndarray
+    members: np.ndarray
+    member_offsets: np.ndarray
+
+    @classmethod
+    def of(cls, curves, members=None) -> LeafStore:
+        """The store of ``curves`` (StepSurvival) and their member ids."""
+        members = [np.empty(0, dtype=np.int64)] * len(curves) if members is None else members
+
+        def flat(parts, dtype):
+            return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)
+
+        def offsets(parts):
+            return np.cumsum([0] + [part.size for part in parts]).astype(np.int64)
+
+        rates = [np.nan if c.tail_rate is None else c.tail_rate for c in curves]
+        return cls(flat([c.times for c in curves], float), flat([c.values for c in curves], float),
+                   offsets([c.times for c in curves]), np.asarray(rates, dtype=float),
+                   flat(members, np.int64), offsets(members))
+
+    @property
+    def n(self) -> int:
+        return self.offsets.size - 1
+
+    def curve(self, i: int) -> StepSurvival:
+        a, b = self.offsets[i], self.offsets[i + 1]
+        rate = self.rates[i]
+        return StepSurvival(self.times[a:b], self.values[a:b],
+                            tail_rate=None if np.isnan(rate) else float(rate))
+
+    def member_ids(self, i: int) -> np.ndarray:
+        ids = self.members[self.member_offsets[i]:self.member_offsets[i + 1]]
+        ids.flags.writeable = False
+        return ids
+
+    def knots(self, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The knots of curves ``idx``, curve after curve: their positions
+        in times/values and the entry of ``idx`` each belongs to; and each
+        curve's knot count."""
+        lo = self.offsets[idx]
+        counts = self.offsets[idx + 1] - lo
+        owner = np.repeat(np.arange(lo.size), counts)
+        return np.arange(owner.size) + (lo - (np.cumsum(counts) - counts))[owner], owner, counts
+
+    def last_knots(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """(time, value) of the last knot of each curve ``idx``; (0, 1) for
+        a curve without knots."""
+        end = self.offsets[idx + 1] - 1
+        has = end >= self.offsets[idx]
+        t, v = np.zeros(end.size), np.ones(end.size)
+        t[has], v[has] = self.times[end[has]], self.values[end[has]]
+        return t, v
+
+    def interpolate(self, grid, idx=None) -> np.ndarray:
+        """Rows of curves ``idx`` (all by default) on ``grid``, each
+        ``StepSurvival.interpolate`` of its curve bit for bit: np.interp on
+        (0, 1) and the knots, then the exponential tail beyond the last
+        knot (beyond 0 for a curve without knots).
+
+        One curve is read by np.interp itself. More are read in one pass:
+        a count of each curve's knots at or before each grid point finds
+        the segment, and the segment is read with np.interp's arithmetic,
+        slope * (t - x_j) + y_j."""
+        idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=np.intp)
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        if idx.size == 1:
+            knots = slice(self.offsets[idx[0]], self.offsets[idx[0] + 1])
+            out = np.interp(grid, np.concatenate(([0.0], self.times[knots])),
+                            np.concatenate(([1.0], self.values[knots])))[None, :]
+        else:
+            out = self._segment_rows(grid, idx)
+        rate = self.rates[idx]
+        tail = np.flatnonzero(~np.isnan(rate))
+        if tail.size:
+            last_t, last_v = (a[:, None] for a in self.last_knots(idx[tail]))
+            knotless = (self.offsets[idx[tail] + 1] == self.offsets[idx[tail]])[:, None]
+            t = np.where(knotless, np.maximum(grid, 0.0), grid)
+            with np.errstate(over="ignore"):
+                beyond = last_v * np.exp(-rate[tail, None] * (t - last_t))
+            out[tail] = np.where(knotless | (grid > last_t), beyond, out[tail])
+        return out
+
+    def _segment_rows(self, grid, idx) -> np.ndarray:
+        """np.interp of curves ``idx`` on (0, 1) and their knots, tails aside."""
+        order = np.argsort(grid, kind="stable") if np.any(grid[1:] < grid[:-1]) else None
+        if order is not None:
+            grid = grid[order]
+        m, g = idx.size, grid.size
+        pos, owner, counts = self.knots(idx)
+        if not pos.size:
+            return np.ones((m, g))
+        lo = self.offsets[idx]
+        # c[r, j]: knots of curve r at or before grid[j]
+        hits = np.bincount(owner * (g + 1) + np.searchsorted(grid, self.times[pos]),
+                           minlength=m * (g + 1))
+        c = np.cumsum(hits.reshape(m, g + 1)[:, :g], axis=1)
+        # the last point at or before each grid point, (0, 1) before the
+        # first knot, and the knot after it
+        j = lo[:, None] + c - 1
+        first = c == 0
+        at = np.maximum(j, 0)
+        x0 = np.where(first, 0.0, self.times[at])
+        y0 = np.where(first, 1.0, self.values[at])
+        nxt = np.minimum(j + 1, self.times.size - 1)
+        inside = (c < counts[:, None]) & (grid > x0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            slope = (self.values[nxt] - y0) / (self.times[nxt] - x0)
+            out = np.where(inside, slope * (grid - x0) + y0, y0)
+        if order is not None:
+            out[:, order] = out.copy()
+        return out
 
 
 def step_knots(starts, ends, before, after) -> tuple[np.ndarray, np.ndarray]:

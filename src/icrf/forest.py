@@ -11,8 +11,9 @@ with the leaves' kernel, ``_leaf_rows``: one kernel column per distinct
 mass interval, and per curve the sum of its own masses times its own
 columns, so a leaf's row depends on that leaf alone. Prediction and OOB
 monitoring route first (``_routed_rows``) and smooth or interpolate only
-the leaves their rows reach; variable importance, which routes the whole
-sample many times, computes every leaf's row once.
+the leaves their rows reach, reading them straight from the tree's
+``LeafStore``; variable importance, which routes the whole sample many
+times, computes every leaf's row once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 # refine_uniform and curve_atoms are not called here (smoothing works on mass
 # intervals), but perfbench/tracing.py wraps them as attributes of this module
-from .curves import StepSurvival, endpoint_values_on_grid, project_rows, refine_uniform  # noqa: F401
+from .curves import (LeafStore, StepSurvival, endpoint_values_on_grid, project_rows,  # noqa: F401
+                     refine_uniform)
 from .dataio import Dataset
 from .exceptions import (
     DimensionMismatch,
@@ -40,7 +42,7 @@ from .smooth import (  # noqa: F401
     bandwidth,
     curve_atoms,
     interval_atoms,
-    mass_intervals,
+    mass_intervals_of,
     smoothed_values_matrix,
 )
 from .tree import Tree, TreeParams, fold_context, grow_tree_ctx, support_bound_of
@@ -173,13 +175,14 @@ def _monitor_error(metric, rows, lefts, rights, tau, grid) -> float:
     return fn(rows, lefts, rights, tau, grid)
 
 
-def _leaf_rows(curves, grid, h: float | None) -> np.ndarray:
-    """Step curves (a tree's leaf curves, or the marginal) on ``grid``,
-    one row per curve: smoothed with bandwidth ``h``, or read through
-    within-interval interpolation when h is None.
+def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None) -> np.ndarray:
+    """Curves ``idx`` (all by default) of ``store`` (a tree's leaves, or
+    the marginal) on ``grid``, one row per curve: smoothed with bandwidth
+    ``h``, or read through within-interval interpolation when h is None
+    (``LeafStore.interpolate``).
 
     Smoothing is linear in the jump masses, which are spread uniformly
-    over their intervals first (``smooth.mass_intervals``). Leaves share
+    over their intervals first (``smooth.mass_intervals_of``). Leaves share
     many intervals (exploitative leaves put all their mass on fold-grid
     cells, quasi-honest leaves on Turnbull intervals), so each distinct
     interval is smoothed once, as a unit-mass column F_k, and a curve's
@@ -189,17 +192,17 @@ def _leaf_rows(curves, grid, h: float | None) -> np.ndarray:
     call, to the last bit.
     """
     if h is None:
-        rows = np.empty((len(curves), grid.size))
-        for row, c in zip(rows, curves):
-            row[:] = c.interpolate(grid)
-        return rows
-    parts = [mass_intervals(c) for c in curves]
-    sizes = np.asarray([part[0].size for part in parts], dtype=np.intp)
-    if not sizes.any():  # no curve places any mass, or there is no curve
-        return np.ones((len(curves), grid.size))
-    t0, t1, masses = (np.concatenate([part[j] for part in parts]) for j in range(3))
-    keys, col = np.unique(np.column_stack((t0, t1)), axis=0, return_inverse=True)
-    locs, unit = interval_atoms(keys[:, 0], keys[:, 1])
+        return store.interpolate(grid, idx)
+    idx = np.arange(store.n) if idx is None else idx
+    t0, t1, masses, sizes = mass_intervals_of(store, idx)
+    if not t0.size:  # no curve places any mass, or there is no curve
+        return np.ones((idx.size, grid.size))
+    # distinct intervals by a 1-d key: complex numbers sort by real part, then
+    # imaginary part
+    key = np.empty(t0.size, dtype=complex)
+    key.real, key.imag = t0, t1
+    keys, col = np.unique(key, return_inverse=True)
+    locs, unit = interval_atoms(keys.real, keys.imag)
     cdf = 1.0 - smoothed_values_matrix(locs, unit, h, grid)
     # a CSR matrix times a dense one adds each row's stored entries to that
     # row one after another, in their stored order (a dense product's
@@ -209,7 +212,7 @@ def _leaf_rows(curves, grid, h: float | None) -> np.ndarray:
     from scipy.sparse import csr_array
 
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    mix = csr_array((masses, col.reshape(-1), offsets), shape=(len(curves), keys.shape[0]))
+    mix = csr_array((masses, col.reshape(-1), offsets), shape=(idx.size, keys.size))
     return np.clip(1.0 - mix @ cdf, 0.0, 1.0)
 
 
@@ -219,7 +222,7 @@ def _routed_rows(tree, leaf_of, grid, h: float | None) -> np.ndarray:
     reached = np.flatnonzero(np.bincount(leaf_of, minlength=tree.n_leaves))
     slot = np.zeros(tree.n_leaves, dtype=np.intp)
     slot[reached] = np.arange(reached.size)
-    return _leaf_rows([tree.leaves[i].curve for i in reached], grid, h)[slot[leaf_of]]
+    return _leaf_rows(tree.store, grid, h, reached)[slot[leaf_of]]
 
 
 def _forest_rows(trees, leaf_rows, X) -> np.ndarray:
@@ -310,10 +313,11 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
     # the marginal's row stands in for the forest before fold 1: smoothed
     # (and held flat beyond tau), or read through within-interval
     # interpolation
+    marginal_store = LeafStore.of([marginal])
     if params.initial_smooth:
-        base_rows = _leaf_rows([marginal], np.minimum(grid, data.tau), h)
+        base_rows = _leaf_rows(marginal_store, np.minimum(grid, data.tau), h)
     else:
-        base_rows = _leaf_rows([marginal], grid, None)
+        base_rows = _leaf_rows(marginal_store, grid, None)
 
     folds: list[ForestFold] = []
     leaf_gaps: list[float] = []
@@ -434,8 +438,7 @@ def variable_importance(
     across the sample, per feature; raw plus max-rescaled values."""
     fobj = _check_fold(model, None)
     grid = monitor_grid(model.tau)
-    rows_by_tree = [_leaf_rows([leaf.curve for leaf in t.leaves], grid, model.h)
-                    for t in fobj.trees]
+    rows_by_tree = [_leaf_rows(t.store, grid, model.h) for t in fobj.trees]
 
     def metric_of(X):
         rows = _forest_rows(fobj.trees, rows_by_tree, X)

@@ -4,6 +4,15 @@ Layout: MAGIC, little-endian uint64 header length, JSON header (sorted
 keys; scalars, curve/tree structure counts, array manifest), then the
 raw array bytes concatenated in manifest order. Fixed dtypes and sorted
 keys make identical models produce identical bytes.
+
+Each tree is stored as the arrays of ``TREE_ARRAYS``: its nodes, its
+in-bag ids and its ``curves.LeafStore``, which ``save_model`` writes and
+``load_model`` reads back as they are, with no object per leaf. Loading
+checks every tree in one vectorized pass per array, and a file that fails
+a check raises ``ParseError`` naming the array: the node arrays must
+route every row to a leaf (a split's children come after it, so routing
+ends), ``leafidx`` must number the leaves one to one, the offsets must
+delimit them, and each leaf curve must pass ``StepSurvival``'s checks.
 """
 
 from __future__ import annotations
@@ -15,11 +24,11 @@ import tempfile
 
 import numpy as np
 
-from .curves import StepSurvival
-from .exceptions import ParseError
+from .curves import LeafStore, StepSurvival
+from .exceptions import InvariantViolation, ParseError
 from .forest import ForestFold, ForestParams, IcrfModel
 from .splits import SplitRule
-from .tree import Leaf, Tree, TreeParams
+from .tree import Tree, TreeParams
 
 MAGIC = b"ICRFMDL1"
 
@@ -40,23 +49,19 @@ def _params_from_dict(d: dict) -> ForestParams:
     return ForestParams(**{**d, "tree": tree})
 
 
-def _flatten_curves(curves: list[StepSurvival]):
-    times = np.concatenate([c.times for c in curves]) if curves else np.empty(0)
-    values = np.concatenate([c.values for c in curves]) if curves else np.empty(0)
-    offsets = np.cumsum([0] + [c.times.size for c in curves])
-    rates = np.asarray(
-        [np.nan if c.tail_rate is None else c.tail_rate for c in curves]
-    )
-    return times, values, offsets.astype(np.int64), rates
+# the arrays of each tree, in file order, with their dtypes: the nodes,
+# the in-bag ids, then the tree's LeafStore
+TREE_ARRAYS = {
+    "feature": "<i4", "cutoff": "<f8", "left": "<i4", "right": "<i4", "leafidx": "<i4",
+    "inbag": "<i8", "ltimes": "<f8", "lvalues": "<f8", "loffsets": "<i8", "lrates": "<f8",
+    "lmembers": "<i8", "lmoffsets": "<i8",
+}
 
 
-def _rebuild_curves(times, values, offsets, rates) -> list[StepSurvival]:
-    out = []
-    for j in range(offsets.size - 1):
-        a, b = offsets[j], offsets[j + 1]
-        rate = None if np.isnan(rates[j]) else float(rates[j])
-        out.append(StepSurvival(times[a:b], values[a:b], tail_rate=rate))
-    return out
+def _tree_arrays(tree: Tree) -> tuple:
+    s = tree.store
+    return (tree.feature, tree.cutoff, tree.left, tree.right, tree.leaf_idx, tree.inbag_ids,
+            s.times, s.values, s.offsets, s.rates, s.members, s.member_offsets)
 
 
 def save_model(model: IcrfModel, path: str):
@@ -74,29 +79,9 @@ def save_model(model: IcrfModel, path: str):
         add(f"f{k}_oob", fold.per_tree_oob, "<f8")
         trees_meta = []
         for b, tree in enumerate(fold.trees):
-            pre = f"f{k}_t{b}_"
-            add(pre + "feature", tree.feature, "<i4")
-            add(pre + "cutoff", tree.cutoff, "<f8")
-            add(pre + "left", tree.left, "<i4")
-            add(pre + "right", tree.right, "<i4")
-            add(pre + "leafidx", tree.leaf_idx, "<i4")
-            add(pre + "inbag", tree.inbag_ids, "<i8")
-            times, values, offsets, rates = _flatten_curves(
-                [leaf.curve for leaf in tree.leaves]
-            )
-            add(pre + "ltimes", times, "<f8")
-            add(pre + "lvalues", values, "<f8")
-            add(pre + "loffsets", offsets, "<i8")
-            add(pre + "lrates", rates, "<f8")
-            members = (
-                np.concatenate([leaf.member_ids for leaf in tree.leaves])
-                if tree.leaves
-                else np.empty(0)
-            )
-            moffsets = np.cumsum([0] + [leaf.member_ids.size for leaf in tree.leaves])
-            add(pre + "lmembers", members, "<i8")
-            add(pre + "lmoffsets", moffsets, "<i8")
-            trees_meta.append({"n_leaves": len(tree.leaves)})
+            for (name, dtype), arr in zip(TREE_ARRAYS.items(), _tree_arrays(tree)):
+                add(f"f{k}_t{b}_{name}", arr, dtype)
+            trees_meta.append({"n_leaves": tree.n_leaves})
         folds_meta.append({"fold_index": k, "trees": trees_meta})
 
     header = {
@@ -159,37 +144,20 @@ def _model_from(header: dict, blob: bytes, pos: int, path: str) -> IcrfModel:
         arrays[name] = np.frombuffer(blob, dtype, count, pos).reshape(shape).copy()
         pos += nbytes
 
-    marginal = StepSurvival(
-        arrays["marginal_times"],
-        arrays["marginal_values"],
-        tail_rate=header["marginal_tail_rate"],
-    )
+    try:
+        marginal = StepSurvival(
+            arrays["marginal_times"],
+            arrays["marginal_values"],
+            tail_rate=header["marginal_tail_rate"],
+        )
+    except InvariantViolation as exc:
+        raise ParseError(f"{path}: arrays 'marginal_times', 'marginal_values': {exc}") from None
+    p = len(header["feature_names"])
     folds = []
     for fmeta in header["folds"]:
         k = fmeta["fold_index"]
-        trees = []
-        for b, _tmeta in enumerate(fmeta["trees"]):
-            pre = f"f{k}_t{b}_"
-            curves = _rebuild_curves(
-                arrays[pre + "ltimes"],
-                arrays[pre + "lvalues"],
-                arrays[pre + "loffsets"],
-                arrays[pre + "lrates"],
-            )
-            moff = arrays[pre + "lmoffsets"]
-            members = arrays[pre + "lmembers"]
-            leaves = [Leaf(curves[j], members[moff[j] : moff[j + 1]]) for j in range(len(curves))]
-            trees.append(
-                Tree(
-                    arrays[pre + "feature"],
-                    arrays[pre + "cutoff"],
-                    arrays[pre + "left"],
-                    arrays[pre + "right"],
-                    arrays[pre + "leafidx"],
-                    leaves,
-                    arrays[pre + "inbag"],
-                )
-            )
+        trees = [_tree_from(arrays, f"f{k}_t{b}_", tmeta["n_leaves"], p, path)
+                 for b, tmeta in enumerate(fmeta["trees"])]
         folds.append(ForestFold(k, trees, arrays[f"f{k}_oob"]))
 
     return IcrfModel(
@@ -201,3 +169,65 @@ def _model_from(header: dict, blob: bytes, pos: int, path: str) -> IcrfModel:
         folds=folds,
         k_opt=header["k_opt"],
     )
+
+
+def _check(ok, path: str, name: str, what: str):
+    if not ok:
+        raise ParseError(f"{path}: array {name!r}: {what}")
+
+
+def _tree_from(arrays: dict, pre: str, n_leaves: int, p: int, path: str) -> Tree:
+    """The tree stored in the arrays named ``pre`` + TREE_ARRAYS, with
+    nodes that route every row to one of its ``n_leaves`` leaves."""
+    for name, dtype in TREE_ARRAYS.items():
+        arr = arrays[pre + name]
+        _check(arr.dtype == np.dtype(dtype) and arr.ndim == 1, path, pre + name,
+               f"must be 1-d {dtype}")
+    feature, cutoff, left, right, leafidx, inbag = (
+        arrays[pre + name] for name in ("feature", "cutoff", "left", "right", "leafidx", "inbag"))
+    nodes = feature.size
+    for name, arr in (("cutoff", cutoff), ("left", left), ("right", right), ("leafidx", leafidx)):
+        _check(arr.size == nodes, path, pre + name, f"must have one entry per node ({nodes})")
+    _check(nodes >= 1 and np.all((feature >= -1) & (feature < p)), path, pre + "feature",
+           f"must be -1 (a leaf) or a feature in [0, {p})")
+    inner = np.flatnonzero(feature >= 0)
+    # children after their parent: routing moves down and stops
+    for name, child in (("left", left), ("right", right)):
+        _check(np.all((child[inner] > inner) & (child[inner] < nodes)), path, pre + name,
+               "must name a later node at every split")
+    _check(np.array_equal(np.sort(leafidx[feature < 0]), np.arange(n_leaves)), path,
+           pre + "leafidx", f"must number the leaf nodes 0..{n_leaves - 1}, one each")
+    return Tree(feature, cutoff, left, right, leafidx, _leaf_store(arrays, pre, n_leaves, path),
+                inbag)
+
+
+def _leaf_store(arrays: dict, pre: str, n_leaves: int, path: str) -> LeafStore:
+    """The LeafStore of ``n_leaves`` leaves in the arrays named ``pre`` +
+    ltimes, ..., lmoffsets, checked in one vectorized pass: offsets that
+    delimit the leaves, and curves that StepSurvival would accept one by
+    one, their values clipped to [0, 1] the same way."""
+    times, values, offsets, rates, members, moffsets = (
+        arrays[pre + name]
+        for name in ("ltimes", "lvalues", "loffsets", "lrates", "lmembers", "lmoffsets"))
+    for name, off, data in (("loffsets", offsets, times), ("lmoffsets", moffsets, members)):
+        _check(off.size == n_leaves + 1 and off[0] == 0 and off[-1] == data.size
+               and np.all(off[1:] >= off[:-1]), path, pre + name,
+               f"must rise from 0 to {data.size} in {n_leaves + 1} entries")
+    _check(values.size == times.size, path, pre + "lvalues", "must have one value per knot")
+    _check(rates.size == n_leaves, path, pre + "lrates", "must have one rate per leaf")
+    # StepSurvival's checks on all curves at once; the differences within
+    # a curve are those that do not cross the start of the next
+    _check(np.all((times > 0.0) & (times < np.inf)), path, pre + "ltimes",
+           "knot times must be finite and > 0")
+    within = np.ones(max(times.size - 1, 0), dtype=bool)
+    starts = offsets[1:-1]
+    within[starts[(starts > 0) & (starts < times.size)] - 1] = False
+    _check(np.all(np.diff(times)[within] > 0.0), path, pre + "ltimes",
+           "knot times must be strictly increasing within each curve")
+    _check(np.all((values >= -1e-12) & (values <= 1.0 + 1e-12)), path, pre + "lvalues",
+           "values must lie in [0, 1]")
+    _check(not np.any(np.diff(values)[within] > 1e-12), path, pre + "lvalues",
+           "values must be non-increasing within each curve")
+    _check(np.all(np.isnan(rates) | (rates >= 0.0)), path, pre + "lrates",
+           "tail rates must be >= 0 (NaN: no tail)")
+    return LeafStore(times, np.clip(values, 0.0, 1.0), offsets, rates, members, moffsets)

@@ -55,6 +55,38 @@ def mass_intervals(base: StepSurvival):
     return t0, t1, masses
 
 
+def mass_intervals_of(store, idx) -> tuple[np.ndarray, ...]:
+    """``mass_intervals`` of the curves ``idx`` of a ``curves.LeafStore``
+    in one pass: arrays (t0, t1, mass), each curve's entries in its own
+    order and curve after curve, and each curve's entry count. Every entry
+    is the one ``mass_intervals`` gives, bit for bit."""
+    idx = np.asarray(idx, dtype=np.intp)
+    pos, owner, counts = store.knots(idx)
+    times, values = store.times[pos], store.values[pos]
+    # each knot's predecessor within its curve; (0, 1) before the first
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    prev_t, prev_v = np.roll(times, 1), np.roll(values, 1)
+    prev_t[starts], prev_v[starts] = 0.0, 1.0
+    masses = prev_v - values
+    keep = masses > 0.0
+    t0 = np.where(narrow_gaps(prev_t, times), times, prev_t)[keep]
+    t1, masses = times[keep], masses[keep]
+    owner = owner[keep]
+    last_t, rest = store.last_knots(idx)  # rest: the mass beyond the last knot
+    rate = store.rates[idx]
+    tail = np.flatnonzero((rate > 0.0) & (rest > 0.0))  # a NaN rate is no tail
+    if tail.size:
+        k = np.arange(1, TAIL_ATOMS + 1)
+        qs = (last_t[tail, None] - np.log(1.0 - (k - 0.5) / TAIL_ATOMS) / rate[tail, None]).ravel()
+        owner = np.concatenate((owner, np.repeat(tail, TAIL_ATOMS)))
+        # a curve's tail atoms follow its own intervals
+        order = np.argsort(owner, kind="stable")
+        t0, t1 = np.concatenate((t0, qs))[order], np.concatenate((t1, qs))[order]
+        masses = np.concatenate((masses, np.repeat(rest[tail] / TAIL_ATOMS, TAIL_ATOMS)))[order]
+        owner = owner[order]
+    return t0, t1, masses, np.bincount(owner, minlength=idx.size)
+
+
 def curve_atoms(base: StepSurvival) -> tuple[np.ndarray, np.ndarray]:
     """Mass locations and sizes of a step curve: each mass at the right
     end of its interval (see ``mass_intervals``)."""

@@ -14,15 +14,20 @@ per-subject SWRS/SLR scores. Each candidate split is scored once by
 ``Tree.apply`` routes rows to leaves. A leaf is quasi-honest (the NPMLE
 of the members' raw intervals) or exploitative (the mean of the members'
 carried curves).
+
+A tree holds its leaf curves and member ids column-wise, in one
+``curves.LeafStore`` that growth concatenates once; ``Tree.leaves`` gives
+read-only per-leaf views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .curves import StepSurvival, step_knots
+from .curves import LeafStore, StepSurvival, step_knots
 from .exceptions import InsufficientData
 from .npmle import npmle_fit
 from .splits import (GLR, GWRS, SWRS, SplitRule, glr_from_sums, gwrs_from_sums, slr_scores,
@@ -85,27 +90,36 @@ class FoldContext:
         return self.X.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Leaf:
+    """Read-only view of one leaf of a tree's store."""
+
     curve: StepSurvival
     member_ids: np.ndarray
 
 
 class Tree:
-    """Array-backed binary tree; feature == -1 marks a leaf node."""
+    """Array-backed binary tree; feature == -1 marks a leaf node, and
+    leaf_idx numbers its curve in ``store``."""
 
-    def __init__(self, feature, cutoff, left, right, leaf_idx, leaves, inbag_ids):
+    def __init__(self, feature, cutoff, left, right, leaf_idx, store: LeafStore, inbag_ids):
         self.feature = np.asarray(feature, dtype=np.int32)
         self.cutoff = np.asarray(cutoff, dtype=float)
         self.left = np.asarray(left, dtype=np.int32)
         self.right = np.asarray(right, dtype=np.int32)
         self.leaf_idx = np.asarray(leaf_idx, dtype=np.int32)
-        self.leaves: list[Leaf] = leaves
+        self.store = store
         self.inbag_ids = np.asarray(inbag_ids, dtype=np.int64)
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves)
+        return self.store.n
+
+    @cached_property
+    def leaves(self) -> tuple[Leaf, ...]:
+        """Per-leaf views of ``store``, built on first use."""
+        return tuple(Leaf(self.store.curve(i), self.store.member_ids(i))
+                     for i in range(self.n_leaves))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for each row of X (x <= cutoff routes left)."""
@@ -184,7 +198,7 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
     split_cols = slice(0, ctx.m_split)
 
     feature, cutoff, left, right, leaf_idx = [], [], [], [], []
-    leaves: list[Leaf] = []
+    curves, leaf_members = [], []
 
     def new_node():
         feature.append(-1)
@@ -195,8 +209,9 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
         return len(feature) - 1
 
     def make_leaf(node_id, members):
-        leaf_idx[node_id] = len(leaves)
-        leaves.append(Leaf(_terminal_curve(ctx, members, params.prediction, npmle_gaps), members))
+        leaf_idx[node_id] = len(curves)
+        curves.append(_terminal_curve(ctx, members, params.prediction, npmle_gaps))
+        leaf_members.append(members)
 
     root = new_node()
     stack = [(root, inbag)]
@@ -246,7 +261,7 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
         stack.append((right_id, members[~lmask]))
         stack.append((left_id, members[lmask]))
 
-    return Tree(feature, cutoff, left, right, leaf_idx, leaves, inbag)
+    return Tree(feature, cutoff, left, right, leaf_idx, LeafStore.of(curves, leaf_members), inbag)
 
 
 def support_bound_of(lefts, rights, tau: float) -> float:

@@ -1,6 +1,7 @@
 """Bad input through the API: non-finite numbers, a status other than 0
-or 1 and malformed model headers raise typed errors, never a bare
-ValueError or KeyError, and are never read as something else."""
+or 1, malformed model headers and corrupted model arrays raise typed
+errors, never a bare ValueError, KeyError or IndexError, and are never
+read as something else."""
 
 import json
 
@@ -44,3 +45,100 @@ def test_malformed_model_header_is_parse_error(tmp_path, header):
     path.write_bytes(MAGIC + np.uint64(len(blob)).tobytes() + blob + bytes(64))
     with pytest.raises(ParseError):
         load_model(str(path))
+
+
+# -- corrupted model files ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """Bytes of a freshly saved model (scenario 5, n=200, 2 trees x 2 folds)."""
+    import icrf
+
+    data = icrf.generate(icrf.Scenario(5, n=200, seed=4)).dataset
+    model = icrf.fit(data, icrf.ForestParams(n_tree=2, n_fold=2, seed=1))
+    path = tmp_path_factory.mktemp("model") / "m.bin"
+    icrf.save_model(model, str(path))
+    return path.read_bytes()
+
+
+def _arrays(blob: bytes) -> dict:
+    """name -> (byte offset, dtype, count) of each array in a model file."""
+    pos = len(MAGIC) + 8
+    hlen = int(np.frombuffer(blob[len(MAGIC):pos], dtype="<u8")[0])
+    out, pos = {}, pos + hlen
+    for name, dtype, shape in json.loads(blob[len(MAGIC) + 8:pos])["manifest"]:
+        count = int(np.prod(shape))
+        out[name] = (pos, np.dtype(dtype), count)
+        pos += count * np.dtype(dtype).itemsize
+    return out
+
+
+def _read(blob: bytes, name: str) -> np.ndarray:
+    pos, dtype, count = _arrays(blob)[name]
+    return np.frombuffer(blob, dtype, count, pos)
+
+
+def _write(blob: bytes, name: str, index: int, value) -> bytes:
+    pos, dtype, count = _arrays(blob)[name]
+    at = pos + (index % count) * dtype.itemsize
+    return blob[:at] + np.asarray(value, dtype=dtype).tobytes() + blob[at + dtype.itemsize:]
+
+
+def _first_leaf_node(blob):
+    return int(np.flatnonzero(_read(blob, "f1_t0_feature") < 0)[0])
+
+
+def _interior_knot(blob):
+    """A knot of tree 0's leaf curves that is not the first of its curve,
+    with a predecessor below 1."""
+    off = _read(blob, "f1_t0_loffsets")
+    values = _read(blob, "f1_t0_lvalues")
+    first = np.zeros(values.size, dtype=bool)
+    first[off[:-1][off[:-1] < values.size]] = True
+    return int(np.flatnonzero(~first & (np.roll(values, 1) < 0.5))[0])
+
+
+# each: (array, the entry to overwrite, its new value). Before these
+# checks, the first two loaded and predicted wrong rows or nothing at all;
+# the next three loaded and then raised a bare IndexError in predict, and
+# the last made predict loop forever.
+STRUCTURAL = {
+    "loffsets_end": ("f1_t0_loffsets", lambda b: -1, lambda b: 1),
+    "lmoffsets_jump": ("f1_t0_lmoffsets", lambda b: 1, lambda b: 10**6),
+    "leafidx_out_of_range": ("f1_t0_leafidx", _first_leaf_node, lambda b: 999),
+    "left_out_of_range": ("f1_t0_left", lambda b: 0, lambda b: 5000),
+    "feature_out_of_range": ("f1_t0_feature", lambda b: 0, lambda b: 99),
+    "left_loops_to_root": ("f1_t0_left", lambda b: 0, lambda b: 0),
+}
+
+# one case per check StepSurvival makes of a curve; a NaN value used to
+# load and give NaN rows
+VALUES = {
+    "time_nan": ("f1_t0_ltimes", lambda b: 0, lambda b: np.nan),
+    "time_zero": ("f1_t0_ltimes", lambda b: 0, lambda b: 0.0),
+    "time_repeated": ("f1_t0_ltimes", _interior_knot,
+                      lambda b: _read(b, "f1_t0_ltimes")[_interior_knot(b) - 1]),
+    "value_above_one": ("f1_t0_lvalues", lambda b: 0, lambda b: 1.5),
+    "value_nan": ("f1_t0_lvalues", lambda b: 0, lambda b: np.nan),
+    "value_increasing": ("f1_t0_lvalues", _interior_knot, lambda b: 1.0),
+    "tail_rate_negative": ("f1_t0_lrates", lambda b: 0, lambda b: -1.0),
+    "marginal_value_nan": ("marginal_values", lambda b: 0, lambda b: np.nan),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURAL) + list(VALUES))
+def test_corrupted_model_file_is_parse_error(tmp_path, saved_model, case):
+    name, index, value = {**STRUCTURAL, **VALUES}[case]
+    blob = _write(saved_model, name, index(saved_model), value(saved_model))
+    assert blob != saved_model and len(blob) == len(saved_model)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match=name):
+        load_model(str(path))
+
+
+def test_uncorrupted_model_file_loads(tmp_path, saved_model):
+    path = tmp_path / "m.bin"
+    path.write_bytes(saved_model)
+    assert load_model(str(path)).folds[0].trees[0].n_leaves >= 2

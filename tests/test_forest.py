@@ -270,8 +270,7 @@ def all_leaves_prediction(model, X, grid, smoothed):
     """Reference: every leaf's row of the k_opt fold computed, then routed."""
     fold = model.folds[model.k_opt - 1]
     h = model.h if smoothed else None
-    rows = [forest_mod._leaf_rows([leaf.curve for leaf in t.leaves], grid, h)
-            for t in fold.trees]
+    rows = [forest_mod._leaf_rows(t.store, grid, h) for t in fold.trees]
     return forest_mod._forest_rows(fold.trees, rows, X)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icrf import StepSurvival
-from icrf.curves import refine_uniform
+from icrf.curves import LeafStore, refine_uniform
 from icrf.forest import _leaf_rows
 from icrf.smooth import curve_atoms, interval_atoms, mass_intervals
 
@@ -49,12 +49,13 @@ def test_interval_columns_equal_per_leaf_smoothing(curves, h, m, tau, data):
         st.lists(st.integers(0, len(curves) - 1), min_size=1, unique=True),
     ))
     chosen = curves if leaf_ids is None else [curves[i] for i in leaf_ids]
-    got = _leaf_rows(chosen, grid, h)
+    idx = None if leaf_ids is None else np.asarray(leaf_ids)
+    got = _leaf_rows(LeafStore.of(curves), grid, h, idx)
     want = smoothed_rows_per_curve(chosen, grid, h)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     # a curve's row does not depend on the other curves of the call
     for row, c in zip(got, chosen):
-        assert np.array_equal(row, _leaf_rows([c], grid, h)[0])
+        assert np.array_equal(row, _leaf_rows(LeafStore.of([c]), grid, h)[0])
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -86,7 +87,7 @@ def test_shared_interval_is_smoothed_once(monkeypatch):
     a = StepSurvival([1.0, 2.0], [0.6, 0.1])
     b = StepSurvival([1.0, 2.0, 3.0], [0.3, 0.2, 0.0])
     grid = np.linspace(0.0, 4.0, 9)
-    got = forest._leaf_rows([a, b], grid, 0.3)
+    got = forest._leaf_rows(LeafStore.of([a, b]), grid, 0.3)
     assert seen == [3]  # (0, 1], (1, 2] and (2, 3]
     np.testing.assert_allclose(got, smoothed_rows_per_curve([a, b], grid, 0.3),
                                rtol=0.0, atol=1e-12)
@@ -100,10 +101,10 @@ def test_curve_without_mass_intervals_gives_ones():
     b = StepSurvival([1.5, 3.0], [0.5, 0.2])
     grid = np.linspace(0.0, 4.0, 9)
     for empty in (StepSurvival([], []), StepSurvival([1.0], [1.0])):
-        got = _leaf_rows([a, empty, b, empty], grid, 0.3)
+        got = _leaf_rows(LeafStore.of([a, empty, b, empty]), grid, 0.3)
         assert np.all(got[[1, 3]] == 1.0)
-        assert np.array_equal(got[0], _leaf_rows([a], grid, 0.3)[0])
-        assert np.array_equal(got[2], _leaf_rows([b], grid, 0.3)[0])
-        assert np.all(_leaf_rows([empty], grid, 0.3) == 1.0)
-    assert _leaf_rows([], grid, 0.3).shape == (0, grid.size)
-    assert _leaf_rows([], grid, None).shape == (0, grid.size)
+        assert np.array_equal(got[0], _leaf_rows(LeafStore.of([a]), grid, 0.3)[0])
+        assert np.array_equal(got[2], _leaf_rows(LeafStore.of([b]), grid, 0.3)[0])
+        assert np.all(_leaf_rows(LeafStore.of([empty]), grid, 0.3) == 1.0)
+    assert _leaf_rows(LeafStore.of([]), grid, 0.3).shape == (0, grid.size)
+    assert _leaf_rows(LeafStore.of([]), grid, None).shape == (0, grid.size)
