@@ -265,15 +265,23 @@ class LeafStore:
         return out
 
 
-def step_knots(starts, ends, before, after) -> tuple[np.ndarray, np.ndarray]:
+def step_knots(starts, ends, before, after, curve=None,
+               n_curves: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Knot times and values of the masses on (starts[j], ends[j]], with
     survival before[j] before and after[j] (floored at 0) after each; the
-    encoding of the module docstring."""
+    encoding of the module docstring. The intervals make one curve, or
+    ``n_curves`` curves one after another when ``curve`` (non-decreasing)
+    numbers the curve of each; the int64 offsets delimit each curve's
+    knots."""
     prev_end = np.concatenate(([0.0], ends))[:-1]
+    if curve is not None:
+        prev_end[np.flatnonzero(np.diff(curve)) + 1] = 0.0  # a curve's first interval
     keep = np.array((starts > prev_end, np.isfinite(ends))).T
     times = np.array((starts, ends)).T[keep]
     values = np.array((before, np.where(after < 0.0, 0.0, after))).T[keep]
-    return times, values
+    counts = (keep.sum() if curve is None
+              else np.bincount(curve, keep.sum(axis=1), minlength=n_curves))
+    return times, values, np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
 def endpoint_values_on_grid(rows, lefts, rights, grid) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,14 @@
 """Nonparametric maximum likelihood for interval censored data.
 
-Turnbull's maximal intersections carry the mass. The NPMLE on that
-simplex is found by constrained Newton steps (Wang 2007), each one
-nonnegative least-squares problem, and certified by its KKT condition:
-with d_j the derivative of the normalized log-likelihood toward the j-th
-interval, the masses are optimal when max_j d_j <= 1. A fit reports its
-gap max_j d_j - 1 and whether that is within KKT_TOL. An exponential
-tail correction reallocates the final mass when unbounded intervals are
+Turnbull's maximal intersections carry the mass. With one or two of
+them the NPMLE has a closed form (``exact_masses``), which the marginal,
+``npmle_fit`` and a tree's leaves all take; with more it is found by
+constrained Newton steps (Wang 2007), each one nonnegative least-squares
+problem. Either way it is certified by its KKT condition: with d_j the
+derivative of the normalized log-likelihood toward the j-th interval, the
+masses are optimal when max_j d_j <= 1. A fit reports its gap
+max_j d_j - 1 and whether that is within KKT_TOL. An exponential tail
+correction reallocates the final mass when unbounded intervals are
 present.
 """
 
@@ -101,7 +103,7 @@ def _curve_from_masses(lefts, rights, masses, tail_rate=None) -> StepSurvival:
     keep = masses > 0.0
     after = 1.0 - np.cumsum(masses[keep])
     before = np.concatenate(([1.0], after))[:-1]
-    times, values = step_knots(lefts[keep], rights[keep], before, after)
+    times, values, _ = step_knots(lefts[keep], rights[keep], before, after)
     return StepSurvival(times, values, tail_rate=tail_rate)
 
 
@@ -112,6 +114,33 @@ def _em_step(a: np.ndarray, w: np.ndarray, p: np.ndarray):
     ap = a @ p
     s = a / ap[:, None]
     return p, ap, s, float((w @ s).max()) - 1.0
+
+
+def exact_masses(a0, a1, w, problem, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The NPMLE of ``n`` problems with one or two maximal intersections
+    each, in closed form, and its KKT gap by ``_em_step``'s formula.
+
+    Row i belongs to problem ``problem[i]``, has weight w[i] (the weights
+    of a problem sum to one) and holds the first intersection when a0[i],
+    the second when a1[i] (never, with one intersection). Every row holds
+    one or both, so the log-likelihood is s10 log p1 + s01 log p2 plus a
+    constant, where s10 and s01 weigh the rows that hold only the first
+    and only the second intersection. Its maximum on the simplex is
+    p = (s10, s01) / (s10 + s01): (1, 0) with one intersection. Rows that
+    separate two intersections always exist in a problem without
+    zero-weight rows; when none does, every p is optimal and the masses
+    stay at the uniform start (1/2, 1/2). Returns the masses, one row of
+    two per problem, and the gaps.
+    """
+    s10 = np.bincount(problem, w * (a0 & ~a1), minlength=n)
+    s01 = np.bincount(problem, w * (a1 & ~a0), minlength=n)
+    total = s10 + s01
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(total > 0.0, np.array((s10, s01)) / total, 0.5).T
+        ap = a0 * p[problem, 0] + a1 * p[problem, 1]
+        d = (np.bincount(problem, w * a0 / ap, minlength=n),
+             np.bincount(problem, w * a1 / ap, minlength=n))
+    return p, np.maximum(*d) - 1.0
 
 
 def _newton(a: np.ndarray, w: np.ndarray, budget: int):
@@ -178,8 +207,10 @@ def _newton(a: np.ndarray, w: np.ndarray, budget: int):
 
 
 def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> NpmleFit:
-    """Weighted NPMLE on the Turnbull mass simplex by constrained Newton
-    steps (Wang 2007), certified by its KKT condition.
+    """Weighted NPMLE on the Turnbull mass simplex, exact for one or two
+    maximal intersections (``exact_masses``, no Newton step) and by
+    constrained Newton steps (Wang 2007) for more, certified by its KKT
+    condition.
 
     With weights normalized to sum one, d_j = sum_i w_i a_ij / (a_i . p)
     is the derivative of the log-likelihood toward the j-th interval; p is
@@ -204,8 +235,14 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
         if np.any(weights < 0) or weights.sum() <= 0:
             raise EmptyInput("weights must be >= 0 with positive sum")
     live = weights > 0.0  # zero-weight rows do not enter the likelihood
-    p, iterations, kkt_gap = _newton(
-        tb.membership[live].astype(float), weights[live] / weights.sum(), max_iter)
+    a, w = tb.membership[live], weights[live] / weights.sum()
+    k = tb.n_intervals
+    if k <= 2:
+        a1 = a[:, 1] if k == 2 else np.zeros(w.size, dtype=bool)
+        masses, gaps = exact_masses(a[:, 0], a1, w, np.zeros(w.size, dtype=np.intp), 1)
+        p, iterations, kkt_gap = masses[0, :k], 0, float(gaps[0])
+    else:
+        p, iterations, kkt_gap = _newton(a.astype(float), w, max_iter)
     return NpmleFit(
         intervals=tb,
         masses=p,

@@ -12,13 +12,16 @@ checks every tree in one vectorized pass per array, and a file that fails
 a check raises ``ParseError`` naming the array: the node arrays must
 route every row to a leaf (a split's children come after it, so routing
 ends), ``leafidx`` must number the leaves one to one, the offsets must
-delimit them, and each leaf curve must pass ``StepSurvival``'s checks.
+delimit them, the in-bag ids must be non-negative and strictly increasing
+and the leaves' members must partition them, and each leaf curve must
+pass ``StepSurvival``'s checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -137,7 +140,7 @@ def _model_from(header: dict, blob: bytes, pos: int, path: str) -> IcrfModel:
     starting at ``pos``."""
     arrays = {}
     for name, dtype, shape in header["manifest"]:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # a Python product: np.prod costs more than the read
         nbytes = count * np.dtype(dtype).itemsize
         if min(shape, default=0) < 0 or pos + nbytes > len(blob):
             raise ParseError(f"{path}: bad shape or truncated in array {name!r}")
@@ -197,8 +200,13 @@ def _tree_from(arrays: dict, pre: str, n_leaves: int, p: int, path: str) -> Tree
                "must name a later node at every split")
     _check(np.array_equal(np.sort(leafidx[feature < 0]), np.arange(n_leaves)), path,
            pre + "leafidx", f"must number the leaf nodes 0..{n_leaves - 1}, one each")
-    return Tree(feature, cutoff, left, right, leafidx, _leaf_store(arrays, pre, n_leaves, path),
-                inbag)
+    _check(inbag.size == 0 or (inbag[0] >= 0 and (inbag[1:] > inbag[:-1]).all()), path,
+           pre + "inbag", "ids must be non-negative and strictly increasing")
+    store = _leaf_store(arrays, pre, n_leaves, path)
+    members = np.sort(store.members)
+    _check(members.size == inbag.size and (members == inbag).all(), path, pre + "lmembers",
+           "the leaves' members must partition the in-bag ids")
+    return Tree(feature, cutoff, left, right, leafidx, store, inbag)
 
 
 def _leaf_store(arrays: dict, pre: str, n_leaves: int, path: str) -> LeafStore:

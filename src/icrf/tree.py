@@ -10,14 +10,20 @@ every candidate scores zero.
 The tree reads everything from its fold's ``FoldContext``: the carried
 full-conditional curves as a value matrix on one shared knot grid and the
 per-subject SWRS/SLR scores. Each candidate split is scored once by
-``_node_score``, each leaf curve is built once by ``_terminal_curve``, and
-``Tree.apply`` routes rows to leaves. A leaf is quasi-honest (the NPMLE
-of the members' raw intervals) or exploitative (the mean of the members'
-carried curves).
+``_node_score`` and ``Tree.apply`` routes rows to leaves. A leaf is
+quasi-honest (the NPMLE of the members' raw intervals) or exploitative
+(the mean of the members' carried curves).
 
 A tree holds its leaf curves and member ids column-wise, in one
-``curves.LeafStore`` that growth concatenates once; ``Tree.leaves`` gives
-read-only per-leaf views of it.
+``curves.LeafStore``. Growth only collects each leaf's members; the store
+is then built for all leaves of the tree at once (``_leaf_store``): one
+sort finds every quasi-honest leaf's Turnbull intervals, the leaves with
+one or two of them take the closed-form NPMLE (``npmle.exact_masses``)
+and only the others run ``npmle_fit``; exploitative leaves are the
+members' mean rows, encoded together by ``curve_from_grid_values``. One
+``curves.step_knots`` call encodes every leaf's knots, and the arrays go
+into the store as they are, with no ``StepSurvival`` per leaf.
+``Tree.leaves`` gives read-only per-leaf views of the store.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .curves import LeafStore, StepSurvival, step_knots
 from .exceptions import InsufficientData
-from .npmle import npmle_fit
+from .npmle import exact_masses, npmle_fit
 from .splits import (GLR, GWRS, SWRS, SplitRule, glr_from_sums, gwrs_from_sums, slr_scores,
                      swrs_scores)
 
@@ -152,43 +158,102 @@ def _node_score(rule: SplitRule, ctx_arrays, mask: np.ndarray, counts) -> float:
     return abs(left_sum / n_left - (total - left_sum) / n_right)
 
 
-def _terminal_curve(ctx: FoldContext, members: np.ndarray, prediction: str,
-                    npmle_gaps: list | None = None) -> StepSurvival:
-    """The leaf curve of ``members``.
-
-    Quasi-honest: the NPMLE of the members' raw intervals, with
-    right-unbounded intervals confined to the observed time range
-    (``ctx.support_bound``) so that the final mass stays there;
-    re-allocating a small node's large final mass exponentially over
-    (a, inf) would inflate the whole ensemble. Exploitative: the mean of
-    the members' carried curves on the fold grid, compressed. A
-    quasi-honest leaf appends its NPMLE's KKT gap to ``npmle_gaps``.
-    """
-    if prediction == QUASI_HONEST:
-        rights = np.minimum(ctx.rights[members], ctx.support_bound)
-        fit = npmle_fit(ctx.lefts[members], rights)
-        if npmle_gaps is not None:
-            npmle_gaps.append(fit.kkt_gap)
-        return fit.curve
-    mean = ctx.values[members].mean(axis=0)
-    return curve_from_grid_values(ctx.grid, mean)
-
-
-def curve_from_grid_values(grid: np.ndarray, vals: np.ndarray) -> StepSurvival:
-    """Compress grid values to a step curve of the masses of the cells
-    (grid[j-1], grid[j]] that drop by more than LEAF_MASS_TOL, knots as in
-    ``curves.step_knots``: each mass keeps its cell."""
-    vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
-    prev = np.concatenate(([1.0], vals[:-1]))
-    drops = (prev - vals) > LEAF_MASS_TOL
+def curve_from_grid_values(grid: np.ndarray, rows: np.ndarray):
+    """Compress each row of grid values to a step curve of the masses of
+    the cells (grid[j-1], grid[j]] that drop by more than LEAF_MASS_TOL,
+    knots as in ``curves.step_knots``: each mass keeps its cell. Returns
+    the knot times and values of all rows, one curve after another, and
+    the offsets delimiting each."""
+    vals = np.minimum.accumulate(np.clip(rows, 0.0, 1.0), axis=1)
+    prev = np.concatenate((np.ones((vals.shape[0], 1)), vals[:, :-1]), axis=1)
+    row, cell = np.nonzero((prev - vals) > LEAF_MASS_TOL)
     starts = np.concatenate(([0.0], grid[:-1]))
-    return StepSurvival(*step_knots(starts[drops], grid[drops], prev[drops], vals[drops]))
+    return step_knots(starts[cell], grid[cell], prev[row, cell], vals[row, cell], row,
+                      vals.shape[0])
+
+
+def _npmle_knots(ctx: FoldContext, members: np.ndarray, member_offsets: np.ndarray,
+                 npmle_gaps: list | None):
+    """Knots (times, values, offsets) of the quasi-honest leaves whose
+    members are ``members``, delimited by ``member_offsets``: each the NPMLE of its
+    members' intervals, with right-unbounded intervals confined to the
+    observed time range (``ctx.support_bound``) so that the final mass
+    stays there; re-allocating a small node's large final mass
+    exponentially over (a, inf) would inflate the whole ensemble. The KKT
+    gap of each leaf goes to ``npmle_gaps``."""
+    sizes = np.diff(member_offsets)
+    n = sizes.size
+    owner = np.repeat(np.arange(n), sizes)
+    lefts = ctx.lefts[members]
+    rights = np.minimum(ctx.rights[members], ctx.support_bound)
+    # every leaf's Turnbull intervals from one sort by leaf, then value, then
+    # R-points before L-points at ties; a leaf's last point is a right end,
+    # so no interval spans two leaves
+    pts = np.concatenate((lefts, rights))
+    is_left = np.repeat(np.array([1, 0], dtype=np.int8), members.size)
+    leaf = np.concatenate((owner, owner))
+    order = np.lexsort((is_left, pts, leaf))
+    pv, pl, leaf = pts[order], is_left[order], leaf[order]
+    hit = (pl[:-1] == 1) & (pl[1:] == 0)
+    q, p, leaf = pv[:-1][hit], pv[1:][hit], leaf[:-1][hit]
+    k = np.bincount(leaf, minlength=n)
+    first = np.concatenate(([0], np.cumsum(k)[:-1]))
+
+    # one or two intervals: the exact NPMLE, for all these leaves at once
+    rows = np.flatnonzero(k[owner] <= 2)
+    j0 = first[owner[rows]]
+    two = k[owner[rows]] == 2
+    j1 = np.where(two, j0 + 1, j0)
+    held = [(lefts[rows] <= q[j]) & (p[j] <= rights[rows]) for j in (j0, j1)]
+    small, gaps = exact_masses(held[0], held[1] & two, 1.0 / sizes[owner[rows]], owner[rows], n)
+    masses = np.empty(q.size)
+    few = np.flatnonzero(k <= 2)
+    masses[first[few]] = small[few, 0]
+    pair = np.flatnonzero(k == 2)
+    masses[first[pair] + 1] = small[pair, 1]
+    cum = masses.copy()  # the running sum of each leaf's masses
+    cum[first[pair] + 1] += masses[first[pair]]
+    # more: the certified Newton fit, leaf by leaf
+    for j in np.flatnonzero(k > 2):
+        at = slice(first[j], first[j] + k[j])
+        own = slice(member_offsets[j], member_offsets[j + 1])
+        fit = npmle_fit(lefts[own], rights[own])
+        masses[at], cum[at], gaps[j] = fit.masses, np.cumsum(fit.masses), fit.kkt_gap
+    if npmle_gaps is not None:
+        npmle_gaps.extend(gaps.tolist())
+
+    # the encoding of npmle._curve_from_masses, every leaf in one pass
+    keep = masses > 0.0
+    after = 1.0 - cum[keep]
+    leaf = leaf[keep]
+    before = np.concatenate(([1.0], after[:-1]))
+    before[np.concatenate(([True], leaf[1:] != leaf[:-1]))] = 1.0
+    return step_knots(q[keep], p[keep], before, after, leaf, n)
+
+
+def _leaf_store(ctx: FoldContext, leaf_members: list, prediction: str,
+                npmle_gaps: list | None = None) -> LeafStore:
+    """The LeafStore of the leaves with members ``leaf_members``, built for
+    all of them at once; values are clipped to [0, 1] as StepSurvival
+    clips them."""
+    n = len(leaf_members)
+    sizes = np.asarray([m.size for m in leaf_members], dtype=np.int64)
+    members = np.concatenate(leaf_members)
+    member_offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    if prediction == QUASI_HONEST:
+        times, values, offsets = _npmle_knots(ctx, members, member_offsets, npmle_gaps)
+    else:
+        means = np.array([ctx.values[m].mean(axis=0) for m in leaf_members])
+        times, values, offsets = curve_from_grid_values(ctx.grid, means)
+    return LeafStore(times, np.clip(values, 0.0, 1.0), offsets, np.full(n, np.nan), members,
+                     member_offsets)
 
 
 def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
                   rng: np.random.Generator, npmle_gaps: list | None = None) -> Tree:
     """Grow one tree on the in-bag subjects; the KKT gaps of its leaf
-    NPMLEs go to ``npmle_gaps``."""
+    NPMLEs go to ``npmle_gaps``. The split structure comes first; the
+    leaves are then built together (``_leaf_store``)."""
     inbag = np.asarray(inbag, dtype=np.int64)
     n_min = params.n_min
     if inbag.size < n_min:
@@ -198,7 +263,7 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
     split_cols = slice(0, ctx.m_split)
 
     feature, cutoff, left, right, leaf_idx = [], [], [], [], []
-    curves, leaf_members = [], []
+    leaf_members = []
 
     def new_node():
         feature.append(-1)
@@ -209,8 +274,7 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
         return len(feature) - 1
 
     def make_leaf(node_id, members):
-        leaf_idx[node_id] = len(curves)
-        curves.append(_terminal_curve(ctx, members, params.prediction, npmle_gaps))
+        leaf_idx[node_id] = len(leaf_members)
         leaf_members.append(members)
 
     root = new_node()
@@ -261,7 +325,8 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
         stack.append((right_id, members[~lmask]))
         stack.append((left_id, members[lmask]))
 
-    return Tree(feature, cutoff, left, right, leaf_idx, LeafStore.of(curves, leaf_members), inbag)
+    store = _leaf_store(ctx, leaf_members, params.prediction, npmle_gaps)
+    return Tree(feature, cutoff, left, right, leaf_idx, store, inbag)
 
 
 def support_bound_of(lefts, rights, tau: float) -> float:

@@ -8,7 +8,11 @@ tables, and GWRS is summed over every pair of curves rather than over the
 group means. The knot encoders are the loop forms that ``curves.step_knots``
 replaced: a scan over sorted endpoints for Turnbull's intervals, a walk
 over the masses for NPMLE curves (and the tail correction that rebuilds
-one), and a keep-mask over grid cells for exploitative leaves.
+one), and a keep-mask over grid cells for exploitative leaves. The
+closed-form NPMLE of one or two maximal intersections is checked against
+the iterative Newton path (``newton_fit``), and a tree's leaf store, built
+for all leaves at once, against each leaf's curve built on its own
+(``terminal_curve``).
 """
 
 from __future__ import annotations
@@ -306,3 +310,34 @@ def curve_from_grid_values_mask(grid, vals):
     keep = drops.copy()
     keep[:-1] |= drops[1:]
     return grid[keep], vals[keep]
+
+
+def newton_fit(lefts, rights, weights=None):
+    """``npmle_fit`` by Newton steps alone, whatever the number of maximal
+    intersections: its Turnbull intervals, its constrained Newton path from
+    the uniform start (``npmle._newton``) and its curve encoding. Returns
+    the NpmleFit."""
+    from icrf.npmle import (DEFAULT_MAX_ITER, NpmleFit, _curve_from_masses, _loglik, _newton,
+                            turnbull_intervals)
+
+    tb = turnbull_intervals(lefts, rights)
+    weights = np.ones(tb.membership.shape[0]) if weights is None else np.asarray(weights, float)
+    live = weights > 0.0
+    p, iterations, gap = _newton(tb.membership[live].astype(float),
+                                 weights[live] / weights.sum(), DEFAULT_MAX_ITER)
+    return NpmleFit(tb, p, _curve_from_masses(tb.lefts, tb.rights, p), iterations, gap,
+                    _loglik(tb.membership, p, weights))
+
+
+def terminal_curve(ctx, members, prediction: str):
+    """The curve of the leaf with ``members``, built on its own:
+    quasi-honest, ``newton_fit`` of the members' intervals with right ends
+    capped at ``ctx.support_bound``; exploitative, the members' mean
+    carried row compressed by the keep-mask encoder."""
+    from icrf import StepSurvival
+
+    if prediction == "quasi_honest":
+        return newton_fit(ctx.lefts[members],
+                          np.minimum(ctx.rights[members], ctx.support_bound)).curve
+    mean = ctx.values[members].mean(axis=0)
+    return StepSurvival(*curve_from_grid_values_mask(ctx.grid, mean))

@@ -101,8 +101,9 @@ def _interior_knot(blob):
 
 # each: (array, the entry to overwrite, its new value). Before these
 # checks, the first two loaded and predicted wrong rows or nothing at all;
-# the next three loaded and then raised a bare IndexError in predict, and
-# the last made predict loop forever.
+# the next three loaded and then raised a bare IndexError in predict, the
+# next made predict loop forever, and the last two loaded and gave a wrong
+# out-of-bag error (an in-bag id beyond the data, a member id twice).
 STRUCTURAL = {
     "loffsets_end": ("f1_t0_loffsets", lambda b: -1, lambda b: 1),
     "lmoffsets_jump": ("f1_t0_lmoffsets", lambda b: 1, lambda b: 10**6),
@@ -110,6 +111,8 @@ STRUCTURAL = {
     "left_out_of_range": ("f1_t0_left", lambda b: 0, lambda b: 5000),
     "feature_out_of_range": ("f1_t0_feature", lambda b: 0, lambda b: 99),
     "left_loops_to_root": ("f1_t0_left", lambda b: 0, lambda b: 0),
+    "inbag_out_of_range": ("f1_t0_inbag", lambda b: 0, lambda b: 10**6),
+    "lmembers_repeated": ("f1_t0_lmembers", lambda b: 1, lambda b: _read(b, "f1_t0_lmembers")[0]),
 }
 
 # one case per check StepSurvival makes of a curve; a NaN value used to

@@ -113,7 +113,9 @@ def grid_rows(draw):
 @given(grid_rows())
 def test_grid_curves_equal_keep_mask(row):
     grid, vals = row
-    assert_same_curve(curve_from_grid_values(grid, vals), *curve_from_grid_values_mask(grid, vals))
+    times, values, offsets = curve_from_grid_values(grid, vals[None, :])
+    assert np.array_equal(offsets, [0, times.size])
+    assert_same_curve(StepSurvival(times, values), *curve_from_grid_values_mask(grid, vals))
 
 
 @SETTINGS

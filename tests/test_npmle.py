@@ -10,7 +10,7 @@ from icrf import npmle_fit, tail_correct, turnbull_intervals
 from icrf.dataio import encode_exact
 from icrf.exceptions import EmptyInput, InvalidAnchor
 
-from _oracles import em_loglik, kkt_gap, random_intervals, simplex_grid_loglik
+from _oracles import em_loglik, kkt_gap, newton_fit, random_intervals, simplex_grid_loglik
 
 
 # One quasi-honest leaf of a scenario-5 forest (n=300, M=3, GWRS; 39
@@ -171,6 +171,43 @@ def weighted_samples(draw):
     return np.asarray(lefts), np.asarray(rights), np.asarray(weights)
 
 
+SUPPORT_BOUND = 3.5  # right-unbounded ends are capped here, as a tree's leaves cap them
+
+
+@st.composite
+def few_intersection_samples(draw):
+    """Weighted samples with one or two maximal intersections: intervals on
+    a lattice, so that they touch and tie, exact ones and right-unbounded
+    ones capped at SUPPORT_BOUND, some weights zero. Or the case no live
+    row decides: two zero-weight rows that touch make two intersections,
+    and every live row holds both."""
+    if draw(st.sampled_from(["drawn", "drawn", "drawn", "unseparated"])) == "unseparated":
+        a, b, c = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                                       min_size=3, max_size=3, unique=True)))
+        live = draw(st.integers(1, 4))
+        lefts = [a, b] + [draw(st.sampled_from([0.0, a]))] * live
+        rights = [b, c] + [draw(st.sampled_from([c, SUPPORT_BOUND]))] * live
+        weights = [0.0, 0.0] + draw(st.lists(st.floats(0.05, 5.0), min_size=live, max_size=live))
+        return np.asarray(lefts), np.asarray(rights), np.asarray(weights)
+    lefts, rights = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["bounded", "exact", "capped"]))
+        left = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]))
+        if kind == "exact":
+            left, right = encode_exact(left + 0.25)
+        elif kind == "capped":
+            right = SUPPORT_BOUND
+        else:
+            right = left + draw(st.sampled_from([0.5, 1.0, 1.5]))
+        lefts.append(left)
+        rights.append(right)
+    assume(turnbull_intervals(lefts, rights).n_intervals <= 2)
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.05, 5.0)),
+                            min_size=len(lefts), max_size=len(lefts)))
+    assume(sum(weights) > 0.0)
+    return np.asarray(lefts), np.asarray(rights), np.asarray(weights)
+
+
 class TestNpmleKkt:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(weighted_samples())
@@ -181,6 +218,28 @@ class TestNpmleKkt:
         assert kkt_gap(fit, weights=weights) <= npmle_mod.KKT_TOL
         assert abs(fit.masses.sum() - 1.0) <= 1e-12
         assert fit.loglik >= em_loglik(fit.intervals.membership, weights) - 1e-12
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(few_intersection_samples())
+    def test_closed_form_certified_and_not_below_newton(self, sample):
+        lefts, rights, weights = sample
+        fit = npmle_fit(lefts, rights, weights=weights)
+        assert fit.intervals.n_intervals <= 2 and fit.iterations == 0
+        assert fit.kkt_gap <= npmle_mod.KKT_TOL
+        assert kkt_gap(fit, weights=weights) <= npmle_mod.KKT_TOL
+        assert abs(fit.masses.sum() - 1.0) <= 1e-12
+        assert fit.loglik >= newton_fit(lefts, rights, weights=weights).loglik - 1e-12
+
+    def test_unseparated_intersections_stay_uniform(self):
+        # zero-weight rows (0, 1] and (1, 2] make two intersections that the
+        # live row (0, 2] does not separate: every masses are optimal, and
+        # the fit keeps the uniform start, as the Newton path does
+        lefts, rights, weights = [0.0, 1.0, 0.0], [1.0, 2.0, 2.0], [0.0, 0.0, 2.0]
+        fit = npmle_fit(lefts, rights, weights=weights)
+        assert fit.intervals.n_intervals == 2
+        assert np.array_equal(fit.masses, [0.5, 0.5])
+        assert np.array_equal(newton_fit(lefts, rights, weights=weights).masses, [0.5, 0.5])
+        assert fit.converged
 
 
 class TestEmProperties:

@@ -1,15 +1,19 @@
 """Tree growth on a fold context, leaf curves, and routing."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+import icrf
 from icrf import (Dataset, ForestFold, ForestParams, IcrfModel, StepSurvival, SplitRule,
                   TreeParams, predict)
 from icrf.dataio import encode_exact
 from icrf.exceptions import DimensionMismatch, InsufficientData
-from icrf.tree import EXPLOITATIVE, QUASI_HONEST, _terminal_curve, grow_tree_ctx
+from icrf.tree import EXPLOITATIVE, QUASI_HONEST, grow_tree_ctx
 
-from _oracles import curve_context, random_step_curve
+from _oracles import curve_context, random_step_curve, terminal_curve
 
 TAU = 5.0
 
@@ -46,19 +50,27 @@ def grow_tree(data, carried, cov_curves, inbag, params, rng):
     return grow_tree_ctx(ctx, np.asarray(inbag, dtype=np.int64), params, rng)
 
 
+def one_leaf(ctx, prediction) -> StepSurvival:
+    """The curve of the single leaf a tree grows on every subject of ``ctx``,
+    whose covariates are constant, so that no split is valid."""
+    params = TreeParams(n_min=1, prediction=prediction)
+    tree = grow_tree_ctx(ctx, np.arange(ctx.n), params, seeded(0))
+    assert tree.n_leaves == 1
+    return tree.leaves[0].curve
+
+
 def quasi_honest_leaf(lefts, rights):
     """The quasi-honest leaf curve of subjects with these intervals."""
     n = len(lefts)
     data = Dataset(lefts, rights, np.zeros((n, 1)), ["x1"], TAU)
-    ctx = curve_context(data, [StepSurvival([], [])] * n)
-    return _terminal_curve(ctx, np.arange(n), QUASI_HONEST)
+    return one_leaf(curve_context(data, [StepSurvival([], [])] * n), QUASI_HONEST)
 
 
 def exploitative_leaf(curves):
     """The exploitative leaf curve of subjects carrying these curves."""
     n = len(curves)
     data = exact_dataset(np.ones(n), np.zeros((n, 1)))
-    return _terminal_curve(curve_context(data, curves), np.arange(n), EXPLOITATIVE)
+    return one_leaf(curve_context(data, curves), EXPLOITATIVE)
 
 
 def tree_predict(tree, x) -> StepSurvival:
@@ -234,3 +246,62 @@ class TestRouting:
         model = IcrfModel(ForestParams(), ["x1"], TAU, 0.1, StepSurvival([], []), [fold], 1)
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros((2, 2)), np.linspace(0.0, TAU, 11))
+
+
+class TestLeafStore:
+    """A tree's leaves, built together after growth, against each leaf's
+    curve built on its own by the iterative Newton path (``terminal_curve``)."""
+
+    @staticmethod
+    def _tree(prediction, seed):
+        data = icrf.generate(icrf.Scenario(2, n=300, seed=seed)).dataset
+        rng = np.random.default_rng(seed)
+        carried = [random_step_curve(rng, tau=data.tau) for _ in range(data.n)]
+        ctx = curve_context(data, carried, carried)
+        inbag = np.sort(rng.choice(data.n, size=285, replace=False))
+        gaps = []
+        tree = grow_tree_ctx(ctx, inbag, TreeParams(prediction=prediction), rng, gaps)
+        return data, ctx, tree, gaps
+
+    @pytest.mark.parametrize("prediction", [QUASI_HONEST, EXPLOITATIVE])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_leaves_match_terminal_curve(self, prediction, seed):
+        _, ctx, tree, gaps = self._tree(prediction, seed)
+        assert tree.n_leaves >= 5
+        closed_forms = set()
+        for leaf in tree.leaves:
+            m = leaf.member_ids
+            want = terminal_curve(ctx, m, prediction)
+            got = leaf.curve
+            assert got.tail_rate is None and want.tail_rate is None
+            assert np.array_equal(got.times, want.times)
+            capped = np.minimum(ctx.rights[m], ctx.support_bound)
+            closed = (prediction == QUASI_HONEST
+                      and icrf.turnbull_intervals(ctx.lefts[m], capped).n_intervals <= 2)
+            closed_forms.add(closed)
+            if closed:
+                np.testing.assert_allclose(got.values, want.values, rtol=0.0, atol=1e-9)
+            else:
+                assert np.array_equal(got.values, want.values)
+        if prediction == QUASI_HONEST:
+            assert closed_forms == {True, False}  # closed-form and Newton leaves both checked
+            assert len(gaps) == tree.n_leaves
+            assert max(gaps) <= icrf.npmle.KKT_TOL
+        else:
+            assert gaps == []
+
+    @pytest.mark.parametrize("prediction", [QUASI_HONEST, EXPLOITATIVE])
+    def test_store_passes_load_checks(self, prediction):
+        data, _, tree, _ = self._tree(prediction, 4)
+        fold = ForestFold(1, [tree], np.zeros(1))
+        model = IcrfModel(ForestParams(tree=TreeParams(prediction=prediction)),
+                          list(data.feature_names), data.tau, 0.3, StepSurvival([1.0], [0.0]),
+                          [fold], 1)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.bin")
+            icrf.save_model(model, path)
+            again = icrf.load_model(path).folds[0].trees[0]
+        for name in ("times", "values", "offsets", "rates", "members", "member_offsets"):
+            assert np.array_equal(getattr(again.store, name), getattr(tree.store, name),
+                                  equal_nan=True)
+        assert np.array_equal(again.inbag_ids, tree.inbag_ids)
