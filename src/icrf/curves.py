@@ -306,14 +306,15 @@ def endpoint_values_on_grid(rows, lefts, rights, grid) -> tuple[np.ndarray, np.n
             np.where(np.isinf(rights), 0.0, read(rights)))
 
 
-def project_rows(rows, s_l, s_r, lefts, rights, grid, tau: float) -> np.ndarray:
+def project_rows(rows, s_l, s_r, lefts, rights, grid, tau: float,
+                 floor: float = EPS_MASS) -> np.ndarray:
     """Full-conditional curves S(t | X_i, I_i) on ``grid``, one row per subject.
 
     ``rows`` holds S(grid | X_i) (a single row serves every subject);
     ``s_l``/``s_r`` are S(L_i | X_i) and S(R_i | X_i) (0 at R_i = inf).
     Row i is 1 on t <= L_i, the clipped renormalization of S(t | X_i) on
     (L_i, R_i] and 0 beyond a finite R_i. When S(. | X_i) carries no mass
-    on the interval, the row falls back to the uniform curve on
+    (at most ``floor``) on the interval, the row falls back to the uniform curve on
     (L_i, min(R_i, tau)], or to the exponential with mean tau beyond L_i
     when R_i = inf. Rows are monotone up to rounding; the carried update
     takes their running minimum.
@@ -325,7 +326,7 @@ def project_rows(rows, s_l, s_r, lefts, rights, grid, tau: float) -> np.ndarray:
     out = np.empty(rows.shape)
     unbounded = np.isinf(rights)
     mass = np.where(unbounded, s_l, s_l - s_r)
-    empty = mass <= EPS_MASS
+    empty = mass <= floor
     i = unbounded & ~empty
     out[i] = np.minimum(rows[i] / s_l[i, None], 1.0)
     i = ~unbounded & ~empty

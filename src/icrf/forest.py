@@ -14,6 +14,16 @@ monitoring route first (``_routed_rows``) and smooth or interpolate only
 the leaves their rows reach, reading them straight from the tree's
 ``LeafStore``; variable importance, which routes the whole sample many
 times, computes every leaf's row once.
+
+The columns live in one table per call, a dict from interval to column
+for the call's single bandwidth and grid: ``fit`` keeps one for the
+monitor grid through all its folds and tree batches (a batch sent to a
+worker process fills its own copy), and ``predict``, ``oob_error`` and
+``variable_importance`` each make one that the fold's trees share. An
+interval is therefore smoothed once per call, not once per tree; no table
+outlives its call. A column is a pure function of its interval, the
+bandwidth and the grid, so rows, OOB errors and model files are the same,
+bit for bit, whichever table computed it and whatever the worker count.
 """
 
 from __future__ import annotations
@@ -51,6 +61,11 @@ MONITOR_GRID_N = 201  # trapezoid resolution for smoothed-curve metrics
 GRID_REFINE_N = 64  # uniform refinement of (0, tau] added to the knot grid
 TREE_BATCH = 8  # fixed batching so results do not depend on worker count
 METRICS = ("imse1", "imse2")  # OOB monitoring and importance metrics
+# the IMSE2 projection divides a row by S(L) - S(R), which amplifies the
+# row's rounding by its inverse; at or below eps**(1/4) ~ 1.2e-4 it takes
+# the fallback curve of ``project_rows``, so a change of one ulp in the rows moves a conditional
+# row by at most about eps**(3/4) ~ 1.8e-12
+IMSE2_MASS_FLOOR = np.finfo(float).eps ** 0.25
 UPDATE_MODES = ("full", "oob")  # carried curves from all trees, or from OOB trees only
 
 
@@ -161,9 +176,10 @@ def imse1_on_rows(rows, lefts, rights, tau, grid) -> float:
 
 def imse2_on_rows(rows, lefts, rights, tau, grid) -> float:
     """IMSE2 of per-subject covariate-conditional rows on ``grid``; the
-    full-conditional side is the projection of each row."""
+    full-conditional side is the projection of each row, or its fallback
+    curve where the row puts at most IMSE2_MASS_FLOOR on the interval."""
     s_l, s_r = endpoint_values_on_grid(rows, lefts, rights, grid)
-    cond = project_rows(rows, s_l, s_r, lefts, rights, grid, tau)
+    cond = project_rows(rows, s_l, s_r, lefts, rights, grid, tau, IMSE2_MASS_FLOOR)
     terms = np.trapezoid((cond - rows) ** 2, grid, axis=1) / tau
     return float(terms.mean()) if terms.size else np.nan
 
@@ -175,7 +191,7 @@ def _monitor_error(metric, rows, lefts, rights, tau, grid) -> float:
     return fn(rows, lefts, rights, tau, grid)
 
 
-def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None) -> np.ndarray:
+def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None, columns=None) -> np.ndarray:
     """Curves ``idx`` (all by default) of ``store`` (a tree's leaves, or
     the marginal) on ``grid``, one row per curve: smoothed with bandwidth
     ``h``, or read through within-interval interpolation when h is None
@@ -187,9 +203,15 @@ def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None) -> np.ndarray:
     cells, quasi-honest leaves on Turnbull intervals), so each distinct
     interval is smoothed once, as a unit-mass column F_k, and a curve's
     row is 1 - sum_j m_j F_k(j) over its own intervals j in its own order.
-    A column depends on its interval alone and each sum on its curve
-    alone, so a curve's row does not depend on the other curves of the
-    call, to the last bit.
+
+    ``columns``, a dict that belongs to one (``h``, ``grid``) pair, is the
+    calling ``fit``, ``predict``, ``oob_error`` or ``variable_importance``
+    call's table of columns F_k, keyed by the interval's complex key
+    t0 + i*t1: only the intervals missing from it are smoothed, and they
+    are added to it. A column depends on its interval, ``h`` and ``grid``
+    alone, computed on its own, and each sum on its curve alone, so a
+    curve's row does not depend on the other curves of the call, nor on
+    what the table held before, to the last bit.
     """
     if h is None:
         return store.interpolate(grid, idx)
@@ -202,8 +224,16 @@ def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None) -> np.ndarray:
     key = np.empty(t0.size, dtype=complex)
     key.real, key.imag = t0, t1
     keys, col = np.unique(key, return_inverse=True)
-    locs, unit = interval_atoms(keys.real, keys.imag)
-    cdf = 1.0 - smoothed_values_matrix(locs, unit, h, grid)
+    columns = {} if columns is None else columns
+    listed = keys.tolist()
+    new = [k for k in listed if k not in columns]
+    if new:
+        at = keys if len(new) == keys.size else np.array(new)
+        locs, unit = interval_atoms(at.real, at.imag)
+        fresh = 1.0 - smoothed_values_matrix(locs, unit, h, grid)
+        columns.update(zip(new, fresh))
+    # columns in ``keys`` order; when all are new, that is ``fresh`` itself
+    cdf = fresh if len(new) == keys.size else np.array([columns[k] for k in listed])
     # a CSR matrix times a dense one adds each row's stored entries to that
     # row one after another, in their stored order (a dense product's
     # summation order would depend on which columns the call holds); a curve
@@ -216,13 +246,14 @@ def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None) -> np.ndarray:
     return np.clip(1.0 - mix @ cdf, 0.0, 1.0)
 
 
-def _routed_rows(tree, leaf_of, grid, h: float | None) -> np.ndarray:
-    """Rows (``_leaf_rows``) of the leaves ``leaf_of`` names, one per
-    entry; only the leaves reached are smoothed or interpolated."""
+def _routed_rows(tree, leaf_of, grid, h: float | None, columns=None) -> np.ndarray:
+    """Rows (``_leaf_rows``, with the column table ``columns``) of the
+    leaves ``leaf_of`` names, one per entry; only the leaves reached are
+    smoothed or interpolated."""
     reached = np.flatnonzero(np.bincount(leaf_of, minlength=tree.n_leaves))
     slot = np.zeros(tree.n_leaves, dtype=np.intp)
     slot[reached] = np.arange(reached.size)
-    return _leaf_rows(tree.store, grid, h, reached)[slot[leaf_of]]
+    return _leaf_rows(tree.store, grid, h, reached, columns)[slot[leaf_of]]
 
 
 def _forest_rows(trees, leaf_rows, X) -> np.ndarray:
@@ -233,10 +264,11 @@ def _forest_rows(trees, leaf_rows, X) -> np.ndarray:
     return acc / len(trees)
 
 
-def _tree_oob_error(tree, leaf_of, lefts, rights, tau, h, grid, metric) -> float:
+def _tree_oob_error(tree, leaf_of, lefts, rights, tau, h, grid, metric, columns) -> float:
     """Monitor metric of the tree's smoothed prediction for its OOB
-    subjects, routed to the leaves ``leaf_of``."""
-    rows = _routed_rows(tree, leaf_of, grid, h)
+    subjects, routed to the leaves ``leaf_of``; ``columns`` is the column
+    table of (h, grid)."""
+    rows = _routed_rows(tree, leaf_of, grid, h, columns)
     return _monitor_error(metric, rows, lefts, rights, tau, grid)
 
 
@@ -244,7 +276,7 @@ def _tree_oob_error(tree, leaf_of, lefts, rights, tau, h, grid, metric) -> float
 
 
 def _build_tree_batch(args):
-    (ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, metric, update_mode) = args
+    (ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode) = args
     n = ctx.n
     trees, oob_errs = [], []
     pred_sum = np.zeros((n, ctx.grid.size))
@@ -258,7 +290,8 @@ def _build_tree_batch(args):
         tree = grow_tree_ctx(ctx, inbag, tparams, rng, npmle_gaps)
         leaf_of = tree.apply(ctx.X)
         oob_errs.append(_tree_oob_error(
-            tree, leaf_of[oob], ctx.lefts[oob], ctx.rights[oob], ctx.tau, h, mgrid, metric))
+            tree, leaf_of[oob], ctx.lefts[oob], ctx.rights[oob], ctx.tau, h, mgrid, metric,
+            columns))
         # leaf curves enter the forest through their within-interval
         # (uniform-density) interpolation, not the right-endpoint step
         rows = _routed_rows(tree, leaf_of, ctx.grid, None)
@@ -319,6 +352,11 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
     else:
         base_rows = _leaf_rows(marginal_store, grid, None)
 
+    # the fit's one table of monitor-grid columns (``_leaf_rows``): every
+    # batch and fold run in this process shares it, and a batch sent to a
+    # worker process fills its own copy; a column is the same whichever
+    # table computed it
+    columns = {}
     folds: list[ForestFold] = []
     leaf_gaps: list[float] = []
     for k in range(1, params.n_fold + 1):
@@ -327,7 +365,7 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
         ctx = fold_context(data, grid, np.minimum.accumulate(carried, axis=1), s_l, s_r)
         jobs = [
             (ctx, params.tree, params.seed, k, list(range(b0, min(b0 + TREE_BATCH, params.n_tree))),
-             s_size, h, mgrid, params.monitor_metric, params.update_curves)
+             s_size, h, mgrid, columns, params.monitor_metric, params.update_curves)
             for b0 in range(0, params.n_tree, TREE_BATCH)
         ]
         if params.n_jobs > 1:
@@ -392,9 +430,10 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
         raise InvariantViolation("prediction grid must be finite")
     fobj = _check_fold(model, fold)
     h = model.h if smoothed else None
+    columns = {}  # the call's column table, shared by the fold's trees
     acc = np.zeros((X.shape[0], grid.size))
     for tree in fobj.trees:
-        acc += _routed_rows(tree, tree.apply(X), grid, h)
+        acc += _routed_rows(tree, tree.apply(X), grid, h, columns)
     return acc / len(fobj.trees)
 
 
@@ -404,6 +443,7 @@ def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float
     tree's smoothed prediction on its own held-out subjects."""
     fobj = _check_fold(model, fold)
     mgrid = monitor_grid(data.tau)
+    columns = {}
     errs = []
     for tree in fobj.trees:
         oob = np.setdiff1d(np.arange(data.n), tree.inbag_ids)
@@ -411,7 +451,7 @@ def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float
             raise EmptyOob("a tree has no out-of-bag subjects")
         errs.append(_tree_oob_error(
             tree, tree.apply(data.X[oob]), data.lefts[oob], data.rights[oob], data.tau,
-            model.h, mgrid, model.params.monitor_metric))
+            model.h, mgrid, model.params.monitor_metric, columns))
     return float(np.nanmean(errs))
 
 
@@ -438,7 +478,8 @@ def variable_importance(
     across the sample, per feature; raw plus max-rescaled values."""
     fobj = _check_fold(model, None)
     grid = monitor_grid(model.tau)
-    rows_by_tree = [_leaf_rows(t.store, grid, model.h) for t in fobj.trees]
+    columns = {}
+    rows_by_tree = [_leaf_rows(t.store, grid, model.h, columns=columns) for t in fobj.trees]
 
     def metric_of(X):
         rows = _forest_rows(fobj.trees, rows_by_tree, X)

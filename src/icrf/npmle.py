@@ -15,6 +15,7 @@ present.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,17 +75,28 @@ def turnbull_intervals(lefts, rights) -> TurnbullIntervals:
 
 @dataclass(frozen=True)
 class NpmleFit:
+    """An NPMLE: masses on the Turnbull intervals and their certificate.
+    The step curve and the log-likelihood are computed on first access;
+    a tree's leaves read only the masses and the gap."""
+
     intervals: TurnbullIntervals
     masses: np.ndarray
-    curve: StepSurvival
     iterations: int  # Newton steps taken
     kkt_gap: float  # max_j d_j - 1 at ``masses``
-    loglik: float
+    weights: np.ndarray  # the observations' weights, as given
 
     @property
     def converged(self) -> bool:
         """Whether the masses carry the optimality certificate."""
         return self.kkt_gap <= KKT_TOL
+
+    @cached_property
+    def curve(self) -> StepSurvival:
+        return _curve_from_masses(self.intervals.lefts, self.intervals.rights, self.masses)
+
+    @cached_property
+    def loglik(self) -> float:
+        return _loglik(self.intervals.membership, self.masses, self.weights)
 
 
 def _loglik(membership, masses, weights):
@@ -231,7 +243,7 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
     if weights is None:
         weights = np.ones(n)
     else:
-        weights = np.asarray(weights, dtype=float)
+        weights = np.array(weights, dtype=float)  # a copy: ``loglik`` reads it later
         if np.any(weights < 0) or weights.sum() <= 0:
             raise EmptyInput("weights must be >= 0 with positive sum")
     live = weights > 0.0  # zero-weight rows do not enter the likelihood
@@ -243,14 +255,8 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
         p, iterations, kkt_gap = masses[0, :k], 0, float(gaps[0])
     else:
         p, iterations, kkt_gap = _newton(a.astype(float), w, max_iter)
-    return NpmleFit(
-        intervals=tb,
-        masses=p,
-        curve=_curve_from_masses(tb.lefts, tb.rights, p),
-        iterations=iterations,
-        kkt_gap=kkt_gap,
-        loglik=_loglik(tb.membership, p, weights),
-    )
+    return NpmleFit(intervals=tb, masses=p, iterations=iterations, kkt_gap=kkt_gap,
+                    weights=weights)
 
 
 def tail_correct(fit: NpmleFit, has_unbounded: bool, tau: float | None = None) -> StepSurvival:

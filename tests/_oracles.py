@@ -317,16 +317,14 @@ def newton_fit(lefts, rights, weights=None):
     intersections: its Turnbull intervals, its constrained Newton path from
     the uniform start (``npmle._newton``) and its curve encoding. Returns
     the NpmleFit."""
-    from icrf.npmle import (DEFAULT_MAX_ITER, NpmleFit, _curve_from_masses, _loglik, _newton,
-                            turnbull_intervals)
+    from icrf.npmle import DEFAULT_MAX_ITER, NpmleFit, _newton, turnbull_intervals
 
     tb = turnbull_intervals(lefts, rights)
     weights = np.ones(tb.membership.shape[0]) if weights is None else np.asarray(weights, float)
     live = weights > 0.0
     p, iterations, gap = _newton(tb.membership[live].astype(float),
                                  weights[live] / weights.sum(), DEFAULT_MAX_ITER)
-    return NpmleFit(tb, p, _curve_from_masses(tb.lefts, tb.rights, p), iterations, gap,
-                    _loglik(tb.membership, p, weights))
+    return NpmleFit(tb, p, iterations, gap, weights)
 
 
 def terminal_curve(ctx, members, prediction: str):

@@ -203,6 +203,32 @@ class TestFit:
             trees = [id(t) for f in m.folds for t in f.trees]
             assert sorted(routed) == sorted(trees)
 
+    def test_exploitative_fit_smooths_each_monitor_interval_once(self, sim, monkeypatch):
+        # one column table for the whole fit: across its two batches of trees
+        # and its two folds, no monitor-grid column is computed twice, and the
+        # second fold, on the same knot grid, needs fewer new columns
+        mgrid = monitor_grid(sim.dataset.tau)
+        fold, computed = [0], []
+        real_batch, real_matrix = forest_mod._build_tree_batch, forest_mod.smoothed_values_matrix
+
+        def batch(args):
+            fold[0] = args[3]
+            return real_batch(args)
+
+        def matrix(locs, masses, h, grid):
+            if np.array_equal(grid, mgrid):
+                computed.extend((fold[0], loc.tobytes()) for loc in locs)
+            return real_matrix(locs, masses, h, grid)
+
+        monkeypatch.setattr(forest_mod, "_build_tree_batch", batch)
+        monkeypatch.setattr(forest_mod, "smoothed_values_matrix", matrix)
+        fit(sim.dataset, ForestParams(n_tree=10, n_fold=2, seed=4,
+                                      tree=TreeParams(prediction="exploitative")))
+        intervals = [key for _, key in computed]
+        assert len(intervals) == len(set(intervals))
+        per_fold = [sum(f == k for f, _ in computed) for k in (1, 2)]
+        assert per_fold[1] < per_fold[0]
+
     def test_imse2_monitoring(self, sim):
         m = fit(sim.dataset, ForestParams(n_tree=6, n_fold=2, seed=6,
                                           monitor_metric="imse2"))
@@ -305,6 +331,25 @@ class TestBatchIndependence:
         grid = np.linspace(0.0, 5.0, 17)
         out = predict(leaf_kind_models[kind], sim.dataset.X[:0], grid, smoothed=smoothed)
         assert out.shape == (0, grid.size)
+
+
+def test_predict_smooths_a_column_shared_by_two_trees_once(sim, leaf_kind_models, monkeypatch):
+    m = leaf_kind_models["exploitative"]
+    X, grid = sim.dataset.X[:3], np.linspace(0.0, 5.0, 41)
+    computed = []
+    real = forest_mod.smoothed_values_matrix
+
+    def spy(locs, masses, h, grid):
+        computed.extend(loc.tobytes() for loc in locs)
+        return real(locs, masses, h, grid)
+
+    monkeypatch.setattr(forest_mod, "smoothed_values_matrix", spy)
+    predict(m, X, grid)
+    in_call = list(computed)
+    computed.clear()
+    for tree in m.folds[m.k_opt - 1].trees:  # each tree on its own
+        forest_mod._routed_rows(tree, tree.apply(X), grid, m.h)
+    assert len(in_call) == len(set(in_call)) == len(set(computed)) < len(computed)
 
 
 class TestImportance:

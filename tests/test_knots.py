@@ -90,7 +90,8 @@ def test_tail_correction_equals_rebuild(obs, has_unbounded, data):
     fit = npmle_fit(*obs)
     masses = masses_for(data.draw, fit.masses.size)
     q, p = fit.intervals.lefts, fit.intervals.rights
-    refit = dataclasses.replace(fit, masses=masses, curve=_curve_from_masses(q, p, masses))
+    refit = dataclasses.replace(fit, masses=masses)  # its curve follows the new masses
+    assert_same_curve(refit.curve, *curve_from_masses_loop(q, p, masses))
     for f in (fit, refit):
         out = tail_correct(f, has_unbounded, tau=5.0)
         assert_same_curve(out, *tail_correct_loop(f, has_unbounded, tau=5.0))

@@ -73,6 +73,26 @@ def test_interval_atoms_are_refine_uniform_atoms(curves):
         np.testing.assert_allclose(got_masses, want_masses, rtol=0.0, atol=1e-15)
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(leaf_sets(), st.floats(0.02, 2.0), st.integers(2, 60), st.floats(1.0, 12.0),
+       st.data())
+def test_prefilled_column_table_gives_fresh_rows(curves, h, m, tau, data):
+    # a table that an earlier call on other curves filled, sharing at least
+    # one curve and so its intervals, gives the rows of a call without one
+    grid = np.linspace(0.0, tau, m)
+    ids = st.lists(st.integers(0, len(curves) - 1), min_size=1, unique=True)
+    earlier, later = data.draw(ids), data.draw(ids)
+    if earlier[0] not in later:
+        later.append(earlier[0])
+    columns = {}
+    _leaf_rows(LeafStore.of([curves[i] for i in earlier]), grid, h, columns=columns)
+    filled = dict(columns)
+    got = _leaf_rows(LeafStore.of(curves), grid, h, np.asarray(later), columns)
+    assert np.array_equal(got, _leaf_rows(LeafStore.of(curves), grid, h, np.asarray(later)))
+    # the table keeps what it held and gains only the new intervals
+    assert all(columns[k] is col for k, col in filled.items())
+
+
 def test_shared_interval_is_smoothed_once(monkeypatch):
     import icrf.forest as forest
 
@@ -91,6 +111,14 @@ def test_shared_interval_is_smoothed_once(monkeypatch):
     assert seen == [3]  # (0, 1], (1, 2] and (2, 3]
     np.testing.assert_allclose(got, smoothed_rows_per_curve([a, b], grid, 0.3),
                                rtol=0.0, atol=1e-12)
+    # with a table, a later call smooths only the intervals it lacks
+    columns = {}
+    forest._leaf_rows(LeafStore.of([a]), grid, 0.3, columns=columns)
+    again = forest._leaf_rows(LeafStore.of([a, b]), grid, 0.3, columns=columns)
+    assert seen == [3, 2, 1] and len(columns) == 3  # then (2, 3] alone
+    assert np.array_equal(again, got)
+    forest._leaf_rows(LeafStore.of([b]), grid, 0.3, columns=columns)
+    assert seen == [3, 2, 1]  # nothing left to smooth
 
 
 def test_curve_without_mass_intervals_gives_ones():

@@ -13,7 +13,7 @@ import pytest
 from icrf import StepSurvival, oracle_errors
 from icrf.bench import ExperimentSpec
 from icrf.exceptions import InsufficientData
-from icrf.forest import imse1_on_rows, imse2_on_rows
+from icrf.forest import IMSE2_MASS_FLOOR, imse1_on_rows, imse2_on_rows
 
 TAU = 5.0
 ORACLE_GRID = np.linspace(0.0, TAU, 1001)
@@ -146,3 +146,23 @@ class TestImse2:
         ) / TAU
         got = imse2([curve], [1.0 * (1 - eps)], [1.0])
         assert np.isclose(got, want, rtol=5e-3)
+
+    @pytest.mark.parametrize("mass", [1e-6, 1e-3])
+    def test_rounding_in_a_row_is_not_amplified(self, mass):
+        # a row with little mass on (2, 3]: below IMSE2_MASS_FLOOR the
+        # projection is the uniform curve on the interval, which no change of
+        # the row moves; above it the renormalized row, which a change of one
+        # ulp moves by at most about eps**(3/4)
+        grid = np.linspace(0.0, TAU, 501)
+        row = np.where(grid <= 2.0, 0.9, 0.9 - mass * np.clip(grid - 2.0, 0.0, 1.0))
+        row = np.where(grid <= 4.0, row, row - 0.5 * (grid - 4.0))[None, :]
+        args = ([2.0], [3.0], TAU, grid)
+        got = imse2_on_rows(row, *args)
+        nudged = row.copy()
+        inside = (grid > 2.0) & (grid < 3.0)
+        nudged[0, inside] = np.nextafter(nudged[0, inside], 1.0)
+        assert abs(imse2_on_rows(nudged, *args) - got) <= np.finfo(float).eps ** 0.75
+        if mass < IMSE2_MASS_FLOOR:
+            uniform = np.interp(grid, [2.0, 3.0], [1.0, 0.0])
+            want = np.trapezoid((uniform - row[0]) ** 2, grid) / TAU
+            assert np.isclose(got, want, rtol=1e-12, atol=0.0)
