@@ -172,6 +172,18 @@ class LeafStore:
                    offsets([c.times for c in curves]), np.asarray(rates, dtype=float),
                    flat(members, np.int64), offsets(members))
 
+    @classmethod
+    def stack(cls, stores) -> LeafStore:
+        """The curves of ``stores``, store after store, in one store
+        without member ids."""
+        knots = np.cumsum([0] + [s.times.size for s in stores])
+        n = sum(s.n for s in stores)
+        return cls(np.concatenate([s.times for s in stores]),
+                   np.concatenate([s.values for s in stores]),
+                   np.concatenate([[0]] + [s.offsets[1:] + k for s, k in zip(stores, knots)]),
+                   np.concatenate([s.rates for s in stores]),
+                   np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64))
+
     @property
     def n(self) -> int:
         return self.offsets.size - 1

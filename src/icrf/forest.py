@@ -9,28 +9,42 @@ intervals (``curves.project_rows``); so does the IMSE2 monitor. The first
 row, OOB monitoring, smoothed prediction and variable importance smooth
 with the leaves' kernel, ``_leaf_rows``: one kernel column per distinct
 mass interval, and per curve the sum of its own masses times its own
-columns, so a leaf's row depends on that leaf alone. Prediction and OOB
-monitoring route first (``_routed_rows``) and smooth or interpolate only
-the leaves their rows reach, reading them straight from the tree's
-``LeafStore``; variable importance, which routes the whole sample many
-times, computes every leaf's row once.
+columns, so a leaf's row depends on that leaf alone. OOB monitoring
+routes each tree first (``_routed_rows``) and smooths or interpolates
+only the leaves its rows reach, reading them straight from the tree's
+``LeafStore``.
+
+Prediction and variable importance work on the fold as a whole, through
+its routing table (``ForestFold.routing``, a ``FoldRouting`` built on the
+fold's first such call and never saved): the trees' node arrays stacked
+into one, which ``tree.route`` walks for every tree at once, and all the
+fold's leaf curves in one ``LeafStore``. ``predict`` routes the queries
+through every tree in one pass and reads all the leaves they reach in one
+``_leaf_rows`` call, or in a few when the rows would pass GATHER_BUDGET
+grid values (``_reached_sum``); variable importance, which routes the
+whole sample many times, computes every leaf's row once, in the same
+bounded groups. Either adds each query's rows tree by tree, in tree
+order, so its answer is that of a loop over the trees, bit for bit.
 
 The columns live in one table per call, a dict from interval to column
 for the call's single bandwidth and grid: ``fit`` keeps one for the
-monitor grid through all its folds and tree batches (a batch sent to a
-worker process fills its own copy), and ``predict``, ``oob_error`` and
-``variable_importance`` each make one that the fold's trees share. An
-interval is therefore smoothed once per call, not once per tree; no table
-outlives its call. A column is a pure function of its interval, the
-bandwidth and the grid, so rows, OOB errors and model files are the same,
-bit for bit, whichever table computed it and whatever the worker count.
+monitor grid through all its folds and tree batches (with n_jobs > 1,
+one process pool serves the fit, and each worker keeps its own table for
+it), and ``predict``, ``oob_error`` and ``variable_importance`` each make
+one that the fold's trees share. An interval is therefore smoothed once
+per call, not once per tree; no table outlives its call. A column is a
+pure function of its interval, the bandwidth and the grid, so rows, OOB
+errors and model files are the same, bit for bit, whichever table
+computed it and whatever the worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +69,7 @@ from .smooth import (  # noqa: F401
     mass_intervals_of,
     smoothed_values_matrix,
 )
-from .tree import Tree, TreeParams, fold_context, grow_tree_ctx, support_bound_of
+from .tree import Tree, TreeParams, fold_context, grow_tree_ctx, route, support_bound_of
 
 MONITOR_GRID_N = 201  # trapezoid resolution for smoothed-curve metrics
 GRID_REFINE_N = 64  # uniform refinement of (0, tau] added to the knot grid
@@ -67,6 +81,10 @@ METRICS = ("imse1", "imse2")  # OOB monitoring and importance metrics
 # row by at most about eps**(3/4) ~ 1.8e-12
 IMSE2_MASS_FLOOR = np.finfo(float).eps ** 0.25
 UPDATE_MODES = ("full", "oob")  # carried curves from all trees, or from OOB trees only
+# the most grid values (leaf rows x grid points) one ``_leaf_rows`` call of a
+# fold-level predict or importance computes, 8 MB of rows: a one-query
+# predict is one call up to 10,000 trees on a 101-point grid
+GATHER_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -97,6 +115,51 @@ class ForestParams:
             )
 
 
+@dataclass(frozen=True)
+class FoldRouting:
+    """A fold's trees as one routing table: their node arrays stacked tree
+    after tree, child numbers shifted to the stacked positions, with each
+    tree's root and, at each leaf node, the fold-wide number of its leaf;
+    and every leaf curve of the fold in one ``LeafStore``, numbered tree
+    after tree (tree t's leaves are leaf_start[t]:leaf_start[t + 1]). The
+    store is a copy of the trees' curves, so a fold that has predicted
+    holds its leaf curves twice."""
+
+    feature: np.ndarray
+    cutoff: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+    leaf: np.ndarray
+    leaf_start: np.ndarray
+    store: LeafStore
+
+    @classmethod
+    def of(cls, trees) -> FoldRouting:
+        sizes = [t.feature.size for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        leaf_start = np.cumsum([0] + [t.n_leaves for t in trees])
+        node_shift = np.repeat(roots, sizes)
+        leaf_shift = np.repeat(leaf_start[:-1], sizes)
+
+        def stacked(name):
+            return np.concatenate([getattr(t, name) for t in trees])
+
+        split = stacked("feature") >= 0
+        return cls(stacked("feature"), stacked("cutoff"),
+                   np.where(split, stacked("left") + node_shift, -1),
+                   np.where(split, stacked("right") + node_shift, -1), roots,
+                   np.where(split, -1, stacked("leaf_idx") + leaf_shift), leaf_start,
+                   LeafStore.stack([t.store for t in trees]))
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Fold-wide leaf number of each row of X in each tree: an array
+        (trees, rows), each row ``Tree.apply`` of its tree shifted by the
+        tree's leaf_start."""
+        node = route(self.feature, self.cutoff, self.left, self.right, X, self.roots)
+        return self.leaf[node].reshape(self.roots.size, X.shape[0])
+
+
 @dataclass
 class ForestFold:
     fold_index: int
@@ -106,6 +169,12 @@ class ForestFold:
     @property
     def oob_error(self) -> float:
         return float(np.nanmean(self.per_tree_oob))
+
+    @cached_property
+    def routing(self) -> FoldRouting:
+        """The fold's routing table, built on first use (a fold's first
+        predict or importance call) and never saved."""
+        return FoldRouting.of(self.trees)
 
 
 @dataclass
@@ -256,12 +325,51 @@ def _routed_rows(tree, leaf_of, grid, h: float | None, columns=None) -> np.ndarr
     return _leaf_rows(tree.store, grid, h, reached, columns)[slot[leaf_of]]
 
 
-def _forest_rows(trees, leaf_rows, X) -> np.ndarray:
-    """Equal-weight average over trees of the rows of the leaves X routes to."""
-    acc = np.zeros((X.shape[0], leaf_rows[0].shape[1]))
-    for tree, rows in zip(trees, leaf_rows):
-        acc += rows[tree.apply(X)]
-    return acc / len(trees)
+def _group_size(grid) -> int:
+    """Leaf rows per ``_leaf_rows`` call of a fold-level read: as many as
+    GATHER_BUDGET grid values hold, and one at least."""
+    return max(1, GATHER_BUDGET // max(grid.size, 1))
+
+
+def _reached_sum(table: FoldRouting, leaf_of, grid, h: float | None) -> np.ndarray:
+    """Sum over the fold's trees, in tree order, of the row (``_leaf_rows``)
+    of the leaf each query reaches; ``leaf_of`` holds the fold-wide leaf
+    numbers, (trees, queries). Only the reached leaves are read, in groups
+    of at most GATHER_BUDGET grid values, each group one ``_leaf_rows``
+    call and all of them one column table. A tree whose reached leaves
+    fall in two groups adds each query's row from the group that holds
+    it, so every query still takes its trees' rows in tree order."""
+    n_leaves = table.store.n
+    reached = np.flatnonzero(np.bincount(leaf_of.ravel(), minlength=n_leaves))
+    slot = np.zeros(n_leaves, dtype=np.intp)
+    slot[reached] = np.arange(reached.size)
+    # tree t's reached leaves hold the slots bounds[t]:bounds[t + 1]
+    bounds = np.searchsorted(reached, table.leaf_start).tolist()
+    step = _group_size(grid)
+    acc = np.zeros((leaf_of.shape[1], grid.size))
+    columns, lo = {}, None
+    for t, at in enumerate(slot[leaf_of]):
+        a, b = bounds[t], bounds[t + 1]
+        for g in range(a // step, (b - 1) // step + 1):
+            if g * step != lo:
+                lo = g * step
+                rows = _leaf_rows(table.store, grid, h, reached[lo:lo + step], columns)
+            if lo <= a and b <= lo + step:
+                acc += rows[at - lo]
+            else:
+                part = (at >= lo) & (at < lo + step)
+                acc[part] += rows[at[part] - lo]
+    return acc
+
+
+def _forest_rows(table: FoldRouting, rows, X) -> np.ndarray:
+    """Equal-weight average over the fold's trees of the rows (``rows``,
+    one per fold-wide leaf) of the leaves X routes to."""
+    leaf_of = table.apply(X)
+    acc = np.zeros((X.shape[0], rows.shape[1]))
+    for tree_leaves in leaf_of:
+        acc += rows[tree_leaves]
+    return acc / leaf_of.shape[0]
 
 
 def _tree_oob_error(tree, leaf_of, lefts, rights, tau, h, grid, metric, columns) -> float:
@@ -275,8 +383,20 @@ def _tree_oob_error(tree, leaf_of, lefts, rights, tau, h, grid, metric, columns)
 # -- tree batch construction -------------------------------------------------
 
 
+_worker_columns: dict = {}  # a worker process's column table for the fit its pool serves
+
+
+def _init_worker():
+    global _worker_columns
+    _worker_columns = {}
+
+
 def _build_tree_batch(args):
+    """One batch of a fold's trees. ``columns`` is the fit's monitor-grid
+    column table when the batch runs in the fitting process, or None in a
+    worker process, which then uses its own table (``_init_worker``)."""
     (ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode) = args
+    columns = _worker_columns if columns is None else columns
     n = ctx.n
     trees, oob_errs = [], []
     pred_sum = np.zeros((n, ctx.grid.size))
@@ -353,37 +473,37 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
         base_rows = _leaf_rows(marginal_store, grid, None)
 
     # the fit's one table of monitor-grid columns (``_leaf_rows``): every
-    # batch and fold run in this process shares it, and a batch sent to a
-    # worker process fills its own copy; a column is the same whichever
-    # table computed it
+    # batch and fold run in this process shares it. With n_jobs > 1 one
+    # pool serves the whole fit, and each of its worker processes keeps its
+    # own table for it; a column is the same whichever table computed it
     columns = {}
     folds: list[ForestFold] = []
     leaf_gaps: list[float] = []
-    for k in range(1, params.n_fold + 1):
-        s_l, s_r = endpoint_values_on_grid(base_rows, data.lefts, data.rights, grid)
-        carried = project_rows(base_rows, s_l, s_r, data.lefts, data.rights, grid, data.tau)
-        ctx = fold_context(data, grid, np.minimum.accumulate(carried, axis=1), s_l, s_r)
-        jobs = [
-            (ctx, params.tree, params.seed, k, list(range(b0, min(b0 + TREE_BATCH, params.n_tree))),
-             s_size, h, mgrid, columns, params.monitor_metric, params.update_curves)
-            for b0 in range(0, params.n_tree, TREE_BATCH)
-        ]
-        if params.n_jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(params.n_jobs) as pool:
-                results = list(pool.map(_build_tree_batch, jobs))
-        else:
-            results = [_build_tree_batch(j) for j in jobs]
-
-        trees = [tree for r in results for tree in r[0]]
-        folds.append(ForestFold(k, trees, np.asarray([e for r in results for e in r[1]])))
-        leaf_gaps += [g for r in results for g in r[5]]
-        # results are in batch order, so batch sums are added in that
-        # order whatever the worker count
-        base_rows = sum(r[2] for r in results) / params.n_tree
-        if params.update_curves == "oob":
-            oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (3, 4))
-            have = oob_cnt > 0
-            base_rows[have] = oob_sum[have] / oob_cnt[have, None]
+    parallel = params.n_jobs > 1
+    pool = (concurrent.futures.ProcessPoolExecutor(params.n_jobs, initializer=_init_worker)
+            if parallel else contextlib.nullcontext())
+    with pool:
+        for k in range(1, params.n_fold + 1):
+            s_l, s_r = endpoint_values_on_grid(base_rows, data.lefts, data.rights, grid)
+            carried = project_rows(base_rows, s_l, s_r, data.lefts, data.rights, grid, data.tau)
+            ctx = fold_context(data, grid, np.minimum.accumulate(carried, axis=1), s_l, s_r)
+            jobs = [
+                (ctx, params.tree, params.seed, k,
+                 list(range(b0, min(b0 + TREE_BATCH, params.n_tree))), s_size, h, mgrid,
+                 None if parallel else columns, params.monitor_metric, params.update_curves)
+                for b0 in range(0, params.n_tree, TREE_BATCH)
+            ]
+            results = list((pool.map if parallel else map)(_build_tree_batch, jobs))
+            trees = [tree for r in results for tree in r[0]]
+            folds.append(ForestFold(k, trees, np.asarray([e for r in results for e in r[1]])))
+            leaf_gaps += [g for r in results for g in r[5]]
+            # results are in batch order, so batch sums are added in that
+            # order whatever the worker count
+            base_rows = sum(r[2] for r in results) / params.n_tree
+            if params.update_curves == "oob":
+                oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (3, 4))
+                have = oob_cnt > 0
+                base_rows[have] = oob_sum[have] / oob_cnt[have, None]
 
     _warn_uncertified(marginal_fit.kkt_gap, leaf_gaps)
     errors = np.asarray([f.oob_error for f in folds])
@@ -413,10 +533,13 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     """Survival values on ``grid`` for each query row of X: the
     equal-weight average of the routed (smoothed) leaf curves.
 
-    Each tree routes X first and smooths (or interpolates) only the
-    leaves the queries reach. A leaf's row depends on that leaf, the grid
-    and the bandwidth alone, so a query's row is the same, bit for bit,
-    whichever other queries share the call.
+    X is routed through all of the fold's trees in one pass (the fold's
+    routing table), and only the leaves the queries reach are smoothed (or
+    interpolated), all of them in one ``_leaf_rows`` call unless their rows
+    pass GATHER_BUDGET values; each query's rows are then added tree by
+    tree. A leaf's row depends on that leaf, the grid and the bandwidth
+    alone, so a query's row is the same, bit for bit, whichever other
+    queries share the call, and equals the loop over the trees.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != len(model.feature_names):
@@ -429,11 +552,8 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     if not np.all(np.isfinite(grid)):
         raise InvariantViolation("prediction grid must be finite")
     fobj = _check_fold(model, fold)
-    h = model.h if smoothed else None
-    columns = {}  # the call's column table, shared by the fold's trees
-    acc = np.zeros((X.shape[0], grid.size))
-    for tree in fobj.trees:
-        acc += _routed_rows(tree, tree.apply(X), grid, h, columns)
+    table = fobj.routing
+    acc = _reached_sum(table, table.apply(X), grid, model.h if smoothed else None)
     return acc / len(fobj.trees)
 
 
@@ -476,13 +596,17 @@ def variable_importance(
 ) -> ImportanceResult:
     """Mean increase in the metric when one covariate column is permuted
     across the sample, per feature; raw plus max-rescaled values."""
-    fobj = _check_fold(model, None)
+    table = _check_fold(model, None).routing
     grid = monitor_grid(model.tau)
-    columns = {}
-    rows_by_tree = [_leaf_rows(t.store, grid, model.h, columns=columns) for t in fobj.trees]
+    # every leaf's row, computed in groups of at most GATHER_BUDGET values
+    store, step, columns = table.store, _group_size(grid), {}
+    leaf_rows = np.empty((store.n, grid.size))
+    for lo in range(0, store.n, step):
+        idx = np.arange(lo, min(lo + step, store.n))
+        leaf_rows[idx] = _leaf_rows(store, grid, model.h, idx, columns)
 
     def metric_of(X):
-        rows = _forest_rows(fobj.trees, rows_by_tree, X)
+        rows = _forest_rows(table, leaf_rows, X)
         return _monitor_error(metric, rows, data.lefts, data.rights, data.tau, grid)
 
     base = metric_of(data.X)

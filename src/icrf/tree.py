@@ -5,14 +5,16 @@ cut-off drawn uniformly from the open interval between its in-node min
 and max; candidates whose children would fall below n_min are invalid;
 the best-scoring valid candidate wins (first index on ties). A node is
 terminal when its size is below 2*n_min, no valid candidate exists, or
-every candidate scores zero.
+every candidate scores zero; an SWRS/SLR difference of mean scores within
+rounding residue (``SCORE_RESIDUE``) scores zero.
 
 The tree reads everything from its fold's ``FoldContext``: the carried
 full-conditional curves as a value matrix on one shared knot grid and the
 per-subject SWRS/SLR scores. Each candidate split is scored once by
-``_node_score`` and ``Tree.apply`` routes rows to leaves. A leaf is
-quasi-honest (the NPMLE of the members' raw intervals) or exploitative
-(the mean of the members' carried curves).
+``_node_score``. ``route`` is the one routing loop: ``Tree.apply`` routes
+rows through one tree with it, and a forest fold through all its trees at
+once. A leaf is quasi-honest (the NPMLE of the members' raw intervals) or
+exploitative (the mean of the members' carried curves).
 
 A tree holds its leaf curves and member ids column-wise, in one
 ``curves.LeafStore``. Growth only collects each leaf's members; the store
@@ -44,6 +46,12 @@ EXPLOITATIVE = "exploitative"
 PREDICTIONS = (QUASI_HONEST, EXPLOITATIVE)
 
 LEAF_MASS_TOL = 1e-15
+ROOT = np.zeros(1, dtype=np.intp)  # the root node of a single tree's arrays
+# SWRS/SLR: a difference of group mean scores at or below SCORE_RESIDUE times
+# the node's sum of |score| is rounding residue and scores 0. Where all of a
+# node's subjects carry one score s, the rounding of the sums leaves up to
+# about 0.7 * size * eps * |s| (measured over sizes 12 to 1000)
+SCORE_RESIDUE = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -130,15 +138,37 @@ class Tree:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for each row of X (x <= cutoff routes left)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        idx = np.zeros(X.shape[0], dtype=np.int32)
-        active = self.feature[idx] >= 0
-        while active.any():
-            rows = np.nonzero(active)[0]
-            nodes = idx[rows]
-            go_left = X[rows, self.feature[nodes]] <= self.cutoff[nodes]
-            idx[rows] = np.where(go_left, self.left[nodes], self.right[nodes])
-            active[rows] = self.feature[idx[rows]] >= 0
-        return self.leaf_idx[idx]
+        return self.leaf_idx[route(self.feature, self.cutoff, self.left, self.right, X, ROOT)]
+
+
+def route(feature, cutoff, left, right, X: np.ndarray, roots) -> np.ndarray:
+    """The leaf node each row of X reaches in each tree whose root is in
+    ``roots``, tree after tree: an array of len(roots) * X.shape[0] node
+    numbers. The node arrays are one tree's, or several trees' stacked
+    with their child numbers shifted to the stacked positions; feature
+    -1 marks a leaf node, and x <= cutoff routes left.
+
+    One level-synchronous loop moves every (tree, row) pair that is still
+    at a split node one level down; a pair drops out of the active set
+    once it reaches a leaf."""
+    n = X.shape[0]
+    node = np.repeat(np.asarray(roots, dtype=np.intp), n)
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = X[active % n, feature[at]] <= cutoff[at]
+        node[active] = np.where(go_left, left[at], right[at])
+        active = active[feature[node[active]] >= 0]
+    return node
+
+
+def _node_arrays(kind: str, rows: np.ndarray) -> tuple:
+    """What ``_node_score`` reads of a node, from its subjects' carried
+    values on the split columns (GWRS, GLR) or their scores (SWRS, SLR):
+    those, their total and, for scores, the bound of rounding residue."""
+    if kind in (GWRS, GLR):
+        return rows, rows.sum(axis=0)
+    return rows, rows.sum(), SCORE_RESIDUE * np.abs(rows).sum()
 
 
 def _node_score(rule: SplitRule, ctx_arrays, mask: np.ndarray, counts) -> float:
@@ -153,9 +183,10 @@ def _node_score(rule: SplitRule, ctx_arrays, mask: np.ndarray, counts) -> float:
             return abs(gwrs_from_sums(left_sum, n_left, right_sum, n_right) - 0.5)
         stat = glr_from_sums(left_sum, n_left, right_sum, n_right, sign=rule.glr_sign)
         return 0.0 if np.isnan(stat) else abs(stat)
-    scores, total = ctx_arrays
+    scores, total, residue = ctx_arrays
     left_sum = mask @ scores
-    return abs(left_sum / n_left - (total - left_sum) / n_right)
+    diff = abs(left_sum / n_left - (total - left_sum) / n_right)
+    return 0.0 if diff <= residue else diff
 
 
 def curve_from_grid_values(grid: np.ndarray, rows: np.ndarray):
@@ -287,12 +318,8 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
             continue
 
         xn = ctx.X[members]
-        if kind in (GWRS, GLR):
-            vn = ctx.values[members, split_cols]
-            node_arrays = (vn, vn.sum(axis=0))
-        else:
-            scores = (ctx.sw if kind == SWRS else ctx.slr)[members]
-            node_arrays = (scores, scores.sum())
+        node_arrays = _node_arrays(kind, ctx.values[members, split_cols] if kind in (GWRS, GLR)
+                                   else (ctx.sw if kind == SWRS else ctx.slr)[members])
 
         feats = rng.choice(ctx.p, size=mtry, replace=False)
         best = (0.0, None)  # (score, (f, c, mask))

@@ -12,7 +12,10 @@ one), and a keep-mask over grid cells for exploitative leaves. The
 closed-form NPMLE of one or two maximal intersections is checked against
 the iterative Newton path (``newton_fit``), and a tree's leaf store, built
 for all leaves at once, against each leaf's curve built on its own
-(``terminal_curve``).
+(``terminal_curve``). Fold-level prediction, which routes all of a fold's
+trees at once and reads their reached leaves together, is checked against
+the loop over trees (``predict_per_tree``), and its routing against a
+walk down each tree, row by row (``route_loop``).
 """
 
 from __future__ import annotations
@@ -339,3 +342,33 @@ def terminal_curve(ctx, members, prediction: str):
                           np.minimum(ctx.rights[members], ctx.support_bound)).curve
     mean = ctx.values[members].mean(axis=0)
     return StepSurvival(*curve_from_grid_values_mask(ctx.grid, mean))
+
+
+def predict_per_tree(model, X, grid, fold=None, smoothed: bool = True):
+    """``forest.predict`` tree by tree: each tree routes X on its own
+    (``Tree.apply``) and reads the leaves it reached (``_routed_rows``),
+    with one column table for the call, and the rows are added in tree
+    order."""
+    from icrf.forest import _routed_rows
+
+    trees = model.folds[(model.k_opt if fold is None else fold) - 1].trees
+    X, grid = np.atleast_2d(np.asarray(X, dtype=float)), np.asarray(grid, dtype=float)
+    h = model.h if smoothed else None
+    columns = {}
+    acc = np.zeros((X.shape[0], grid.size))
+    for tree in trees:
+        acc += _routed_rows(tree, tree.apply(X), grid, h, columns)
+    return acc / len(trees)
+
+
+def route_loop(tree, X):
+    """The leaf number each row of X reaches in ``tree``, walking its node
+    arrays one row at a time (x <= cutoff routes left)."""
+    out = np.empty(len(X), dtype=np.int64)
+    for i, x in enumerate(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.cutoff[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[i] = tree.leaf_idx[node]
+    return out

@@ -30,6 +30,7 @@ from icrf.curves import refine_uniform
 from icrf.forest import METRICS, _monitor_error, monitor_grid
 from icrf.npmle import npmle_fit
 
+from _oracles import predict_per_tree, route_loop
 from test_tree import tree_predict
 from icrf.exceptions import (
     DimensionMismatch,
@@ -297,7 +298,7 @@ def all_leaves_prediction(model, X, grid, smoothed):
     fold = model.folds[model.k_opt - 1]
     h = model.h if smoothed else None
     rows = [forest_mod._leaf_rows(t.store, grid, h) for t in fold.trees]
-    return forest_mod._forest_rows(fold.trees, rows, X)
+    return sum(r[t.apply(X)] for t, r in zip(fold.trees, rows)) / len(fold.trees)
 
 
 @pytest.mark.parametrize("smoothed", [True, False], ids=["smoothed", "raw"])
@@ -350,6 +351,105 @@ def test_predict_smooths_a_column_shared_by_two_trees_once(sim, leaf_kind_models
     for tree in m.folds[m.k_opt - 1].trees:  # each tree on its own
         forest_mod._routed_rows(tree, tree.apply(X), grid, m.h)
     assert len(in_call) == len(set(in_call)) == len(set(computed)) < len(computed)
+
+
+@pytest.mark.parametrize("smoothed", [True, False], ids=["smoothed", "raw"])
+@pytest.mark.parametrize("kind", ["quasi_honest", "exploitative"])
+class TestFoldLevelPredict:
+    """predict routes all of a fold's trees at once and reads every reached
+    leaf together; its answers are those of the loop over trees, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_tree_loop(self, sim, leaf_kind_models, kind, smoothed, data):
+        m = leaf_kind_models[kind]
+        X = sim.dataset.X
+        idx = np.asarray(data.draw(st.lists(st.integers(0, X.shape[0] - 1), max_size=20)),
+                         dtype=int)
+        fold = data.draw(st.integers(1, len(m.folds)))
+        grid = np.linspace(0.0, 5.0, data.draw(st.integers(1, 41)))
+        for Q in (X[idx], X[:0]):
+            assert np.array_equal(predict(m, Q, grid, fold=fold, smoothed=smoothed),
+                                  predict_per_tree(m, Q, grid, fold=fold, smoothed=smoothed))
+
+    @pytest.mark.parametrize("leaves_per_group", [1, 3, 0])
+    def test_gather_budget_leaves_bits_unchanged(self, sim, leaf_kind_models, kind, smoothed,
+                                                 leaves_per_group, monkeypatch):
+        # groups of one leaf, groups that end inside a tree's reached leaves,
+        # and a budget below one row, which still takes one leaf at a time
+        m = leaf_kind_models[kind]
+        X, grid = sim.dataset.X, np.linspace(0.0, 5.0, 41)
+        want = predict(m, X, grid, smoothed=smoothed)
+        budget = leaves_per_group * grid.size or 1
+        sizes, real = [], forest_mod._leaf_rows
+
+        def spy(store, grid, h, idx=None, columns=None):
+            sizes.append(idx.size * grid.size)
+            return real(store, grid, h, idx, columns)
+
+        monkeypatch.setattr(forest_mod, "GATHER_BUDGET", budget)
+        monkeypatch.setattr(forest_mod, "_leaf_rows", spy)
+        assert np.array_equal(predict(m, X, grid, smoothed=smoothed), want)
+        assert len(sizes) > len(m.folds[m.k_opt - 1].trees)
+        assert max(sizes) <= max(budget, grid.size)
+
+    def test_one_query_is_one_gather(self, sim, leaf_kind_models, kind, smoothed, monkeypatch):
+        m = leaf_kind_models[kind]
+        calls, real = [], forest_mod._leaf_rows
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(forest_mod, "_leaf_rows", spy)
+        predict(m, sim.dataset.X[:1], np.linspace(0.0, 5.0, 41), smoothed=smoothed)
+        assert len(calls) == 1
+
+
+def test_fold_routing_equals_each_tree_apply(sim, leaf_kind_models):
+    for m in leaf_kind_models.values():
+        for fold in m.folds:
+            table = fold.routing
+            for X in (sim.dataset.X, sim.dataset.X[:1], sim.dataset.X[:0]):
+                leaf_of = table.apply(X)
+                assert leaf_of.shape == (len(fold.trees), X.shape[0])
+                for t, tree in enumerate(fold.trees):
+                    want = route_loop(tree, X)
+                    assert np.array_equal(tree.apply(X), want)
+                    assert np.array_equal(leaf_of[t] - table.leaf_start[t], want)
+
+
+def test_gather_budget_leaves_importance_unchanged(sim, model, monkeypatch):
+    want = variable_importance(model, sim.dataset, n_perm=1, seed=3).raw
+    monkeypatch.setattr(forest_mod, "GATHER_BUDGET", 1)
+    assert np.array_equal(variable_importance(model, sim.dataset, n_perm=1, seed=3).raw, want)
+
+
+def test_load_model_builds_no_routing_table(sim, model, tmp_path):
+    path = tmp_path / "m.bin"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert not any("routing" in vars(f) for f in loaded.folds)
+    predict(loaded, sim.dataset.X[:2], np.linspace(0.0, 5.0, 11))
+    assert ["routing" in vars(f) for f in loaded.folds] == [
+        f.fold_index == loaded.k_opt for f in loaded.folds]
+
+
+def test_one_worker_pool_per_fit(sim, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    fit(sim.dataset, ForestParams(n_tree=10, n_fold=3, seed=9, n_jobs=2))
+    assert len(pools) == 1
+    fit(sim.dataset, ForestParams(n_tree=10, n_fold=3, seed=9, n_jobs=1))
+    assert len(pools) == 1
 
 
 class TestImportance:

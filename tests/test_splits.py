@@ -72,13 +72,13 @@ def node_score(kind: str, t1, t2) -> float:
     mask = np.concatenate([np.ones(n1), np.zeros(len(t2))])
     grid, (values,) = read_on_knots([curves], TAU)
     if kind in ("GWRS", "GLR"):
-        arrays = (values, values.sum(axis=0))
+        rows = values
     else:
         lefts, rights = np.asarray([encode_exact(t) for t in times]).T
         s_l, s_r = endpoint_values_on_grid(values, lefts, rights, grid)
-        scores = (swrs_scores if kind == SWRS else slr_scores)(s_l, s_r)
-        arrays = (scores, scores.sum())
-    return tree_mod._node_score(SplitRule(kind), arrays, mask, (n1, len(t2)))
+        rows = (swrs_scores if kind == SWRS else slr_scores)(s_l, s_r)
+    return tree_mod._node_score(SplitRule(kind), tree_mod._node_arrays(kind, rows), mask,
+                                (n1, len(t2)))
 
 
 class TestGwrs:

@@ -11,7 +11,7 @@ from icrf import (Dataset, ForestFold, ForestParams, IcrfModel, StepSurvival, Sp
                   TreeParams, predict)
 from icrf.dataio import encode_exact
 from icrf.exceptions import DimensionMismatch, InsufficientData
-from icrf.tree import EXPLOITATIVE, QUASI_HONEST, grow_tree_ctx
+from icrf.tree import EXPLOITATIVE, QUASI_HONEST, fold_context, grow_tree_ctx
 
 from _oracles import curve_context, random_step_curve, terminal_curve
 
@@ -153,6 +153,21 @@ class TestGrowth:
                        TreeParams(), seeded(7))
         np.testing.assert_array_equal(t1.feature, t2.feature)
         np.testing.assert_array_equal(t1.cutoff, t2.cutoff)
+
+    @pytest.mark.parametrize("rule", ["SWRS", "SLR"])
+    def test_one_score_for_all_subjects_gives_one_leaf(self, rule):
+        # every subject carries the same inexact score, so the group means
+        # differ by rounding residue alone, which must not split the node
+        n = 200
+        rng = seeded(5)
+        lefts = rng.uniform(0.0, 3.0, n)
+        data = Dataset(lefts, lefts + rng.uniform(0.1, 2.0, n), rng.uniform(size=(n, 3)),
+                       ["x1", "x2", "x3"], TAU)
+        grid = np.linspace(0.05, TAU, 100)
+        ctx = fold_context(data, grid, np.tile(np.linspace(1.0, 0.0, 100), (n, 1)),
+                           np.full(n, 0.7), np.full(n, 0.1))
+        tree = grow_tree_ctx(ctx, np.arange(n), TreeParams(rule=SplitRule(rule)), seeded(1))
+        assert tree.n_leaves == 1
 
     def test_all_rules_grow(self):
         rng = np.random.default_rng(33)
