@@ -40,6 +40,7 @@ from .splits import SplitRule
 from .tree import TreeParams
 
 TRUTH_GRID_N = 1001
+MAX_GRID_N = 100_000  # the most points a --grid may ask for
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -49,8 +50,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ParseError(f"grid must be start:stop:step, got {spec!r}") from None
     if not np.all(np.isfinite([start, stop, step])) or step <= 0 or stop < start:
         raise ParseError(f"bad grid spec {spec!r}")
-    num = int(round((stop - start) / step)) + 1
-    return np.linspace(start, stop, num)
+    span = (stop - start) / step  # inf when the step is tiny against the range
+    if not span <= MAX_GRID_N - 1:
+        raise ParseError(f"grid {spec!r} asks for {span + 1:.6g} points, more than {MAX_GRID_N}")
+    return np.linspace(start, stop, int(round(span)) + 1)
 
 
 def _given(cls, cfg: dict) -> dict:
@@ -94,14 +97,16 @@ def cmd_fit(args) -> int:
 def _load_query(path: str, p: int) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)  # header
+        if next(reader, None) is None:
+            raise ParseError(f"{path}: empty query file, expected a header row")
         try:
             rows = [[float(v) for v in row] for row in reader]
         except ValueError as e:
             raise ParseError(f"{path}:{reader.line_num}: {e}") from None
     if any(len(r) != p for r in rows):
         raise ParseError(f"{path}: expected {p} covariate columns")
-    return np.asarray(rows, dtype=float)
+    # a header-only file is zero queries
+    return np.asarray(rows, dtype=float).reshape(len(rows), p)
 
 
 def cmd_predict(args) -> int:
@@ -219,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="emit survival curves for queries")
     p.add_argument("--model", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--grid", required=True, help="start:stop:step")
+    p.add_argument("--grid", required=True,
+                   help=f"start:stop:step, at most {MAX_GRID_N} points")
     p.add_argument("--smoothed", action="store_true")
     p.add_argument("--fold", type=int, default=None)
     p.add_argument("--out", required=True)

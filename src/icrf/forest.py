@@ -524,8 +524,10 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
 
 def _check_fold(model: IcrfModel, fold: int | None) -> ForestFold:
     f = model.k_opt if fold is None else fold
-    if not 1 <= f <= len(model.folds):
-        raise InvalidFold(f"fold must be in 1..{len(model.folds)}, got {f}")
+    # a bool is an int to Python, but True is no fold number
+    integer = isinstance(f, (int, np.integer)) and not isinstance(f, bool)
+    if not integer or not 1 <= f <= len(model.folds):
+        raise InvalidFold(f"fold must be an integer in 1..{len(model.folds)}, got {f!r}")
     return model.folds[f - 1]
 
 
@@ -542,6 +544,8 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     queries share the call, and equals the loop over the trees.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2:
+        raise DimensionMismatch(f"query X must be 2-D (queries x features), got shape {X.shape}")
     if X.shape[1] != len(model.feature_names):
         raise DimensionMismatch(
             f"query has {X.shape[1]} features, model expects {len(model.feature_names)}"
@@ -549,6 +553,8 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     if not np.all(np.isfinite(X)):
         raise InvariantViolation("query covariates must be finite")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.ndim != 1:
+        raise InvariantViolation(f"prediction grid must be 1-D, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise InvariantViolation("prediction grid must be finite")
     fobj = _check_fold(model, fold)

@@ -27,6 +27,10 @@ from .curves import REFINE_PER_GAP, StepSurvival, narrow_gaps
 from .exceptions import DegenerateQuantiles
 
 TAIL_ATOMS = 64
+# the most kernel values (curves x grid points x atoms) one step of
+# ``smoothed_values_matrix`` evaluates, 512 KB per array: large enough that
+# the per-step cost vanishes, small enough to stay in cache
+KERNEL_BLOCK = 1 << 16
 
 
 def mass_intervals(base: StepSurvival):
@@ -173,14 +177,24 @@ def smoothed_values_matrix(
     """Evaluate many smoothed curves on one grid; rows follow the inputs.
 
     The one implementation of the mirror-form evaluation: SmoothedSurvival.eval
-    calls it for a single curve, the forest for its leaf curves.
+    calls it for a single curve, the forest for its kernel columns.
+
+    Curves with the same number of atoms are evaluated together, in blocks
+    of at most KERNEL_BLOCK kernel values (curves x grid points x atoms):
+    the kernel is elementwise, and a stacked matrix product takes each
+    curve's (grid points x atoms) @ (atoms) product on its own, so every
+    row is what the curve alone gives, bit for bit.
     """
-    out = np.empty((len(atom_locs), grid.size))
-    for i, (locs, masses) in enumerate(zip(atom_locs, atom_masses)):
-        if locs.size == 0:
-            out[i] = 1.0
-            continue
-        direct = ndtr((grid[:, None] - locs[None, :]) / h)
-        mirror = ndtr((-grid[:, None] - locs[None, :]) / h)
-        out[i] = 1.0 - (direct - mirror) @ masses
+    out = np.ones((len(atom_locs), grid.size))
+    sizes = [locs.size for locs in atom_locs]
+    for size in sorted(set(sizes) - {0}):
+        rows = [i for i, s in enumerate(sizes) if s == size]
+        step = max(1, KERNEL_BLOCK // max(grid.size * size, 1))
+        for lo in range(0, len(rows), step):
+            at = rows[lo:lo + step]
+            locs = np.concatenate([atom_locs[i] for i in at]).reshape(len(at), 1, size)
+            masses = np.concatenate([atom_masses[i] for i in at]).reshape(len(at), size, 1)
+            direct = ndtr((grid[:, None] - locs) / h)
+            mirror = ndtr((-grid[:, None] - locs) / h)
+            out[at] = 1.0 - ((direct - mirror) @ masses)[:, :, 0]
     return np.clip(out, 0.0, 1.0, out=out)

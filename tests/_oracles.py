@@ -15,7 +15,9 @@ for all leaves at once, against each leaf's curve built on its own
 (``terminal_curve``). Fold-level prediction, which routes all of a fold's
 trees at once and reads their reached leaves together, is checked against
 the loop over trees (``predict_per_tree``), and its routing against a
-walk down each tree, row by row (``route_loop``).
+walk down each tree, row by row (``route_loop``). The kernel evaluation,
+which stacks curves of one atom count, is checked against the loop that
+evaluates each curve on its own (``smoothed_values_loop``).
 """
 
 from __future__ import annotations
@@ -172,6 +174,22 @@ def smoothed_rows_per_curve(curves, grid, h):
 
     atoms = [curve_atoms(refine_uniform(c)) for c in curves]
     return smoothed_values_matrix([a[0] for a in atoms], [a[1] for a in atoms], h, grid)
+
+
+def smoothed_values_loop(atom_locs, atom_masses, h, grid):
+    """Each curve's mirror-form smoothed values on ``grid``, one curve at
+    a time: the loop that smooth.smoothed_values_matrix stacks."""
+    from scipy.special import ndtr
+
+    out = np.empty((len(atom_locs), grid.size))
+    for i, (locs, masses) in enumerate(zip(atom_locs, atom_masses)):
+        if locs.size == 0:
+            out[i] = 1.0
+            continue
+        direct = ndtr((grid[:, None] - locs[None, :]) / h)
+        mirror = ndtr((-grid[:, None] - locs[None, :]) / h)
+        out[i] = 1.0 - (direct - mirror) @ masses
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def read_on_knots(curve_lists, tau: float):

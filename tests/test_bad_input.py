@@ -1,16 +1,17 @@
 """Bad input through the API: non-finite numbers, a status other than 0
-or 1, malformed model headers and corrupted model arrays raise typed
-errors, never a bare ValueError, KeyError or IndexError, and are never
-read as something else."""
+or 1, malformed model headers, corrupted model arrays and predict
+arguments of the wrong shape or type raise typed errors, never a bare
+ValueError, TypeError, KeyError or IndexError, and are never read as
+something else."""
 
 import json
 
 import numpy as np
 import pytest
 
-from icrf import Dataset, load_csv, load_model
-from icrf.cli import _parse_grid
-from icrf.exceptions import InvariantViolation, ParseError
+from icrf import Dataset, load_csv, load_model, predict
+from icrf.cli import MAX_GRID_N, _parse_grid
+from icrf.exceptions import DimensionMismatch, InvalidFold, InvariantViolation, ParseError
 from icrf.serialize import MAGIC
 
 
@@ -18,6 +19,17 @@ from icrf.serialize import MAGIC
 def test_nonfinite_grid_is_parse_error(spec):
     with pytest.raises(ParseError):
         _parse_grid(spec)
+
+
+@pytest.mark.parametrize("spec", ["0:5:1e-9", "0:5:1e-320", "0:1:0.000001"])
+def test_grid_with_too_many_points_is_parse_error(spec):
+    # 0:5:1e-9 used to end in numpy's ArrayMemoryError
+    with pytest.raises(ParseError, match=f"more than {MAX_GRID_N}"):
+        _parse_grid(spec)
+
+
+def test_grid_at_the_point_cap_parses():
+    assert _parse_grid(f"0:{MAX_GRID_N - 1}:1").size == MAX_GRID_N
 
 
 @pytest.mark.parametrize("tau", [np.inf, np.nan])
@@ -145,3 +157,37 @@ def test_uncorrupted_model_file_loads(tmp_path, saved_model):
     path = tmp_path / "m.bin"
     path.write_bytes(saved_model)
     assert load_model(str(path)).folds[0].trees[0].n_leaves >= 2
+
+
+# -- predict arguments -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory, saved_model):
+    path = tmp_path_factory.mktemp("loaded") / "m.bin"
+    path.write_bytes(saved_model)
+    return load_model(str(path))
+
+
+# each: (predict keyword arguments, the error, a pattern of its message).
+# The 2-D grid used to raise numpy's broadcast (smoothed) or "too deep"
+# (raw) ValueError, the 3-D X a DimensionMismatch that counted its second
+# axis as features, the fractional fold a TypeError, and fold=True chose
+# fold 1.
+BAD_PREDICT = {
+    "grid_2d": (dict(grid=np.zeros((2, 3))), InvariantViolation, "1-D"),
+    "X_3d": (dict(X=np.zeros((1, 2, 10))), DimensionMismatch, "2-D"),
+    "fold_fraction": (dict(fold=1.5), InvalidFold, "integer"),
+    "fold_zero": (dict(fold=0), InvalidFold, "integer"),
+    "fold_bool": (dict(fold=True), InvalidFold, "integer"),
+}
+
+
+@pytest.mark.parametrize("smoothed", [True, False], ids=["smoothed", "raw"])
+@pytest.mark.parametrize("case", list(BAD_PREDICT))
+def test_bad_predict_argument_is_typed_error(loaded, case, smoothed):
+    kw, error, pattern = BAD_PREDICT[case]
+    args = dict(X=np.zeros((2, len(loaded.feature_names))), grid=np.linspace(0.0, 5.0, 11))
+    args.update(kw)
+    with pytest.raises(error, match=pattern):
+        predict(loaded, args["X"], args["grid"], fold=args.get("fold"), smoothed=smoothed)

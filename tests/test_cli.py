@@ -155,6 +155,24 @@ class TestPredict:
         diffs = np.abs(vsm[:, 1:-1] - vraw[:, 1:-1])[flat]
         assert diffs.max() < 1e-6
 
+    @pytest.mark.parametrize("smoothed", [True, False], ids=["smoothed", "raw"])
+    def test_header_only_query_gives_header_only_output(self, workspace, tmp_path, smoothed):
+        # it used to report a query of 0 features
+        query, out = tmp_path / "q0.csv", tmp_path / "o.csv"
+        query.write_text((workspace / "q.csv").read_text().splitlines()[0] + "\n")
+        flag = ["--smoothed"] if smoothed else []
+        assert run(["predict", "--model", workspace / "m.bin", "--query", query,
+                    "--grid", "0:5:1", "--out", out] + flag) == 0
+        assert out.read_text() == "query_id,t,survival\n"
+
+    def test_empty_query_file_is_parse_error(self, workspace, tmp_path, capsys):
+        query = tmp_path / "empty.csv"
+        query.write_text("")
+        assert run(["predict", "--model", workspace / "m.bin", "--query", query,
+                    "--grid", "0:5:1", "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse_error]: ") and str(query) in err
+
     def test_dimension_mismatch_exit_code(self, workspace, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2\n0.0,0.0\n")
@@ -191,6 +209,12 @@ class TestBadInput:
         assert run(["predict", "--model", workspace / "m.bin", "--query", workspace / "q.csv",
                     "--grid", spec, "--out", tmp_path / "o.csv"]) == 1
         assert "error[parse_error]" in capsys.readouterr().err
+
+    def test_grid_with_too_many_points(self, workspace, tmp_path, capsys):
+        # it used to end in numpy's ArrayMemoryError
+        assert run(["predict", "--model", workspace / "m.bin", "--query", workspace / "q.csv",
+                    "--grid", "0:5:1e-9", "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error[parse_error]: ")
 
     def test_nonfinite_tau(self, workspace, tmp_path, capsys):
         assert run(["fit", "--data", workspace / "d.csv", "--tau", "inf",

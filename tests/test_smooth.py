@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import icrf.smooth as smooth_mod
 from icrf import StepSurvival, bandwidth, smooth_curve
 from icrf.exceptions import DegenerateQuantiles
 
-from _oracles import random_step_curve
+from _oracles import random_step_curve, smoothed_values_loop
 
 
 class TestBandwidth:
@@ -103,3 +106,26 @@ class TestSmoothCurve:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(DegenerateQuantiles):
             smooth_curve(StepSurvival([1.0], [0.0]), 0.0, 5.0)
+
+
+class TestSmoothedValuesMatrix:
+    """Curves stacked by atom count give each curve's own values, bit for
+    bit, whatever the other curves of the call and the block size."""
+
+    @pytest.mark.parametrize("block", [1, 200, smooth_mod.KERNEL_BLOCK])
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_loop_over_curves(self, block, seed):
+        rng = np.random.default_rng(seed)
+        # point intervals (1 atom), refined gaps (8), curve_atoms of whole
+        # curves (any count) and curves with no atom
+        counts = rng.choice([0, 1, 8, 8, 3, 40], size=rng.integers(0, 30))
+        locs = [np.sort(rng.uniform(0.0, 6.0, k)) for k in counts]
+        masses = [rng.dirichlet(np.ones(k)) if k else np.zeros(0) for k in counts]
+        grid = np.sort(rng.uniform(0.0, rng.uniform(0.1, 10.0), rng.integers(0, 150)))
+        h = float(rng.uniform(0.01, 2.0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smooth_mod, "KERNEL_BLOCK", block)
+            got = smooth_mod.smoothed_values_matrix(locs, masses, h, grid)
+        assert got.shape == (len(locs), grid.size)
+        assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid))
