@@ -100,7 +100,8 @@ def _load_query(path: str, p: int) -> np.ndarray:
         if next(reader, None) is None:
             raise ParseError(f"{path}: empty query file, expected a header row")
         try:
-            rows = [[float(v) for v in row] for row in reader]
+            # a blank line, such as one after the last row, is no query
+            rows = [[float(v) for v in row] for row in reader if row]
         except ValueError as e:
             raise ParseError(f"{path}:{reader.line_num}: {e}") from None
     if any(len(r) != p for r in rows):

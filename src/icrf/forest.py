@@ -522,6 +522,15 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
 # -- prediction --------------------------------------------------------------
 
 
+def _numeric(value, what: str) -> np.ndarray:
+    """``value`` as a float array, or InvariantViolation naming ``what``
+    (numpy raises a bare ValueError or TypeError for text or ragged input)."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvariantViolation(f"{what} must be numeric: {e}") from None
+
+
 def _check_fold(model: IcrfModel, fold: int | None) -> ForestFold:
     f = model.k_opt if fold is None else fold
     # a bool is an int to Python, but True is no fold number
@@ -543,7 +552,7 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     alone, so a query's row is the same, bit for bit, whichever other
     queries share the call, and equals the loop over the trees.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(_numeric(X, "query covariates"))
     if X.ndim != 2:
         raise DimensionMismatch(f"query X must be 2-D (queries x features), got shape {X.shape}")
     if X.shape[1] != len(model.feature_names):
@@ -552,7 +561,7 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
         )
     if not np.all(np.isfinite(X)):
         raise InvariantViolation("query covariates must be finite")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    grid = np.atleast_1d(_numeric(grid, "prediction grid"))
     if grid.ndim != 1:
         raise InvariantViolation(f"prediction grid must be 1-D, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):

@@ -6,6 +6,14 @@ where dF_j are the base curve's jump masses at u_j. The reflected term
 is the mirror boundary correction near t = 0; it guarantees S~(0) = 1
 and monotonicity, and is below Phi(-4) ~ 3e-5 once t > 4h.
 
+Phi is evaluated saturated (``kernel_cdf``): 0 for z <= -CUT_Z, 1 for
+z >= CUT_Z and ``scipy.special.ndtr`` between. With CUT_Z = 9 a value
+moves by at most Phi(-9) ~ 1.1e-19, so a curve of unit mass moves by at
+most 2 Phi(-9) ~ 2.3e-19 in exact arithmetic, and by at most 1e-15 after
+rounding. Most kernel values of a forest's curves saturate, and
+``smoothed_values_matrix`` writes them as constants without calling
+``ndtr``.
+
 S~ is linear in the jump masses. Before smoothing, each mass is spread
 uniformly over its interval (``curves.refine_uniform``), so a curve's
 smoothed distribution function is the mass-weighted sum of the smoothed
@@ -31,6 +39,10 @@ TAIL_ATOMS = 64
 # ``smoothed_values_matrix`` evaluates, 512 KB per array: large enough that
 # the per-step cost vanishes, small enough to stay in cache
 KERNEL_BLOCK = 1 << 16
+# the kernel CDF saturates beyond CUT_Z bandwidths from an atom: there Phi
+# is within Phi(-9) ~ 1.1e-19 of 0 or 1 (a Gaussian tail bound, with no
+# claim about ndtr's own error), so a unit mass moves by at most 2 Phi(-9)
+CUT_Z = 9.0
 
 
 def mass_intervals(base: StepSurvival):
@@ -168,6 +180,15 @@ def smooth_curve(base: StepSurvival, h: float, support_end: float) -> SmoothedSu
     )
 
 
+def kernel_cdf(z: np.ndarray) -> np.ndarray:
+    """The kernel's saturated CDF, entry by entry: 0 for z <= -CUT_Z, 1 for
+    z >= CUT_Z and ``ndtr(z)`` between."""
+    p = ndtr(z)
+    p[z <= -CUT_Z] = 0.0
+    p[z >= CUT_Z] = 1.0
+    return p
+
+
 def smoothed_values_matrix(
     atom_locs: list[np.ndarray],
     atom_masses: list[np.ndarray],
@@ -180,12 +201,20 @@ def smoothed_values_matrix(
     calls it for a single curve, the forest for its kernel columns.
 
     Curves with the same number of atoms are evaluated together, in blocks
-    of at most KERNEL_BLOCK kernel values (curves x grid points x atoms):
-    the kernel is elementwise, and a stacked matrix product takes each
-    curve's (grid points x atoms) @ (atoms) product on its own, so every
-    row is what the curve alone gives, bit for bit.
+    of at most KERNEL_BLOCK kernel values (curves x grid points x atoms).
+    On a sorted grid, a block's direct term is 0 before and 1 after a band
+    of grid points, and its mirror term is 0 after a prefix; both are found
+    from the block's smallest and largest atom, and only the band and the
+    prefix call ``kernel_cdf``. An unsorted grid, or one with NaN, is all
+    band. Rounded subtraction and division are monotone, so every value
+    written as a constant is the one ``kernel_cdf`` gives, and every kernel
+    value is a function of its own z, whatever block or band it falls in.
+    A stacked matrix product then takes each curve's (grid points x atoms)
+    @ (atoms) product on its own, so every row is what the curve alone
+    gives, bit for bit.
     """
     out = np.ones((len(atom_locs), grid.size))
+    banded = np.all(grid[1:] >= grid[:-1]) and not np.isnan(grid).any()
     sizes = [locs.size for locs in atom_locs]
     for size in sorted(set(sizes) - {0}):
         rows = [i for i, s in enumerate(sizes) if s == size]
@@ -194,7 +223,19 @@ def smoothed_values_matrix(
             at = rows[lo:lo + step]
             locs = np.concatenate([atom_locs[i] for i in at]).reshape(len(at), 1, size)
             masses = np.concatenate([atom_masses[i] for i in at]).reshape(len(at), size, 1)
-            direct = ndtr((grid[:, None] - locs) / h)
-            mirror = ndtr((-grid[:, None] - locs) / h)
-            out[at] = 1.0 - ((direct - mirror) @ masses)[:, :, 0]
+            first, last = locs.min(), locs.max()
+            # direct z is at most (x - first)/h and at least (x - last)/h;
+            # mirror z is at most -(x + first)/h
+            a, b, m = 0, grid.size, grid.size
+            if banded:
+                a = np.searchsorted((grid - first) / h, -CUT_Z, side="right")
+                b = np.searchsorted((grid - last) / h, CUT_Z)
+                m = np.searchsorted((grid + first) / h, CUT_Z)
+            diff = np.empty((len(at), grid.size, size))
+            diff[:, :a] = 0.0
+            diff[:, a:b] = kernel_cdf((grid[a:b, None] - locs) / h)
+            diff[:, b:] = 1.0
+            if m:
+                diff[:, :m] -= kernel_cdf((-grid[:m, None] - locs) / h)
+            out[at] = 1.0 - (diff @ masses)[:, :, 0]
     return np.clip(out, 0.0, 1.0, out=out)

@@ -74,17 +74,16 @@ def glr_from_sums(sum1, n1, sum2, n2, sign: str) -> float:
     dn = lam1 * dn1 + lam2 * dn2
 
     ok = y > EPS_MASS
-    if not ok.all():
-        # at-risk mass exhausted: truncate at the last usable point
-        first_bad = np.argmin(ok)
-        ok = np.zeros_like(ok)
-        ok[:first_bad] = True
-    y_ok, dn_ok = y[ok], dn[ok]
+    # at-risk mass exhausted: truncate at the last usable point, so the
+    # usable points are always a prefix
+    end = y.size if ok.all() else int(np.argmin(ok))
+    l1, l2, dn1, dn2 = l1[:end], l2[:end], dn1[:end], dn2[:end]
+    y_ok, dn_ok = y[:end], dn[:end]
     if sign == "difference":
-        num = float(np.sum((l2[ok] * dn1[ok] - l1[ok] * dn2[ok]) / y_ok))
+        num = float(np.sum((l2 * dn1 - l1 * dn2) / y_ok))
     else:
-        num = float(np.sum((l2[ok] * dn1[ok] + l1[ok] * dn2[ok]) / y_ok))
-    var = float(np.sum(l1[ok] * l2[ok] * dn_ok * (y_ok - dn_ok) / y_ok**3))
+        num = float(np.sum((l2 * dn1 + l1 * dn2) / y_ok))
+    var = float(np.sum(l1 * l2 * dn_ok * (y_ok - dn_ok) / y_ok**3))
     if var <= 0.0:
         return np.nan
     return num / np.sqrt(var)

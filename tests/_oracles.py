@@ -16,8 +16,11 @@ for all leaves at once, against each leaf's curve built on its own
 trees at once and reads their reached leaves together, is checked against
 the loop over trees (``predict_per_tree``), and its routing against a
 walk down each tree, row by row (``route_loop``). The kernel evaluation,
-which stacks curves of one atom count, is checked against the loop that
-evaluates each curve on its own (``smoothed_values_loop``).
+which stacks curves of one atom count and writes saturated kernel values
+as constants, is checked against the loop that evaluates each curve and
+each kernel value on its own (``smoothed_values_loop``). The GLR
+statistic, which reads its usable prefix as slices, is checked against
+the boolean-mask form (``glr_from_sums_mask``).
 """
 
 from __future__ import annotations
@@ -176,20 +179,60 @@ def smoothed_rows_per_curve(curves, grid, h):
     return smoothed_values_matrix([a[0] for a in atoms], [a[1] for a in atoms], h, grid)
 
 
-def smoothed_values_loop(atom_locs, atom_masses, h, grid):
+def smoothed_values_loop(atom_locs, atom_masses, h, grid, saturate: bool = True):
     """Each curve's mirror-form smoothed values on ``grid``, one curve at
-    a time: the loop that smooth.smoothed_values_matrix stacks."""
+    a time and every kernel value computed: the loop that
+    smooth.smoothed_values_matrix stacks. The kernel CDF saturates to 0
+    and 1 beyond smooth.CUT_Z, as the module's does; ``saturate=False``
+    gives the plain ``ndtr`` form."""
     from scipy.special import ndtr
+
+    from icrf.smooth import CUT_Z
+
+    def cdf(z):
+        p = ndtr(z)
+        return np.where(z <= -CUT_Z, 0.0, np.where(z >= CUT_Z, 1.0, p)) if saturate else p
 
     out = np.empty((len(atom_locs), grid.size))
     for i, (locs, masses) in enumerate(zip(atom_locs, atom_masses)):
         if locs.size == 0:
             out[i] = 1.0
             continue
-        direct = ndtr((grid[:, None] - locs[None, :]) / h)
-        mirror = ndtr((-grid[:, None] - locs[None, :]) / h)
+        direct = cdf((grid[:, None] - locs[None, :]) / h)
+        mirror = cdf((-grid[:, None] - locs[None, :]) / h)
         out[i] = 1.0 - (direct - mirror) @ masses
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+def glr_from_sums_mask(sum1, n1, sum2, n2, sign: str) -> float:
+    """splits.glr_from_sums with its usable points read by a boolean mask,
+    the form it had before it read them as a prefix slice."""
+    from icrf.curves import EPS_MASS
+
+    def mean_with_left(total, n):
+        mean = total / n
+        return mean, np.concatenate(([1.0], mean[:-1]))
+
+    m1, l1 = mean_with_left(sum1, n1)
+    m2, l2 = mean_with_left(sum2, n2)
+    dn1, dn2 = l1 - m1, l2 - m2
+    lam1, lam2 = n1 / (n1 + n2), n2 / (n1 + n2)
+    y = lam1 * l1 + lam2 * l2
+    dn = lam1 * dn1 + lam2 * dn2
+    ok = y > EPS_MASS
+    if not ok.all():
+        first_bad = np.argmin(ok)
+        ok = np.zeros_like(ok)
+        ok[:first_bad] = True
+    y_ok, dn_ok = y[ok], dn[ok]
+    if sign == "difference":
+        num = float(np.sum((l2[ok] * dn1[ok] - l1[ok] * dn2[ok]) / y_ok))
+    else:
+        num = float(np.sum((l2[ok] * dn1[ok] + l1[ok] * dn2[ok]) / y_ok))
+    var = float(np.sum(l1[ok] * l2[ok] * dn_ok * (y_ok - dn_ok) / y_ok**3))
+    if var <= 0.0:
+        return np.nan
+    return num / np.sqrt(var)
 
 
 def read_on_knots(curve_lists, tau: float):

@@ -180,6 +180,12 @@ BAD_PREDICT = {
     "fold_fraction": (dict(fold=1.5), InvalidFold, "integer"),
     "fold_zero": (dict(fold=0), InvalidFold, "integer"),
     "fold_bool": (dict(fold=True), InvalidFold, "integer"),
+    # text used to raise numpy's bare ValueError; a None entry reads as NaN
+    "X_text": (dict(X=[["a"] * 10]), InvariantViolation, "numeric"),
+    "X_none": (dict(X=[[None] + [0.0] * 9]), InvariantViolation, "finite"),
+    "grid_text": (dict(grid=["x", "y"]), InvariantViolation, "numeric"),
+    "grid_none": (dict(grid=[0.0, None]), InvariantViolation, "finite"),
+    "grid_ragged": (dict(grid=[[0.0], [1.0, 2.0]]), InvariantViolation, "numeric"),
 }
 
 

@@ -165,6 +165,18 @@ class TestPredict:
                     "--grid", "0:5:1", "--out", out] + flag) == 0
         assert out.read_text() == "query_id,t,survival\n"
 
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", "\r\n"], ids=["one", "two", "crlf"])
+    def test_trailing_blank_lines_are_no_queries(self, workspace, tmp_path, tail):
+        # a blank last line used to fail with "expected p covariate columns"
+        query = tmp_path / "q.csv"
+        query.write_text((workspace / "q.csv").read_text() + tail)
+        outs = []
+        for q in (workspace / "q.csv", query):
+            outs.append(tmp_path / f"o{len(outs)}.csv")
+            assert run(["predict", "--model", workspace / "m.bin", "--query", q,
+                        "--grid", "0:5:1", "--smoothed", "--out", outs[-1]]) == 0
+        assert outs[1].read_text() == outs[0].read_text()
+
     def test_empty_query_file_is_parse_error(self, workspace, tmp_path, capsys):
         query = tmp_path / "empty.csv"
         query.write_text("")

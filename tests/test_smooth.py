@@ -108,24 +108,105 @@ class TestSmoothCurve:
             smooth_curve(StepSurvival([1.0], [0.0]), 0.0, 5.0)
 
 
+def _kernel_case(seed: int):
+    """Curves of mixed atom counts and a grid to smooth them on: unsorted or
+    sorted, with negative points, repeated points and points on and next to
+    the saturation edges loc -/+ CUT_Z h and CUT_Z h - loc, or empty."""
+    rng = np.random.default_rng(seed)
+    # point intervals (1 atom), refined gaps (8), curve_atoms of whole
+    # curves (any count) and curves with no atom
+    counts = rng.choice([0, 1, 8, 8, 3, 40], size=rng.integers(0, 30))
+    locs = [np.sort(rng.uniform(0.0, 6.0, k)) for k in counts]
+    masses = [rng.dirichlet(np.ones(k)) if k else np.zeros(0) for k in counts]
+    h = float(rng.uniform(0.01, 2.0))
+    grid = rng.uniform(-1.0, rng.uniform(0.1, 10.0), rng.integers(0, 150))
+    atoms = np.concatenate([np.zeros(0)] + locs)
+    if atoms.size and rng.random() < 0.7:
+        at = rng.choice(atoms, size=min(atoms.size, 10), replace=False)
+        cut = smooth_mod.CUT_Z * h
+        edges = np.concatenate((at - cut, at + cut, cut - at))
+        grid = np.concatenate((grid, edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)))
+    if grid.size and rng.random() < 0.3:
+        grid = np.concatenate((grid, rng.choice(grid, size=rng.integers(1, 20))))
+    grid = np.sort(grid) if rng.random() < 0.5 else rng.permutation(grid)
+    return locs, masses, h, grid
+
+
+def _matrix(block, locs, masses, h, grid):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smooth_mod, "KERNEL_BLOCK", block)
+        return smooth_mod.smoothed_values_matrix(locs, masses, h, grid)
+
+
 class TestSmoothedValuesMatrix:
-    """Curves stacked by atom count give each curve's own values, bit for
-    bit, whatever the other curves of the call and the block size."""
+    """Curves stacked by atom count, with saturated kernel values written as
+    constants, give each curve's own values, bit for bit, whatever the
+    other curves of the call, the block size and the grid's order."""
 
     @pytest.mark.parametrize("block", [1, 200, smooth_mod.KERNEL_BLOCK])
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_equals_the_loop_over_curves(self, block, seed):
-        rng = np.random.default_rng(seed)
-        # point intervals (1 atom), refined gaps (8), curve_atoms of whole
-        # curves (any count) and curves with no atom
-        counts = rng.choice([0, 1, 8, 8, 3, 40], size=rng.integers(0, 30))
-        locs = [np.sort(rng.uniform(0.0, 6.0, k)) for k in counts]
-        masses = [rng.dirichlet(np.ones(k)) if k else np.zeros(0) for k in counts]
-        grid = np.sort(rng.uniform(0.0, rng.uniform(0.1, 10.0), rng.integers(0, 150)))
-        h = float(rng.uniform(0.01, 2.0))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(smooth_mod, "KERNEL_BLOCK", block)
-            got = smooth_mod.smoothed_values_matrix(locs, masses, h, grid)
+        locs, masses, h, grid = _kernel_case(seed)
+        got = _matrix(block, locs, masses, h, grid)
         assert got.shape == (len(locs), grid.size)
         assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid))
+        # masses of 4e18 turn a kernel value of Phi(-9) ~ 1.1e-19 into about
+        # 0.5 of a row, so a constant written where kernel_cdf gives another
+        # value shows
+        masses = [4e18 * m for m in masses]
+        got = _matrix(block, locs, masses, h, grid)
+        assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid))
+
+    @pytest.mark.parametrize("block", [1, 200, smooth_mod.KERNEL_BLOCK])
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_within_tolerance_of_the_unsaturated_form(self, block, seed):
+        locs, masses, h, grid = _kernel_case(seed)
+        got = _matrix(block, locs, masses, h, grid)
+        dense = smoothed_values_loop(locs, masses, h, grid, saturate=False)
+        assert np.all(np.abs(got - dense) <= 1e-15)
+
+    def test_mirror_edge_values_are_exact(self):
+        # one-atom curves at loc just below CUT_Z h, on grid points at and
+        # next to their mirror edge x = CUT_Z h - loc >= 0, where the direct
+        # term is near its 0 edge too: rounding puts some of these points at
+        # a mirror z just above -CUT_Z. A band found by comparing x with the
+        # rounded edge, not z with -CUT_Z, writes 0 there; masses of 4e18
+        # make that show. About one bandwidth in twenty has such points
+        rng = np.random.default_rng(0)
+        for h in rng.uniform(0.01, 2.0, 500):
+            locs = smooth_mod.CUT_Z * h - rng.uniform(0.0, 0.02 * h, 2)
+            edges = smooth_mod.CUT_Z * h - locs
+            grid = np.sort(np.concatenate((edges, np.nextafter(edges, -np.inf),
+                                           np.nextafter(edges, np.inf))))
+            curves, masses = [np.array([u]) for u in locs], [np.array([4e18])] * locs.size
+            got = _matrix(1, curves, masses, h, grid)
+            assert np.array_equal(got, smoothed_values_loop(curves, masses, h, grid))
+
+    def test_narrow_curve_row_is_its_own_in_a_wide_block(self):
+        # alone, the narrow curve's grid points below 5 - 9h are outside its
+        # band and written as 0; beside the wide curve they fall in the
+        # block's band, where only the per-entry clamp gives 0 again. Its
+        # large masses make a kernel value of 1e-30 show in the row
+        h = 0.1
+        grid = np.linspace(0.0, 10.0, 1001)
+        narrow, wide = np.array([5.0, 5.001]), np.array([0.5, 9.5])
+        masses = [np.full(2, 1e30), np.full(2, 0.5)]
+        alone = smooth_mod.smoothed_values_matrix([narrow], masses[:1], h, grid)
+        both = smooth_mod.smoothed_values_matrix([narrow, wide], masses, h, grid)
+        assert np.array_equal(both[0], alone[0])
+        assert np.array_equal(alone[0, grid < 5.0 - 9 * h], np.ones(np.sum(grid < 5.0 - 9 * h)))
+
+    @pytest.mark.parametrize("grid", [[2.0, np.nan, 0.5], [0.5, 2.0, np.nan], [np.nan]])
+    def test_nan_grid_point_gives_nan(self, grid):
+        # a curve with atoms is NaN at a NaN point; a curve with none is 1
+        # everywhere, as it is alone
+        grid = np.array(grid)
+        locs, masses = [np.array([1.0]), np.zeros(0)], [np.ones(1), np.zeros(0)]
+        got = smooth_mod.smoothed_values_matrix(locs, masses, 0.3, grid)
+        nan = np.isnan(grid)
+        assert np.all(np.isnan(got[0, nan])) and np.all(np.isfinite(got[0, ~nan]))
+        assert np.array_equal(got[1], np.ones(grid.size))
+        assert np.array_equal(got, smoothed_values_loop(locs, masses, 0.3, grid), equal_nan=True)

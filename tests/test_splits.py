@@ -20,6 +20,7 @@ from icrf import tree as tree_mod
 
 from _oracles import (
     curve_context,
+    glr_from_sums_mask,
     gwrs_pairwise,
     logrank_scaled,
     random_step_curve,
@@ -194,6 +195,27 @@ class TestGlr:
         d = glr_of(exact_curves(t1), exact_curves(t2), sign="difference")
         s = glr_of(exact_curves(t1), exact_curves(t2), sign="printed_sum")
         assert not np.isclose(d, s)
+
+
+class TestGlrPrefix:
+    """GLR reads its usable points as a prefix slice; the boolean-mask form
+    gives the same bits, also when the at-risk mass runs out before tau."""
+
+    @pytest.mark.parametrize("sign", ["difference", "printed_sum"])
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exhaust=st.booleans())
+    def test_equals_the_mask_form(self, sign, seed, exhaust):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 25))
+        sums = []
+        for n in rng.integers(1, 7, size=2):
+            rows = np.minimum.accumulate(rng.uniform(0.0, 1.0, (n, k)), axis=1)
+            if exhaust:  # every curve at 0 from some column on
+                rows[:, rng.integers(0, k):] = 0.0
+            sums += [rows.sum(axis=0), int(n)]
+        got = glr_from_sums(*sums, sign=sign)
+        want = glr_from_sums_mask(*sums, sign=sign)
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestSplitRuleOptions:
