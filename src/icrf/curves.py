@@ -12,7 +12,7 @@ exploitative leaves) holds masses on disjoint, ordered intervals
 end_j, valued the survival after its mass, and a flat marker knot at
 start_j, valued the survival before it, where start_j is beyond the
 previous end (0 for the first). A mass thus lies on (previous knot, its
-knot], as interpolation and ``smooth.mass_intervals`` read it; an
+knot], as interpolation and ``smooth.mass_intervals_of`` read it; an
 unbounded last interval keeps its mass in the plateau or the tail.
 
 Many curves are held column-wise in a ``LeafStore``: the knot times and
@@ -21,14 +21,19 @@ one tail rate per curve (NaN: no tail) and, for a tree's leaves, the
 member ids with their offsets. These are the arrays a model file stores.
 A tree holds its leaves this way, and ``LeafStore.interpolate`` (here)
 and ``smooth.mass_intervals_of`` read any subset of the curves in one
-vectorized pass, each curve's result the same, bit for bit, as
-``StepSurvival.interpolate`` and ``smooth.mass_intervals`` of that curve.
+vectorized pass. A single curve is read as the one-curve store:
+``StepSurvival.interpolate`` and ``smooth.smooth_curve`` call them.
 
 Curves that take part in a fit are sampled on a grid, one row per
 subject. ``endpoint_values_on_grid`` is the one reader of S(L_i), S(R_i)
 off such rows, and ``project_rows`` the one implementation of the
 projection of a covariate-conditional curve onto a censoring interval;
 the carried-curve update and IMSE2 both call them.
+
+``refine_uniform``, the per-curve spreading of each mass over its
+interval, is on no fit or predict path; it is kept as the per-curve
+reference that the tests compare the smoothing against, and because the
+benchmark harness (``perfbench``) calls it.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 from .exceptions import InvariantViolation
 
 EPS_MASS = 1e-12
-REFINE_PER_GAP = 8  # sub-drops per mass in refine_uniform
+REFINE_PER_GAP = 8  # equal sub-drops each mass is spread over before smoothing
 
 
 @dataclass(frozen=True)
@@ -106,22 +111,9 @@ class StepSurvival:
         return prev - self.values
 
     def interpolate(self, grid) -> np.ndarray:
-        """Within-interval uniform (piecewise-linear) interpolation.
-
-        Linear between consecutive knots starting from (0, 1); pinned to
-        the step values at the knots; exponential beyond the last knot
-        when a tail is present, flat otherwise.
-        """
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        if self.times.size == 0:
-            return self.eval(grid)
-        xs = np.concatenate(([0.0], self.times))
-        ys = np.concatenate(([1.0], self.values))
-        out = np.interp(grid, xs, ys)
-        beyond = grid > self.times[-1]
-        if np.any(beyond):
-            out = np.where(beyond, self.eval(grid), out)
-        return out
+        """Within-interval uniform (piecewise-linear) interpolation: the
+        one-curve case of ``LeafStore.interpolate``."""
+        return LeafStore.of([self]).interpolate(grid)[0]
 
     def quantile(self, q: float) -> float:
         """inf{t : S(t) <= q}; may be +inf for defective curves."""
@@ -134,10 +126,6 @@ class StepSurvival:
             if last_v > 0.0:
                 return float(last_t + np.log(last_v / q) / self.tail_rate)
         return np.inf
-
-    def mass_beyond_knots(self) -> float:
-        """Mass not dropped at any knot (tail and/or defect)."""
-        return float(self.values[-1]) if self.times.size else 1.0
 
 
 @dataclass(frozen=True)
@@ -218,10 +206,11 @@ class LeafStore:
         return t, v
 
     def interpolate(self, grid, idx=None) -> np.ndarray:
-        """Rows of curves ``idx`` (all by default) on ``grid``, each
-        ``StepSurvival.interpolate`` of its curve bit for bit: np.interp on
-        (0, 1) and the knots, then the exponential tail beyond the last
-        knot (beyond 0 for a curve without knots).
+        """Rows of curves ``idx`` (all by default) on ``grid``, read
+        through within-interval uniform interpolation: np.interp on (0, 1)
+        and the knots, pinned to the step values at the knots, then the
+        exponential tail beyond the last knot (beyond 0 for a curve without
+        knots), flat there without one.
 
         One curve is read by np.interp itself. More are read in one pass:
         a count of each curve's knots at or before each grid point finds
@@ -367,8 +356,12 @@ def refine_uniform(curve: StepSurvival) -> StepSurvival:
     The mass dropping at knot t_j is spread over (t_{j-1}, t_j] (with
     t_0 = 0) in REFINE_PER_GAP equal sub-drops, matching the piecewise-linear
     ``interpolate`` reading of the curve. Zero-jump marker knots keep
-    genuinely flat stretches flat. Used before kernel smoothing so that
-    wide-interval masses are not treated as right-endpoint atoms.
+    genuinely flat stretches flat.
+
+    No fit or predict path calls it: smoothing spreads the masses itself
+    (``smooth.mass_intervals_of`` and ``smooth.interval_atoms``). It is
+    kept only as the per-curve reference that the tests compare against,
+    and because ``perfbench`` calls it.
     """
     if curve.times.size == 0:
         return curve

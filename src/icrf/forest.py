@@ -49,7 +49,9 @@ from functools import cached_property
 import numpy as np
 
 # refine_uniform and curve_atoms are not called here (smoothing works on mass
-# intervals), but perfbench/tracing.py wraps them as attributes of this module
+# intervals), but perfbench/tracing.py wraps them as attributes of this
+# module; the benchmark change that repairs its tracer (ROADMAP direction 1)
+# removes these two imports
 from .curves import (LeafStore, StepSurvival, endpoint_values_on_grid, project_rows,  # noqa: F401
                      refine_uniform)
 from .dataio import Dataset
@@ -64,6 +66,7 @@ from .exceptions import (
 from .npmle import KKT_TOL, npmle_fit, tail_correct
 from .smooth import (  # noqa: F401
     bandwidth,
+    check_bandwidth,
     curve_atoms,
     interval_atoms,
     mass_intervals_of,
@@ -113,6 +116,9 @@ class ForestParams:
             raise InsufficientData(
                 f"update_curves must be one of {UPDATE_MODES}, got {self.update_curves!r}"
             )
+        if self.c_override is not None:
+            # h = c_override * n_min**(-1/5) is then a bandwidth too
+            check_bandwidth(self.c_override, InsufficientData, "c_override")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ route every row to a leaf (a split's children come after it, so routing
 ends), ``leafidx`` must number the leaves one to one, the offsets must
 delimit them, the in-bag ids must be non-negative and strictly increasing
 and the leaves' members must partition them, and each leaf curve must
-pass ``StepSurvival``'s checks.
+pass ``StepSurvival``'s checks. In the header, ``tau`` and ``h`` must be
+finite and > 0, ``k_opt`` must name a stored fold and the params must
+pass their own checks.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import tempfile
 import numpy as np
 
 from .curves import LeafStore, StepSurvival
-from .exceptions import InvariantViolation, ParseError
+from .exceptions import IcrfError, InvariantViolation, ParseError
 from .forest import ForestFold, ForestParams, IcrfModel
+from .smooth import check_bandwidth
 from .splits import SplitRule
 from .tree import Tree, TreeParams
 
@@ -163,14 +166,23 @@ def _model_from(header: dict, blob: bytes, pos: int, path: str) -> IcrfModel:
                  for b, tmeta in enumerate(fmeta["trees"])]
         folds.append(ForestFold(k, trees, arrays[f"f{k}_oob"]))
 
+    try:
+        params = _params_from_dict(header["params"])
+    except IcrfError as exc:
+        raise ParseError(f"{path}: header 'params': {exc}") from None
+    tau, h = (check_bandwidth(header[key], ParseError, f"{path}: header {key!r}")
+              for key in ("tau", "h"))
+    k_opt = header["k_opt"]
+    if not (isinstance(k_opt, int) and 1 <= k_opt <= len(folds)):
+        raise ParseError(f"{path}: header 'k_opt' must be a fold in 1..{len(folds)}, got {k_opt}")
     return IcrfModel(
-        params=_params_from_dict(header["params"]),
+        params=params,
         feature_names=list(header["feature_names"]),
-        tau=header["tau"],
-        h=header["h"],
+        tau=tau,
+        h=h,
         initial_marginal=marginal,
         folds=folds,
-        k_opt=header["k_opt"],
+        k_opt=k_opt,
     )
 
 

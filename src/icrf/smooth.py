@@ -15,13 +15,14 @@ rounding. Most kernel values of a forest's curves saturate, and
 ``ndtr``.
 
 S~ is linear in the jump masses. Before smoothing, each mass is spread
-uniformly over its interval (``curves.refine_uniform``), so a curve's
-smoothed distribution function is the mass-weighted sum of the smoothed
-unit-mass distribution functions of its mass intervals
-(``mass_intervals``). Many curves that share intervals, such as the
-leaves of a tree, are therefore smoothed by evaluating one kernel column
-per distinct interval (``interval_atoms``) and mixing the columns with
-one matrix product.
+uniformly over its interval: ``mass_intervals_of`` finds the intervals
+and ``interval_atoms`` cuts each into equal-mass atoms. A curve's
+smoothed distribution function is therefore the mass-weighted sum of the
+smoothed unit-mass distribution functions of its mass intervals. Many
+curves that share intervals, such as the leaves of a tree, are smoothed
+by evaluating one kernel column per distinct interval and mixing the
+columns with one matrix product (``forest._leaf_rows``); ``smooth_curve``
+is the same smoothing of a single curve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .curves import REFINE_PER_GAP, StepSurvival, narrow_gaps
+from .curves import REFINE_PER_GAP, LeafStore, StepSurvival, narrow_gaps
 from .exceptions import DegenerateQuantiles
 
 TAIL_ATOMS = 64
@@ -45,37 +46,17 @@ KERNEL_BLOCK = 1 << 16
 CUT_Z = 9.0
 
 
-def mass_intervals(base: StepSurvival):
-    """Where a step curve's mass lies: arrays (t0, t1, mass), one entry
-    per interval (t0, t1] that ``refine_uniform`` spreads a mass over.
+def mass_intervals_of(store, idx) -> tuple[np.ndarray, ...]:
+    """Where the mass of each curve ``idx`` of a ``curves.LeafStore`` lies,
+    in one pass: arrays (t0, t1, mass), one entry per interval (t0, t1]
+    that a mass spreads over, each curve's entries in its own order and
+    curve after curve; and each curve's entry count.
 
     A jump mass m_j > 0 at t_j spreads over (t_{j-1}, t_j], t_0 = 0. A
-    gap too narrow to refine is the point interval t0 = t1, and so is
-    each of the TAIL_ATOMS equal-mass atoms of an exponential tail, at
-    the tail's conditional quantiles. Defective mass (plateau without a
-    tail) is left unplaced.
-    """
-    times = base.times
-    masses = base.jump_masses()
-    prev = np.concatenate(([0.0], times))[:-1]
-    pos = masses > 0.0
-    t0 = np.where(narrow_gaps(prev, times), times, prev)[pos]
-    t1, masses = times[pos], masses[pos]
-    rest = base.mass_beyond_knots()
-    if base.tail_rate is not None and base.tail_rate > 0.0 and rest > 0.0:
-        last = base.times[-1] if base.times.size else 0.0
-        k = np.arange(1, TAIL_ATOMS + 1)
-        qs = last - np.log(1.0 - (k - 0.5) / TAIL_ATOMS) / base.tail_rate
-        t0, t1 = np.concatenate((t0, qs)), np.concatenate((t1, qs))
-        masses = np.concatenate((masses, np.full(TAIL_ATOMS, rest / TAIL_ATOMS)))
-    return t0, t1, masses
-
-
-def mass_intervals_of(store, idx) -> tuple[np.ndarray, ...]:
-    """``mass_intervals`` of the curves ``idx`` of a ``curves.LeafStore``
-    in one pass: arrays (t0, t1, mass), each curve's entries in its own
-    order and curve after curve, and each curve's entry count. Every entry
-    is the one ``mass_intervals`` gives, bit for bit."""
+    gap too narrow to cut into REFINE_PER_GAP pieces is the point interval
+    t0 = t1, and so is each of the TAIL_ATOMS equal-mass atoms of an
+    exponential tail, at the tail's conditional quantiles. Defective mass
+    (plateau without a tail) is left unplaced."""
     idx = np.asarray(idx, dtype=np.intp)
     pos, owner, counts = store.knots(idx)
     times, values = store.times[pos], store.values[pos]
@@ -103,18 +84,10 @@ def mass_intervals_of(store, idx) -> tuple[np.ndarray, ...]:
     return t0, t1, masses, np.bincount(owner, minlength=idx.size)
 
 
-def curve_atoms(base: StepSurvival) -> tuple[np.ndarray, np.ndarray]:
-    """Mass locations and sizes of a step curve: each mass at the right
-    end of its interval (see ``mass_intervals``)."""
-    _, locs, masses = mass_intervals(base)
-    return locs, masses
-
-
 def interval_atoms(t0: np.ndarray, t1: np.ndarray):
     """Unit-mass atoms of each interval (t0, t1], as lists for
-    ``smoothed_values_matrix``: the REFINE_PER_GAP sub-interval ends that
-    ``refine_uniform`` places, of equal mass, or one atom at t1 for a
-    point interval."""
+    ``smoothed_values_matrix``: the REFINE_PER_GAP sub-interval ends, of
+    equal mass, or one atom at t1 for a point interval."""
     point = t0 == t1
     subs = np.linspace(t0[~point], t1[~point], REFINE_PER_GAP + 1, axis=1)[:, 1:]
     sub_masses = np.full(REFINE_PER_GAP, 1.0 / REFINE_PER_GAP)
@@ -123,6 +96,16 @@ def interval_atoms(t0: np.ndarray, t1: np.ndarray):
         locs.append(np.array([t]) if is_point else next(rows))
         masses.append(np.ones(1) if is_point else sub_masses)
     return locs, masses
+
+
+def curve_atoms(base: StepSurvival) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel atoms (locations, masses) of a step curve: its mass
+    intervals (``mass_intervals_of`` of the one-curve store), each cut
+    into unit-mass atoms by ``interval_atoms`` and scaled by its mass."""
+    t0, t1, masses, _ = mass_intervals_of(LeafStore.of([base]), [0])
+    locs, unit = interval_atoms(t0, t1)
+    return (np.concatenate([np.empty(0), *locs]),
+            np.concatenate([np.empty(0), *(u * m for u, m in zip(unit, masses))]))
 
 
 @dataclass(frozen=True)
@@ -163,21 +146,22 @@ def bandwidth(
     return float(c * n_min ** (-0.2))
 
 
+def check_bandwidth(h, error=DegenerateQuantiles, what: str = "bandwidth") -> float:
+    """``h`` as a float if it is a usable kernel bandwidth or support
+    end, a finite number > 0; otherwise raises ``error``."""
+    if not 0.0 < h < np.inf:  # False for NaN
+        raise error(f"{what} must be finite and > 0, got {h}")
+    return float(h)
+
+
 def smooth_curve(base: StepSurvival, h: float, support_end: float) -> SmoothedSurvival:
-    """Gaussian-kernel smoothing with mirror boundary correction at 0, each
-    mass at the right end of its interval (``curve_atoms``). The forest
-    spreads each mass over its interval, which moves the curve by up to
-    about 5e-3; ``smooth_curve(refine_uniform(base), h, support_end)``
-    matches it."""
-    if not (h > 0.0):
-        raise DegenerateQuantiles(f"bandwidth must be > 0, got {h}")
+    """Gaussian-kernel smoothing with mirror boundary correction at 0, held
+    flat beyond ``support_end``: the forest's smoothing of ``base``, each
+    mass spread over its interval (``curve_atoms``)."""
+    h = check_bandwidth(h)
+    support_end = check_bandwidth(support_end, what="support_end")
     locs, masses = curve_atoms(base)
-    return SmoothedSurvival(
-        bandwidth=float(h),
-        support_end=float(support_end),
-        locs=locs,
-        masses=masses,
-    )
+    return SmoothedSurvival(bandwidth=h, support_end=support_end, locs=locs, masses=masses)
 
 
 def kernel_cdf(z: np.ndarray) -> np.ndarray:

@@ -62,6 +62,8 @@ class TreeParams:
     prediction: str = QUASI_HONEST  # one of PREDICTIONS
 
     def __post_init__(self):
+        if not self.n_min >= 1:
+            raise InsufficientData(f"n_min must be >= 1, got {self.n_min}")
         if self.prediction not in PREDICTIONS:
             raise InsufficientData(
                 f"prediction must be one of {PREDICTIONS}, got {self.prediction!r}"

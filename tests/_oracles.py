@@ -15,7 +15,11 @@ for all leaves at once, against each leaf's curve built on its own
 (``terminal_curve``). Fold-level prediction, which routes all of a fold's
 trees at once and reads their reached leaves together, is checked against
 the loop over trees (``predict_per_tree``), and its routing against a
-walk down each tree, row by row (``route_loop``). The kernel evaluation,
+walk down each tree, row by row (``route_loop``). The columnar readers
+of ``curves.LeafStore`` are checked against the per-curve forms they
+replaced: ``interpolate_curve`` for interpolation, ``mass_intervals`` for
+``smooth.mass_intervals_of``, and ``refine_uniform`` with each mass at
+the right end of its interval (``right_end_atoms``) for smoothing. The kernel evaluation,
 which stacks curves of one atom count and writes saturated kernel values
 as constants, is checked against the loop that evaluates each curve and
 each kernel value on its own (``smoothed_values_loop``). The GLR
@@ -167,15 +171,64 @@ def carried_rows_loop(base_rows, s_left, s_right, lefts, rights, grid, tau,
     return out
 
 
+def interpolate_curve(curve, grid):
+    """Within-interval uniform interpolation of one step curve, read by
+    the curve alone: np.interp on (0, 1) and its knots, and the curve's
+    own ``eval`` beyond the last knot (or everywhere, without knots).
+    Reference for ``LeafStore.interpolate`` and ``StepSurvival.interpolate``."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if curve.times.size == 0:
+        return curve.eval(grid)
+    xs = np.concatenate(([0.0], curve.times))
+    ys = np.concatenate(([1.0], curve.values))
+    out = np.interp(grid, xs, ys)
+    beyond = grid > curve.times[-1]
+    if np.any(beyond):
+        out = np.where(beyond, curve.eval(grid), out)
+    return out
+
+
+def mass_intervals(base):
+    """Where one step curve's mass lies, read off its jump masses: arrays
+    (t0, t1, mass), one entry per interval (t0, t1] that a mass spreads
+    over (a narrow gap, and each tail atom, as the point interval at its
+    end). Reference for ``smooth.mass_intervals_of``."""
+    from icrf.curves import narrow_gaps
+    from icrf.smooth import TAIL_ATOMS
+
+    times = base.times
+    masses = base.jump_masses()
+    prev = np.concatenate(([0.0], times))[:-1]
+    pos = masses > 0.0
+    t0 = np.where(narrow_gaps(prev, times), times, prev)[pos]
+    t1, masses = times[pos], masses[pos]
+    rest = float(base.values[-1]) if base.times.size else 1.0  # beyond the knots
+    if base.tail_rate is not None and base.tail_rate > 0.0 and rest > 0.0:
+        last = base.times[-1] if base.times.size else 0.0
+        k = np.arange(1, TAIL_ATOMS + 1)
+        qs = last - np.log(1.0 - (k - 0.5) / TAIL_ATOMS) / base.tail_rate
+        t0, t1 = np.concatenate((t0, qs)), np.concatenate((t1, qs))
+        masses = np.concatenate((masses, np.full(TAIL_ATOMS, rest / TAIL_ATOMS)))
+    return t0, t1, masses
+
+
+def right_end_atoms(base):
+    """Atom locations and masses of a step curve with each mass at the
+    right end of its interval (``mass_intervals``). Of a curve that
+    ``refine_uniform`` has spread, these are the spread atoms."""
+    _, locs, masses = mass_intervals(base)
+    return locs, masses
+
+
 def smoothed_rows_per_curve(curves, grid, h):
     """Each curve smoothed on its own: its masses spread over their
-    intervals by refine_uniform, turned into atoms by curve_atoms and
+    intervals by refine_uniform, turned into atoms by right_end_atoms and
     evaluated as one row of smoothed_values_matrix. Reference for the
-    interval-column form in forest._leaf_rows."""
+    interval-column form in forest._leaf_rows and for smooth.smooth_curve."""
     from icrf.curves import refine_uniform
-    from icrf.smooth import curve_atoms, smoothed_values_matrix
+    from icrf.smooth import smoothed_values_matrix
 
-    atoms = [curve_atoms(refine_uniform(c)) for c in curves]
+    atoms = [right_end_atoms(refine_uniform(c)) for c in curves]
     return smoothed_values_matrix([a[0] for a in atoms], [a[1] for a in atoms], h, grid)
 
 

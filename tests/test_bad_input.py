@@ -142,11 +142,45 @@ VALUES = {
 }
 
 
-@pytest.mark.parametrize("case", list(STRUCTURAL) + list(VALUES))
+def _with_header(blob: bytes, edit) -> bytes:
+    """``blob`` with its header changed in place by ``edit``."""
+    pos = len(MAGIC) + 8
+    end = pos + int(np.frombuffer(blob[len(MAGIC):pos], dtype="<u8")[0])
+    header = json.loads(blob[pos:end])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return MAGIC + np.uint64(len(text)).tobytes() + text + blob[end:]
+
+
+# each: (the header key, an edit of the header). Before these checks, h = -1
+# loaded and predicted rows of 1, h = NaN rows of 1.1e-16, tau = -3 loaded,
+# k_opt = 7 of 2 folds loaded and failed at predict (InvalidFold), and
+# params that fail their own checks raised InsufficientData
+HEADER = {
+    "h_negative": ("h", lambda hd: hd.update(h=-1.0)),
+    "h_nan": ("h", lambda hd: hd.update(h=np.nan)),
+    "h_inf": ("h", lambda hd: hd.update(h=np.inf)),
+    "tau_negative": ("tau", lambda hd: hd.update(tau=-3.0)),
+    "tau_nan": ("tau", lambda hd: hd.update(tau=np.nan)),
+    "k_opt_beyond_folds": ("k_opt", lambda hd: hd.update(k_opt=7)),
+    "k_opt_zero": ("k_opt", lambda hd: hd.update(k_opt=0)),
+    "k_opt_fraction": ("k_opt", lambda hd: hd.update(k_opt=1.5)),
+    "params_n_min": ("params", lambda hd: hd["params"]["tree"].update(n_min=0)),
+    "params_c_override": ("params", lambda hd: hd["params"].update(c_override=-1.0)),
+    "params_n_fold": ("params", lambda hd: hd["params"].update(n_fold=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURAL) + list(VALUES) + list(HEADER))
 def test_corrupted_model_file_is_parse_error(tmp_path, saved_model, case):
-    name, index, value = {**STRUCTURAL, **VALUES}[case]
-    blob = _write(saved_model, name, index(saved_model), value(saved_model))
-    assert blob != saved_model and len(blob) == len(saved_model)
+    if case in HEADER:
+        name, edit = HEADER[case]
+        blob = _with_header(saved_model, edit)
+        assert blob != saved_model
+    else:
+        name, index, value = {**STRUCTURAL, **VALUES}[case]
+        blob = _write(saved_model, name, index(saved_model), value(saved_model))
+        assert blob != saved_model and len(blob) == len(saved_model)
     path = tmp_path / "bad.bin"
     path.write_bytes(blob)
     with pytest.raises(ParseError, match=name):

@@ -73,6 +73,15 @@ class TestFitOptions:
         ("update_curves = OOB", "insufficient_data"),
         ("monitor_metric = imse3", "insufficient_data"),
         ("initial_smooth = ture", "parse_error"),
+        # n_min = 0 used to die in the bandwidth rule with ZeroDivisionError,
+        # n_min = -1 with a TypeError on a complex bandwidth; c_override = -1
+        # fitted a negative bandwidth and predicted rows of 1
+        ("n_min = 0", "insufficient_data"),
+        ("n_min = -1", "insufficient_data"),
+        ("c_override = -1", "insufficient_data"),
+        ("c_override = 0", "insufficient_data"),
+        ("c_override = nan", "insufficient_data"),
+        ("c_override = inf", "insufficient_data"),
     ])
     def test_unknown_value_is_typed_error(self, workspace, tmp_path, capsys, line, code):
         cfg = tmp_path / "c.cfg"

@@ -26,7 +26,6 @@ from icrf import (
 )
 import icrf.forest as forest_mod
 import icrf.tree as tree_mod
-from icrf.curves import refine_uniform
 from icrf.forest import METRICS, _monitor_error, monitor_grid
 from icrf.npmle import npmle_fit
 
@@ -140,7 +139,13 @@ class TestFit:
         lambda: ForestParams(monitor_metric="imse3"),
         lambda: ForestParams(update_curves="OOB"),
         lambda: TreeParams(prediction="quasi-honest"),
-    ], ids=["monitor_metric", "update_curves", "prediction"])
+        # values that give no finite bandwidth > 0
+        lambda: TreeParams(n_min=0),
+        lambda: ForestParams(c_override=-1.0),
+        lambda: ForestParams(c_override=np.nan),
+        lambda: ForestParams(c_override=np.inf),
+    ], ids=["monitor_metric", "update_curves", "prediction", "n_min_0", "c_override_negative",
+            "c_override_nan", "c_override_inf"])
     def test_unknown_option_value_rejected(self, make):
         with pytest.raises(InsufficientData):
             make()
@@ -176,7 +181,7 @@ class TestFit:
             (rows, grid), = seen
             assert rows.shape == (1, grid.size) and grid[-1] > m.tau
             if smoothed:
-                base = smooth_curve(refine_uniform(m.initial_marginal), m.h, m.tau)
+                base = smooth_curve(m.initial_marginal, m.h, m.tau)
                 np.testing.assert_allclose(rows[0], base.eval(grid), rtol=0.0, atol=1e-12)
             else:
                 assert np.array_equal(rows[0], m.initial_marginal.interpolate(grid))

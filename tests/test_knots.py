@@ -1,7 +1,8 @@
 """The one knot encoding of step curves, ``curves.step_knots``, against
 the loop forms it replaced (Turnbull's endpoint scan, the walk over NPMLE
 masses, the tail correction that rebuilt a curve, the keep-mask over grid
-cells), bit for bit; and its round trip through ``smooth.mass_intervals``.
+cells), bit for bit; and its round trip through ``mass_intervals``, the
+per-curve reference of ``smooth.mass_intervals_of``.
 
 Endpoints come from a small pool, so intervals touch and tie, with points
 one ulp apart (ties within 1e-16), left ends at 0 and right ends at inf.
@@ -16,11 +17,10 @@ from hypothesis import strategies as st
 from icrf import StepSurvival, npmle_fit, tail_correct, turnbull_intervals
 from icrf.curves import narrow_gaps
 from icrf.npmle import _curve_from_masses
-from icrf.smooth import mass_intervals
 from icrf.tree import curve_from_grid_values
 
-from _oracles import (curve_from_grid_values_mask, curve_from_masses_loop, tail_correct_loop,
-                      turnbull_intervals_loop)
+from _oracles import (curve_from_grid_values_mask, curve_from_masses_loop, mass_intervals,
+                      tail_correct_loop, turnbull_intervals_loop)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 

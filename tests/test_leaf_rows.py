@@ -1,17 +1,18 @@
 """Property tests of the smoothed rows of forest._leaf_rows: one kernel
 column per distinct mass interval, mixed by the curves' masses, against
-each curve smoothed on its own."""
+each curve smoothed on its own; and smooth.smooth_curve, the smoothing
+of one curve, against the forest's row of that curve."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icrf import StepSurvival
+from icrf import StepSurvival, smooth_curve
 from icrf.curves import LeafStore, refine_uniform
 from icrf.forest import _leaf_rows
-from icrf.smooth import curve_atoms, interval_atoms, mass_intervals
+from icrf.smooth import interval_atoms
 
-from _oracles import smoothed_rows_per_curve
+from _oracles import mass_intervals, right_end_atoms, smoothed_rows_per_curve
 
 EPS = np.finfo(float).eps
 
@@ -66,11 +67,22 @@ def test_interval_atoms_are_refine_uniform_atoms(curves):
     for c in curves:
         t0, t1, m = mass_intervals(c)
         locs, unit = interval_atoms(t0, t1)
-        want_locs, want_masses = curve_atoms(refine_uniform(c))
+        want_locs, want_masses = right_end_atoms(refine_uniform(c))
         got_locs = np.concatenate([np.empty(0), *locs])
         got_masses = np.concatenate([np.empty(0), *(u * mj for u, mj in zip(unit, m))])
         assert np.array_equal(got_locs, want_locs)
         np.testing.assert_allclose(got_masses, want_masses, rtol=0.0, atol=1e-15)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(leaf_sets(), st.floats(0.02, 2.0), st.integers(2, 60), st.floats(1.0, 12.0))
+def test_smooth_curve_is_the_forest_smoothing(curves, h, m, tau):
+    # on a grid that runs past tau, where both hold the curve flat
+    grid = np.linspace(0.0, 1.5 * tau, m)
+    for c in curves:
+        got = smooth_curve(c, h, tau).eval(grid)
+        want = _leaf_rows(LeafStore.of([c]), np.minimum(grid, tau), h)[0]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

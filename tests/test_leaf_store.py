@@ -1,6 +1,7 @@
 """The columnar leaf store against the per-curve code it stands in for, bit
-for bit: ``LeafStore.interpolate`` against ``StepSurvival.interpolate``,
-``smooth.mass_intervals_of`` against ``smooth.mass_intervals``, and the
+for bit: ``LeafStore.interpolate`` and ``StepSurvival.interpolate`` (its
+one-curve case) against the per-curve reading ``interpolate_curve``,
+``smooth.mass_intervals_of`` against the per-curve ``mass_intervals``, and the
 vectorized checks of a model file's leaf arrays against ``StepSurvival``'s
 own; plus the save -> load -> save round trip of fitted models.
 
@@ -22,7 +23,9 @@ from icrf import StepSurvival
 from icrf.curves import LeafStore
 from icrf.exceptions import InvariantViolation, ParseError
 from icrf.serialize import _leaf_store
-from icrf.smooth import mass_intervals, mass_intervals_of
+from icrf.smooth import mass_intervals_of
+
+from _oracles import interpolate_curve, mass_intervals
 
 EPS = np.finfo(float).eps
 SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -71,8 +74,10 @@ def test_store_interpolation_equals_per_curve(data):
     idx = data.draw(selections(len(curves)))
     got = LeafStore.of(curves).interpolate(grid, idx)
     chosen = curves if idx is None else [curves[i] for i in idx]
-    want = np.asarray([c.interpolate(grid) for c in chosen]).reshape(len(chosen), grid.size)
+    want = np.asarray([interpolate_curve(c, grid) for c in chosen]).reshape(len(chosen), grid.size)
     assert np.array_equal(got, want)
+    for c, row in zip(chosen, want):
+        assert np.array_equal(c.interpolate(grid), row)
 
 
 @SETTINGS

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import icrf.smooth as smooth_mod
 from icrf import StepSurvival, bandwidth, smooth_curve
+from icrf.curves import REFINE_PER_GAP
 from icrf.exceptions import DegenerateQuantiles
 
 from _oracles import random_step_curve, smoothed_values_loop
@@ -36,28 +37,35 @@ class TestBandwidth:
         assert np.isclose(h, 0.5 * (1.0 + np.log(2.0) - 1.0))
 
 
+# mass 1 on a point interval at u0 = 3 >> 4h: a gap one ulp wide is too
+# narrow to spread a mass over, so the mass stays an atom at its end
+POINT_MASS = StepSurvival([np.nextafter(3.0, 0.0), 3.0], [1.0, 0.0])
+
+
 class TestSmoothCurve:
     def test_half_at_center(self):
-        c = StepSurvival([3.0], [0.0])  # mass 1 at u0 = 3 >> 4h
-        sm = smooth_curve(c, h=0.1, support_end=10.0)
+        sm = smooth_curve(POINT_MASS, h=0.1, support_end=10.0)
         assert np.isclose(sm.eval(3.0), 0.5, atol=1e-12)
 
     def test_gaussian_tail_value(self):
-        c = StepSurvival([3.0], [0.0])
-        sm = smooth_curve(c, h=0.1, support_end=10.0)
+        sm = smooth_curve(POINT_MASS, h=0.1, support_end=10.0)
         assert np.isclose(sm.eval(3.0 + 1.96 * 0.1), 0.024997895, atol=1e-6)
 
     def test_h_to_zero_recovers_base(self):
+        # each mass is spread over its interval in REFINE_PER_GAP equal
+        # atoms, so a vanishing bandwidth gives the interpolated curve (the
+        # forest's raw reading) to within a sub-drop, m_j / REFINE_PER_GAP
         rng = np.random.default_rng(7)
         for _ in range(10):
             c = random_step_curve(rng)
             sm = smooth_curve(c, h=1e-6, support_end=5.0)
             pts = rng.uniform(0.0, 5.0, size=10)
-            # keep clear of jumps
+            # keep clear of the atoms
             pts = np.asarray(
-                [t for t in pts if np.min(np.abs(c.times - t)) > 1e-4] or [0.5]
+                [t for t in pts if np.min(np.abs(sm.locs - t)) > 1e-4] or [0.5]
             )
-            np.testing.assert_allclose(sm.eval(pts), c.eval(pts), atol=1e-6)
+            tol = c.jump_masses().max() / REFINE_PER_GAP + 1e-6
+            assert np.all(np.abs(sm.eval(pts) - c.interpolate(pts)) <= tol)
 
     def test_boundary_value_is_one(self):
         rng = np.random.default_rng(8)
@@ -106,6 +114,13 @@ class TestSmoothCurve:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(DegenerateQuantiles):
             smooth_curve(StepSurvival([1.0], [0.0]), 0.0, 5.0)
+
+    @pytest.mark.parametrize("h, support_end", [(-1.0, 5.0), (np.inf, 5.0), (np.nan, 5.0),
+                                                (0.3, np.inf), (0.3, np.nan), (0.3, -1.0)])
+    def test_rejects_nonfinite_bandwidth_or_support_end(self, h, support_end):
+        # h = inf used to give rows of 1, a NaN support end rows of NaN
+        with pytest.raises(DegenerateQuantiles, match="finite and > 0"):
+            smooth_curve(StepSurvival([1.0], [0.0]), h, support_end)
 
 
 def _kernel_case(seed: int):
