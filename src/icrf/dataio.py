@@ -108,6 +108,8 @@ def load_csv(path: str, tau: float, exact_time_mode: bool = False) -> Dataset:
         feature_names = header[2:]
         lefts, rights, rows = [], [], []
         for ln, row in enumerate(reader, start=2):
+            if not row:  # a blank line, such as one after the last row, is no row
+                continue
             try:
                 left, right, *xs = (float(v) for v in row)
             except ValueError as e:
@@ -170,6 +172,8 @@ def read_truth_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ParseError(f"{path}: malformed grid columns") from None
         latent, rows = [], []
         for row in reader:
+            if not row:  # a blank line is no row
+                continue
             if len(row) != len(header):
                 raise ParseError(
                     f"{path}: line {reader.line_num} has {len(row)} values, "

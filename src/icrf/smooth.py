@@ -12,7 +12,9 @@ moves by at most Phi(-9) ~ 1.1e-19, so a curve of unit mass moves by at
 most 2 Phi(-9) ~ 2.3e-19 in exact arithmetic, and by at most 1e-15 after
 rounding. Most kernel values of a forest's curves saturate, and
 ``smoothed_values_matrix`` writes them as constants without calling
-``ndtr``.
+``ndtr``: those outside a band of grid points around each block of
+curves, and, where the block's curves hold short bands of their own
+beside a wide one, every saturated value inside the band as well.
 
 S~ is linear in the jump masses. Before smoothing, each mass is spread
 uniformly over its interval: ``mass_intervals_of`` finds the intervals
@@ -44,6 +46,10 @@ KERNEL_BLOCK = 1 << 16
 # is within Phi(-9) ~ 1.1e-19 of 0 or 1 (a Gaussian tail bound, with no
 # claim about ndtr's own error), so a unit mass moves by at most 2 Phi(-9)
 CUT_Z = 9.0
+# a block of ``smoothed_values_matrix`` whose curves' own bands hold at most
+# this share of the block's band skips ndtr on its saturated values one by
+# one; above it, masking them costs more than ndtr saves
+SPARSE_SHARE = 0.8
 
 
 def mass_intervals_of(store, idx) -> tuple[np.ndarray, ...]:
@@ -164,9 +170,17 @@ def smooth_curve(base: StepSurvival, h: float, support_end: float) -> SmoothedSu
     return SmoothedSurvival(bandwidth=h, support_end=support_end, locs=locs, masses=masses)
 
 
-def kernel_cdf(z: np.ndarray) -> np.ndarray:
+def kernel_cdf(z: np.ndarray, sparse: bool = False) -> np.ndarray:
     """The kernel's saturated CDF, entry by entry: 0 for z <= -CUT_Z, 1 for
-    z >= CUT_Z and ``ndtr(z)`` between."""
+    z >= CUT_Z and ``ndtr(z)`` between (NaN for NaN). ``sparse`` gives the
+    same values but calls ``ndtr`` only on the entries between, which pays
+    where most entries saturate and costs a few masks where few do."""
+    if sparse:
+        high = z >= CUT_Z
+        live = ~(high | (z <= -CUT_Z))
+        p = high.astype(float)
+        p[live] = ndtr(z[live])
+        return p
     p = ndtr(z)
     p[z <= -CUT_Z] = 0.0
     p[z >= CUT_Z] = 1.0
@@ -188,18 +202,23 @@ def smoothed_values_matrix(
     of at most KERNEL_BLOCK kernel values (curves x grid points x atoms).
     On a sorted grid, a block's direct term is 0 before and 1 after a band
     of grid points, and its mirror term is 0 after a prefix; both are found
-    from the block's smallest and largest atom, and only the band and the
-    prefix call ``kernel_cdf``. An unsorted grid, or one with NaN, is all
-    band. Rounded subtraction and division are monotone, so every value
-    written as a constant is the one ``kernel_cdf`` gives, and every kernel
-    value is a function of its own z, whatever block or band it falls in.
-    A stacked matrix product then takes each curve's (grid points x atoms)
+    from the block's smallest and largest atom. One wide curve stretches
+    the band for every curve of its block, so each curve's own band and
+    prefix are also sized, from its first and last atom: where they hold
+    at most SPARSE_SHARE of the block's, ``kernel_cdf`` calls ``ndtr`` only
+    on the band's values that do not saturate, and elsewhere on the whole
+    band. An unsorted grid, or one with NaN, is all band. Rounded
+    subtraction and division are monotone, so every value written as a
+    constant is the one ``kernel_cdf`` gives, and every kernel value is a
+    function of its own z, whatever block, band or path it falls in. A
+    stacked matrix product then takes each curve's (grid points x atoms)
     @ (atoms) product on its own, so every row is what the curve alone
     gives, bit for bit.
     """
     out = np.ones((len(atom_locs), grid.size))
     banded = np.all(grid[1:] >= grid[:-1]) and not np.isnan(grid).any()
     sizes = [locs.size for locs in atom_locs]
+    reach = CUT_Z * h
     for size in sorted(set(sizes) - {0}):
         rows = [i for i, s in enumerate(sizes) if s == size]
         step = max(1, KERNEL_BLOCK // max(grid.size * size, 1))
@@ -207,19 +226,26 @@ def smoothed_values_matrix(
             at = rows[lo:lo + step]
             locs = np.concatenate([atom_locs[i] for i in at]).reshape(len(at), 1, size)
             masses = np.concatenate([atom_masses[i] for i in at]).reshape(len(at), size, 1)
-            first, last = locs.min(), locs.max()
-            # direct z is at most (x - first)/h and at least (x - last)/h;
-            # mirror z is at most -(x + first)/h
-            a, b, m = 0, grid.size, grid.size
+            a, b, m, sparse = 0, grid.size, grid.size, False
             if banded:
+                first, last = locs.min(), locs.max()
+                # direct z is at most (x - first)/h and at least (x - last)/h;
+                # mirror z is at most -(x + first)/h
                 a = np.searchsorted((grid - first) / h, -CUT_Z, side="right")
                 b = np.searchsorted((grid - last) / h, CUT_Z)
                 m = np.searchsorted((grid + first) / h, CUT_Z)
+                # each curve's band and prefix, sized (not placed) on the grid
+                # from its first and last atom (its smallest and largest where
+                # its atoms are sorted, as every caller's are)
+                firsts, lasts = locs[:, 0, 0], locs[:, 0, -1]
+                own = (np.searchsorted(grid, lasts + reach) - np.searchsorted(grid, firsts - reach)
+                       + np.searchsorted(grid, reach - firsts)).sum()
+                sparse = own <= SPARSE_SHARE * len(at) * (b - a + m)
             diff = np.empty((len(at), grid.size, size))
             diff[:, :a] = 0.0
-            diff[:, a:b] = kernel_cdf((grid[a:b, None] - locs) / h)
+            diff[:, a:b] = kernel_cdf((grid[a:b, None] - locs) / h, sparse)
             diff[:, b:] = 1.0
             if m:
-                diff[:, :m] -= kernel_cdf((-grid[:m, None] - locs) / h)
+                diff[:, :m] -= kernel_cdf((-grid[:m, None] - locs) / h, sparse)
             out[at] = 1.0 - (diff @ masses)[:, :, 0]
     return np.clip(out, 0.0, 1.0, out=out)

@@ -4,7 +4,10 @@ GWRS and GLR compare the two groups' full-conditional curves S_i(t) =
 S(t|X_i, I_i); their one implementation (``gwrs_from_sums``,
 ``glr_from_sums``) takes the group totals of the curves' values on the
 fold's shared knot grid, whose last split column is tau, so integrals are
-exact Stieltjes sums over the grid. SWRS and SLR compare group means of
+exact Stieltjes sums over the grid. GLR's at-risk mass, drop and
+variance weight are the same for every candidate split of a node
+(``glr_node_terms``), so the tree computes them once per node and a
+candidate costs two dot products. SWRS and SLR compare group means of
 per-subject scores of the covariate-conditional endpoint values
 S(L_i|X_i), S(R_i|X_i) (``swrs_scores``, ``slr_scores``). The tree grower
 turns each into a split score in ``tree._node_score``.
@@ -60,30 +63,41 @@ def gwrs_from_sums(sum1, n1, sum2, n2) -> float:
     return float(1.0 + check1 @ ds2 - 0.5 * m1[-1] * m2[-1])
 
 
-def glr_from_sums(sum1, n1, sum2, n2, sign: str) -> float:
-    """Generalized log-rank statistic from group totals on the shared grid.
+def glr_node_terms(total, n) -> tuple:
+    """GLR's terms that depend on the node alone, from the total and count
+    of its curves on the shared grid. Every candidate split shares them:
+    the at-risk mass y = lam1*l1 + lam2*l2 is the node's mean curve shifted
+    right (y_0 = 1), and the drop dn = lam1*dn1 + lam2*dn2 is y minus the
+    mean. Returns the usable prefix end (y > EPS_MASS up to it: once the
+    at-risk mass is exhausted, later points are cut off), 1/y and the
+    variance weight dn (y - dn) / y^3 on that prefix."""
+    mean, y = _mean_with_left(total, n)
+    ok = y > EPS_MASS
+    end = y.size if ok.all() else int(np.argmin(ok))
+    y = y[:end]
+    dn = y - mean[:end]
+    return end, 1.0 / y, dn * (y - dn) / y**3
+
+
+def glr_from_sums(sum1, n1, sum2, n2, node: tuple, sign: str) -> float:
+    """Generalized log-rank statistic from group totals on the shared grid:
+    num / sqrt(var), with num = sum (l2 dn1 - l1 dn2) / y (``difference``;
+    ``printed_sum`` adds the two terms) and var = sum l1 l2 dn (y - dn) / y^3
+    over the usable prefix. In terms of the group means m and their right
+    shifts l, l2 dn1 - l1 dn2 = l1 m2 - l2 m1 and l2 dn1 + l1 dn2 =
+    2 l1 l2 - l1 m2 - l2 m1, so a candidate costs two dot products with
+    the node's terms ``node`` (``glr_node_terms`` of the node).
 
     Returns nan when the variance term vanishes (no usable events)."""
-    m1, l1 = _mean_with_left(sum1, n1)
-    m2, l2 = _mean_with_left(sum2, n2)
-    dn1 = l1 - m1
-    dn2 = l2 - m2
-    lam1 = n1 / (n1 + n2)
-    lam2 = n2 / (n1 + n2)
-    y = lam1 * l1 + lam2 * l2
-    dn = lam1 * dn1 + lam2 * dn2
-
-    ok = y > EPS_MASS
-    # at-risk mass exhausted: truncate at the last usable point, so the
-    # usable points are always a prefix
-    end = y.size if ok.all() else int(np.argmin(ok))
-    l1, l2, dn1, dn2 = l1[:end], l2[:end], dn1[:end], dn2[:end]
-    y_ok, dn_ok = y[:end], dn[:end]
+    end, inv_y, weight = node
+    m1, l1 = _mean_with_left(sum1[:end], n1)
+    m2, l2 = _mean_with_left(sum2[:end], n2)
+    l12 = l1 * l2
     if sign == "difference":
-        num = float(np.sum((l2 * dn1 - l1 * dn2) / y_ok))
+        num = float((l1 * m2 - l2 * m1) @ inv_y)
     else:
-        num = float(np.sum((l2 * dn1 + l1 * dn2) / y_ok))
-    var = float(np.sum(l1 * l2 * dn_ok * (y_ok - dn_ok) / y_ok**3))
+        num = float((2.0 * l12 - l1 * m2 - l2 * m1) @ inv_y)
+    var = float(l12 @ weight)
     if var <= 0.0:
         return np.nan
     return num / np.sqrt(var)

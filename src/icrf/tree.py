@@ -38,8 +38,8 @@ import numpy as np
 from .curves import LeafStore, StepSurvival, step_knots
 from .exceptions import InsufficientData
 from .npmle import exact_masses, npmle_fit
-from .splits import (GLR, GWRS, SWRS, SplitRule, glr_from_sums, gwrs_from_sums, slr_scores,
-                     swrs_scores)
+from .splits import (GLR, GWRS, SWRS, SplitRule, glr_from_sums, glr_node_terms, gwrs_from_sums,
+                     slr_scores, swrs_scores)
 
 QUASI_HONEST = "quasi_honest"
 EXPLOITATIVE = "exploitative"
@@ -167,9 +167,14 @@ def route(feature, cutoff, left, right, X: np.ndarray, roots) -> np.ndarray:
 def _node_arrays(kind: str, rows: np.ndarray) -> tuple:
     """What ``_node_score`` reads of a node, from its subjects' carried
     values on the split columns (GWRS, GLR) or their scores (SWRS, SLR):
-    those, their total and, for scores, the bound of rounding residue."""
-    if kind in (GWRS, GLR):
+    those, their total and, for GLR, the node's terms
+    (``splits.glr_node_terms``) or, for scores, the bound of rounding
+    residue."""
+    if kind == GWRS:
         return rows, rows.sum(axis=0)
+    if kind == GLR:
+        total = rows.sum(axis=0)
+        return rows, total, glr_node_terms(total, rows.shape[0])
     return rows, rows.sum(), SCORE_RESIDUE * np.abs(rows).sum()
 
 
@@ -177,13 +182,14 @@ def _node_score(rule: SplitRule, ctx_arrays, mask: np.ndarray, counts) -> float:
     """Score of one candidate partition from cached node arrays."""
     kind = rule.kind
     n_left, n_right = counts
-    if kind in (GWRS, GLR):
+    if kind == GWRS:
         vn, total = ctx_arrays
         left_sum = mask @ vn
-        right_sum = total - left_sum
-        if kind == GWRS:
-            return abs(gwrs_from_sums(left_sum, n_left, right_sum, n_right) - 0.5)
-        stat = glr_from_sums(left_sum, n_left, right_sum, n_right, sign=rule.glr_sign)
+        return abs(gwrs_from_sums(left_sum, n_left, total - left_sum, n_right) - 0.5)
+    if kind == GLR:
+        vn, total, node = ctx_arrays
+        left_sum = mask @ vn
+        stat = glr_from_sums(left_sum, n_left, total - left_sum, n_right, node, rule.glr_sign)
         return 0.0 if np.isnan(stat) else abs(stat)
     scores, total, residue = ctx_arrays
     left_sum = mask @ scores

@@ -23,8 +23,9 @@ the right end of its interval (``right_end_atoms``) for smoothing. The kernel ev
 which stacks curves of one atom count and writes saturated kernel values
 as constants, is checked against the loop that evaluates each curve and
 each kernel value on its own (``smoothed_values_loop``). The GLR
-statistic, which reads its usable prefix as slices, is checked against
-the boolean-mask form (``glr_from_sums_mask``).
+statistic, which takes the terms its candidates share from the node, is
+checked against the form that pools the two groups anew for each
+candidate (``glr_from_sums_pooled``).
 """
 
 from __future__ import annotations
@@ -257,9 +258,11 @@ def smoothed_values_loop(atom_locs, atom_masses, h, grid, saturate: bool = True)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def glr_from_sums_mask(sum1, n1, sum2, n2, sign: str) -> float:
-    """splits.glr_from_sums with its usable points read by a boolean mask,
-    the form it had before it read them as a prefix slice."""
+def glr_from_sums_pooled(sum1, n1, sum2, n2, sign: str) -> float:
+    """splits.glr_from_sums as it was before it took the node's terms: the
+    pooled at-risk mass y = lam1*l1 + lam2*l2 and drop dn = lam1*dn1 +
+    lam2*dn2 built anew for each candidate from the two groups' means, and
+    the usable points read as a prefix slice."""
     from icrf.curves import EPS_MASS
 
     def mean_with_left(total, n):
@@ -273,16 +276,14 @@ def glr_from_sums_mask(sum1, n1, sum2, n2, sign: str) -> float:
     y = lam1 * l1 + lam2 * l2
     dn = lam1 * dn1 + lam2 * dn2
     ok = y > EPS_MASS
-    if not ok.all():
-        first_bad = np.argmin(ok)
-        ok = np.zeros_like(ok)
-        ok[:first_bad] = True
-    y_ok, dn_ok = y[ok], dn[ok]
+    end = y.size if ok.all() else int(np.argmin(ok))
+    l1, l2, dn1, dn2 = l1[:end], l2[:end], dn1[:end], dn2[:end]
+    y_ok, dn_ok = y[:end], dn[:end]
     if sign == "difference":
-        num = float(np.sum((l2[ok] * dn1[ok] - l1[ok] * dn2[ok]) / y_ok))
+        num = float(np.sum((l2 * dn1 - l1 * dn2) / y_ok))
     else:
-        num = float(np.sum((l2[ok] * dn1[ok] + l1[ok] * dn2[ok]) / y_ok))
-    var = float(np.sum(l1[ok] * l2[ok] * dn_ok * (y_ok - dn_ok) / y_ok**3))
+        num = float(np.sum((l2 * dn1 + l1 * dn2) / y_ok))
+    var = float(np.sum(l1 * l2 * dn_ok * (y_ok - dn_ok) / y_ok**3))
     if var <= 0.0:
         return np.nan
     return num / np.sqrt(var)

@@ -56,6 +56,22 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(str(p), tau=5.0)
 
+    def test_blank_lines_are_no_rows(self, tmp_path):
+        # a file that ends in an empty line used to fail with "not enough
+        # values to unpack"
+        p, q = tmp_path / "d.csv", tmp_path / "b.csv"
+        p.write_text("left,right,x1\n1,2,0.5\n3,inf,0.1\n")
+        q.write_text("left,right,x1\n1,2,0.5\n\n3,inf,0.1\n\n")
+        want, got = load_csv(str(p), tau=5.0), load_csv(str(q), tau=5.0)
+        for name in ("lefts", "rights", "X"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_only_blank_lines_is_no_data(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("left,right,x1\n\n\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            load_csv(str(p), tau=5.0)
+
 
 class TestRoundTrip:
     def test_write_then_load_identity(self, tmp_path):
@@ -112,6 +128,17 @@ class TestTruthSidecar:
         corrupt_truth_row(p, case)
         with pytest.raises(ParseError):
             read_truth_csv(str(p))
+
+    def test_blank_line_is_no_row(self, tmp_path):
+        grid = np.linspace(0, 5, 6)
+        s0 = np.tile(np.linspace(1, 0, 6), (3, 1))
+        p = tmp_path / "t.csv"
+        write_truth_csv(str(p), np.arange(3.0), s0, grid)
+        want = read_truth_csv(str(p))
+        with open(p, "a") as fh:
+            fh.write("\n")
+        for got, ref in zip(read_truth_csv(str(p)), want):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestConfig:

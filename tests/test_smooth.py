@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import icrf.smooth as smooth_mod
 from icrf import StepSurvival, bandwidth, smooth_curve
@@ -123,17 +124,31 @@ class TestSmoothCurve:
             smooth_curve(StepSurvival([1.0], [0.0]), h, support_end)
 
 
-def _kernel_case(seed: int):
+def _kernel_case(seed: int, nan: bool = False):
     """Curves of mixed atom counts and a grid to smooth them on: unsorted or
     sorted, with negative points, repeated points and points on and next to
-    the saturation edges loc -/+ CUT_Z h and CUT_Z h - loc, or empty."""
+    the saturation edges loc -/+ CUT_Z h and CUT_Z h - loc, or empty. Some
+    cases add narrow intervals beside one wide one, of 8 atoms each, so that
+    the wide one stretches their block's band; with ``nan``, some grids
+    hold a NaN."""
     rng = np.random.default_rng(seed)
+    # the additions below draw from their own generator, so the cases drawn
+    # before they were added keep their draws
+    mix = np.random.default_rng([seed, 1])
     # point intervals (1 atom), refined gaps (8), curve_atoms of whole
     # curves (any count) and curves with no atom
     counts = rng.choice([0, 1, 8, 8, 3, 40], size=rng.integers(0, 30))
     locs = [np.sort(rng.uniform(0.0, 6.0, k)) for k in counts]
     masses = [rng.dirichlet(np.ones(k)) if k else np.zeros(0) for k in counts]
     h = float(rng.uniform(0.01, 2.0))
+    if mix.random() < 0.5:
+        h = float(mix.uniform(0.01, 0.3))  # bands short beside the grid
+        ends = mix.uniform(0.0, 6.0, mix.integers(1, 40))
+        narrow = [np.linspace(t - w, t, 9)[1:] for t, w in zip(ends, mix.uniform(0.0, h, ends.size))]
+        wide = np.linspace(*np.sort(mix.uniform(0.0, 6.0, 2)), 9)[1:]
+        new = narrow[:1] + [wide] + narrow[1:]
+        locs += new
+        masses += [np.full(8, 1.0 / 8.0)] * len(new)
     grid = rng.uniform(-1.0, rng.uniform(0.1, 10.0), rng.integers(0, 150))
     atoms = np.concatenate([np.zeros(0)] + locs)
     if atoms.size and rng.random() < 0.7:
@@ -145,6 +160,8 @@ def _kernel_case(seed: int):
     if grid.size and rng.random() < 0.3:
         grid = np.concatenate((grid, rng.choice(grid, size=rng.integers(1, 20))))
     grid = np.sort(grid) if rng.random() < 0.5 else rng.permutation(grid)
+    if nan and grid.size and mix.random() < 0.2:
+        grid[mix.integers(grid.size)] = np.nan
     return locs, masses, h, grid
 
 
@@ -163,16 +180,16 @@ class TestSmoothedValuesMatrix:
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_equals_the_loop_over_curves(self, block, seed):
-        locs, masses, h, grid = _kernel_case(seed)
+        locs, masses, h, grid = _kernel_case(seed, nan=True)
         got = _matrix(block, locs, masses, h, grid)
         assert got.shape == (len(locs), grid.size)
-        assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid))
+        assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid), equal_nan=True)
         # masses of 4e18 turn a kernel value of Phi(-9) ~ 1.1e-19 into about
         # 0.5 of a row, so a constant written where kernel_cdf gives another
         # value shows
         masses = [4e18 * m for m in masses]
         got = _matrix(block, locs, masses, h, grid)
-        assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid))
+        assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid), equal_nan=True)
 
     @pytest.mark.parametrize("block", [1, 200, smooth_mod.KERNEL_BLOCK])
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -213,6 +230,33 @@ class TestSmoothedValuesMatrix:
         both = smooth_mod.smoothed_values_matrix([narrow, wide], masses, h, grid)
         assert np.array_equal(both[0], alone[0])
         assert np.array_equal(alone[0, grid < 5.0 - 9 * h], np.ones(np.sum(grid < 5.0 - 9 * h)))
+
+    def test_ndtr_runs_only_where_a_kernel_value_does_not_saturate(self, monkeypatch):
+        # narrow intervals beside one wide one, all of 8 atoms, share one
+        # block; the wide one stretches the block's band over the whole grid,
+        # but ndtr is called on no more values than the curves' own bands
+        # and mirror prefixes hold, and the rows stay each curve's own
+        rng = np.random.default_rng(3)
+        h = 0.05
+        grid = np.linspace(0.0, 6.0, 101)
+        ends = np.sort(rng.uniform(0.5, 5.5, 30))
+        locs = [np.linspace(t - 0.01, t, 9)[1:] for t in ends]
+        locs.insert(10, np.linspace(0.0, 6.0, 9)[1:])
+        masses = [np.full(8, 1.0 / 8.0)] * len(locs)
+        evaluated = []
+
+        def spy(z):
+            evaluated.append(np.size(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(smooth_mod, "ndtr", spy)
+        got = smooth_mod.smoothed_values_matrix(locs, masses, h, grid)
+        own = sum(u.size * (np.sum(((grid - u.min()) / h > -smooth_mod.CUT_Z)
+                                   & ((grid - u.max()) / h < smooth_mod.CUT_Z))
+                            + np.sum((grid + u.min()) / h < smooth_mod.CUT_Z))
+                  for u in locs)
+        assert 0 < sum(evaluated) <= own < len(locs) * grid.size * 8 // 2
+        assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid))
 
     @pytest.mark.parametrize("grid", [[2.0, np.nan, 0.5], [0.5, 2.0, np.nan], [np.nan]])
     def test_nan_grid_point_gives_nan(self, grid):

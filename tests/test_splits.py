@@ -15,12 +15,13 @@ from icrf import Dataset, SplitRule, StepSurvival, TreeParams
 from icrf.curves import endpoint_values_on_grid
 from icrf.dataio import encode_exact
 from icrf.exceptions import InsufficientData
-from icrf.splits import GLR, SWRS, glr_from_sums, gwrs_from_sums, slr_scores, swrs_scores
+from icrf.splits import (GLR, SWRS, glr_from_sums, glr_node_terms, gwrs_from_sums, slr_scores,
+                         swrs_scores)
 from icrf import tree as tree_mod
 
 from _oracles import (
     curve_context,
-    glr_from_sums_mask,
+    glr_from_sums_pooled,
     gwrs_pairwise,
     logrank_scaled,
     random_step_curve,
@@ -51,7 +52,8 @@ def gwrs_of(c1, c2, tau=TAU) -> float:
 
 
 def glr_of(c1, c2, sign=SplitRule.glr_sign) -> float:
-    return glr_from_sums(*group_sums(c1, c2), sign=sign)
+    s1, n1, s2, n2 = group_sums(c1, c2)
+    return glr_from_sums(s1, n1, s2, n2, glr_node_terms(s1 + s2, n1 + n2), sign)
 
 
 def score_difference(score, cov, lefts, rights, n1) -> float:
@@ -198,8 +200,11 @@ class TestGlr:
 
 
 class TestGlrPrefix:
-    """GLR reads its usable points as a prefix slice; the boolean-mask form
-    gives the same bits, also when the at-risk mass runs out before tau."""
+    """GLR takes y, 1/y, the variance weight and the usable prefix from the
+    node, once, and reads each candidate's prefix as slices. It equals the
+    form that pools the two groups anew for each candidate (the mask form's
+    bits) within rounding, also when the at-risk mass runs out before tau,
+    and is NaN exactly where that form is."""
 
     @pytest.mark.parametrize("sign", ["difference", "printed_sum"])
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -207,15 +212,25 @@ class TestGlrPrefix:
     def test_equals_the_mask_form(self, sign, seed, exhaust):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 25))
-        sums = []
-        for n in rng.integers(1, 7, size=2):
-            rows = np.minimum.accumulate(rng.uniform(0.0, 1.0, (n, k)), axis=1)
-            if exhaust:  # every curve at 0 from some column on
-                rows[:, rng.integers(0, k):] = 0.0
-            sums += [rows.sum(axis=0), int(n)]
-        got = glr_from_sums(*sums, sign=sign)
-        want = glr_from_sums_mask(*sums, sign=sign)
-        assert got == want or (np.isnan(got) and np.isnan(want))
+        n = int(rng.integers(2, 13))
+        rows = np.minimum.accumulate(rng.uniform(0.0, 1.0, (n, k)), axis=1)
+        if exhaust:  # every curve at 0 from some column on
+            rows[:, rng.integers(0, k):] = 0.0
+        mask = np.zeros(n)
+        mask[rng.permutation(n)[:rng.integers(1, n)]] = 1.0
+        n1 = int(mask.sum())
+        # as the tree scores a candidate: the node's terms from its total,
+        # the right group's sum as the total less the left group's; and from
+        # the two groups' own sums
+        total = rows.sum(axis=0)
+        left = mask @ rows
+        sides = (rows[mask == 1].sum(axis=0), rows[mask == 0].sum(axis=0))
+        for (s1, s2), node_total in [((left, total - left), total), (sides, sum(sides))]:
+            sums = (s1, n1, s2, n - n1)
+            got = glr_from_sums(*sums, glr_node_terms(node_total, n), sign)
+            want = glr_from_sums_pooled(*sums, sign)
+            assert np.isnan(got) == np.isnan(want)
+            assert np.isnan(want) or abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestSplitRuleOptions:
