@@ -546,6 +546,11 @@ def _check_fold(model: IcrfModel, fold: int | None) -> ForestFold:
     return model.folds[f - 1]
 
 
+def _check_width(names: list, p: int, what: str):
+    if p != len(names):
+        raise DimensionMismatch(f"{what} has {p} features, model expects {len(names)}")
+
+
 def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool = True) -> np.ndarray:
     """Survival values on ``grid`` for each query row of X: the
     equal-weight average of the routed (smoothed) leaf curves.
@@ -561,10 +566,7 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     X = np.atleast_2d(_numeric(X, "query covariates"))
     if X.ndim != 2:
         raise DimensionMismatch(f"query X must be 2-D (queries x features), got shape {X.shape}")
-    if X.shape[1] != len(model.feature_names):
-        raise DimensionMismatch(
-            f"query has {X.shape[1]} features, model expects {len(model.feature_names)}"
-        )
+    _check_width(model.feature_names, X.shape[1], "query")
     if not np.all(np.isfinite(X)):
         raise InvariantViolation("query covariates must be finite")
     grid = np.atleast_1d(_numeric(grid, "prediction grid"))
@@ -582,6 +584,7 @@ def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float
     """Recompute a fold's stored OOB error (fold ``k_opt`` by default) on
     the training data: the mean over trees of the monitor metric of the
     tree's smoothed prediction on its own held-out subjects."""
+    _check_width(model.feature_names, data.p, "data")
     fobj = _check_fold(model, fold)
     mgrid = monitor_grid(data.tau)
     columns = {}
@@ -617,6 +620,9 @@ def variable_importance(
 ) -> ImportanceResult:
     """Mean increase in the metric when one covariate column is permuted
     across the sample, per feature; raw plus max-rescaled values."""
+    _check_width(model.feature_names, data.p, "data")
+    if n_perm < 1:
+        raise InsufficientData(f"n_perm must be >= 1, got {n_perm}")
     table = _check_fold(model, None).routing
     grid = monitor_grid(model.tau)
     # every leaf's row, computed in groups of at most GATHER_BUDGET values

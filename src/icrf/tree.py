@@ -18,15 +18,13 @@ exploitative (the mean of the members' carried curves).
 
 A tree holds its leaf curves and member ids column-wise, in one
 ``curves.LeafStore``. Growth only collects each leaf's members; the store
-is then built for all leaves of the tree at once (``_leaf_store``): one
-sort finds every quasi-honest leaf's Turnbull intervals, the leaves with
-one or two of them take the closed-form NPMLE (``npmle.exact_masses``)
-and only the others run ``npmle_fit``; exploitative leaves are the
-members' mean rows, encoded together by ``curve_from_grid_values``. One
-``curves.step_knots`` call encodes every leaf's knots, and the arrays go
-into the store as they are, with no ``StepSurvival`` per leaf.
-``Tree.leaves`` gives read-only per-leaf views of the store.
-"""
+is then built for all leaves of the tree at once (``_leaf_store``):
+quasi-honest leaves are the problems of one ``npmle.npmle_batch``, which
+sorts all their endpoints once and encodes all their knots in one pass;
+exploitative leaves are the members' mean rows, encoded together by
+``curve_from_grid_values``. The arrays go into the store as they are,
+with no ``StepSurvival`` or ``NpmleFit`` per leaf; ``Tree.leaves`` gives
+read-only per-leaf views of the store."""
 
 from __future__ import annotations
 
@@ -37,7 +35,9 @@ import numpy as np
 
 from .curves import LeafStore, StepSurvival, step_knots
 from .exceptions import InsufficientData
-from .npmle import exact_masses, npmle_fit
+# npmle_fit is not called here, but perfbench/tracing.py wraps it as an attribute
+# of this module; the change that repairs its tracer (ROADMAP direction 1) removes it
+from .npmle import npmle_batch, npmle_fit  # noqa: F401
 from .splits import (GLR, GWRS, SWRS, SplitRule, glr_from_sums, glr_node_terms, gwrs_from_sums,
                      slr_scores, swrs_scores)
 
@@ -211,63 +211,20 @@ def curve_from_grid_values(grid: np.ndarray, rows: np.ndarray):
                       vals.shape[0])
 
 
-def _npmle_knots(ctx: FoldContext, members: np.ndarray, member_offsets: np.ndarray,
+def _npmle_knots(ctx: FoldContext, members: np.ndarray, sizes: np.ndarray,
                  npmle_gaps: list | None):
-    """Knots (times, values, offsets) of the quasi-honest leaves whose
-    members are ``members``, delimited by ``member_offsets``: each the NPMLE of its
-    members' intervals, with right-unbounded intervals confined to the
-    observed time range (``ctx.support_bound``) so that the final mass
-    stays there; re-allocating a small node's large final mass
-    exponentially over (a, inf) would inflate the whole ensemble. The KKT
-    gap of each leaf goes to ``npmle_gaps``."""
-    sizes = np.diff(member_offsets)
-    n = sizes.size
-    owner = np.repeat(np.arange(n), sizes)
-    lefts = ctx.lefts[members]
-    rights = np.minimum(ctx.rights[members], ctx.support_bound)
-    # every leaf's Turnbull intervals from one sort by leaf, then value, then
-    # R-points before L-points at ties; a leaf's last point is a right end,
-    # so no interval spans two leaves
-    pts = np.concatenate((lefts, rights))
-    is_left = np.repeat(np.array([1, 0], dtype=np.int8), members.size)
-    leaf = np.concatenate((owner, owner))
-    order = np.lexsort((is_left, pts, leaf))
-    pv, pl, leaf = pts[order], is_left[order], leaf[order]
-    hit = (pl[:-1] == 1) & (pl[1:] == 0)
-    q, p, leaf = pv[:-1][hit], pv[1:][hit], leaf[:-1][hit]
-    k = np.bincount(leaf, minlength=n)
-    first = np.concatenate(([0], np.cumsum(k)[:-1]))
-
-    # one or two intervals: the exact NPMLE, for all these leaves at once
-    rows = np.flatnonzero(k[owner] <= 2)
-    j0 = first[owner[rows]]
-    two = k[owner[rows]] == 2
-    j1 = np.where(two, j0 + 1, j0)
-    held = [(lefts[rows] <= q[j]) & (p[j] <= rights[rows]) for j in (j0, j1)]
-    small, gaps = exact_masses(held[0], held[1] & two, 1.0 / sizes[owner[rows]], owner[rows], n)
-    masses = np.empty(q.size)
-    few = np.flatnonzero(k <= 2)
-    masses[first[few]] = small[few, 0]
-    pair = np.flatnonzero(k == 2)
-    masses[first[pair] + 1] = small[pair, 1]
-    cum = masses.copy()  # the running sum of each leaf's masses
-    cum[first[pair] + 1] += masses[first[pair]]
-    # more: the certified Newton fit, leaf by leaf
-    for j in np.flatnonzero(k > 2):
-        at = slice(first[j], first[j] + k[j])
-        own = slice(member_offsets[j], member_offsets[j + 1])
-        fit = npmle_fit(lefts[own], rights[own])
-        masses[at], cum[at], gaps[j] = fit.masses, np.cumsum(fit.masses), fit.kkt_gap
+    """Knots (times, values, offsets) of the quasi-honest leaves of sizes
+    ``sizes`` whose members are ``members``, one leaf after another: the
+    NPMLEs of the members' intervals (one ``npmle_batch``), right-unbounded
+    ones confined to the observed time range (``ctx.support_bound``) so that
+    the final mass stays there; re-allocating a small node's large final
+    mass exponentially over (a, inf) would inflate the whole ensemble. The
+    KKT gap of each leaf goes to ``npmle_gaps``."""
+    capped = np.minimum(ctx.rights[members], ctx.support_bound)
+    batch = npmle_batch(ctx.lefts[members], capped, sizes)
     if npmle_gaps is not None:
-        npmle_gaps.extend(gaps.tolist())
-
-    # the encoding of npmle._curve_from_masses, every leaf in one pass
-    keep = masses > 0.0
-    after = 1.0 - cum[keep]
-    leaf = leaf[keep]
-    before = np.concatenate(([1.0], after[:-1]))
-    before[np.concatenate(([True], leaf[1:] != leaf[:-1]))] = 1.0
-    return step_knots(q[keep], p[keep], before, after, leaf, n)
+        npmle_gaps.extend(batch.kkt_gaps.tolist())
+    return batch.knots()
 
 
 def _leaf_store(ctx: FoldContext, leaf_members: list, prediction: str,
@@ -280,7 +237,7 @@ def _leaf_store(ctx: FoldContext, leaf_members: list, prediction: str,
     members = np.concatenate(leaf_members)
     member_offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
     if prediction == QUASI_HONEST:
-        times, values, offsets = _npmle_knots(ctx, members, member_offsets, npmle_gaps)
+        times, values, offsets = _npmle_knots(ctx, members, sizes, npmle_gaps)
     else:
         means = np.array([ctx.values[m].mean(axis=0) for m in leaf_members])
         times, values, offsets = curve_from_grid_values(ctx.grid, means)

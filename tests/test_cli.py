@@ -351,6 +351,22 @@ class TestImportance:
         rescaled = [float(r["rescaled"]) for r in rows[:-1]]
         assert np.isclose(max(rescaled), 1.0)
 
+    def test_no_permutation_is_typed_error(self, workspace, tmp_path, capsys):
+        # --nperm 0 used to write NaN importances and exit 0
+        assert run(["importance", "--model", workspace / "m.bin",
+                    "--data", workspace / "d.csv", "--nperm", 0,
+                    "--out", tmp_path / "vi.csv"]) == 1
+        assert "error[insufficient_data]" in capsys.readouterr().err
+
+    def test_data_missing_a_covariate_is_typed_error(self, workspace, tmp_path, capsys):
+        # a missing column used to end in a bare IndexError's traceback
+        data = tmp_path / "d.csv"
+        with open(workspace / "d.csv") as fh:
+            data.write_text("".join(",".join(r[:-1]) + "\n" for r in csv.reader(fh)))
+        assert run(["importance", "--model", workspace / "m.bin", "--data", data,
+                    "--nperm", 1, "--out", tmp_path / "vi.csv"]) == 1
+        assert "error[dimension_mismatch]" in capsys.readouterr().err
+
     def test_default_nperm_is_ten(self):
         from icrf.cli import build_parser
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icrf import (
+    Dataset,
     ForestParams,
     Scenario,
     TreeParams,
@@ -27,7 +28,7 @@ from icrf import (
 import icrf.forest as forest_mod
 import icrf.tree as tree_mod
 from icrf.forest import METRICS, _monitor_error, monitor_grid
-from icrf.npmle import npmle_fit
+from icrf.npmle import npmle_batch, npmle_fit
 
 from _oracles import predict_per_tree, route_loop
 from test_tree import tree_predict
@@ -106,9 +107,8 @@ class TestFit:
 
     def test_uncertified_npmle_warns_once(self, sim, monkeypatch):
         # a one-step budget leaves the marginal and some leaf NPMLEs uncertified
-        one_step = functools.partial(npmle_fit, max_iter=1)
-        monkeypatch.setattr(forest_mod, "npmle_fit", one_step)
-        monkeypatch.setattr(tree_mod, "npmle_fit", one_step)
+        monkeypatch.setattr(forest_mod, "npmle_fit", functools.partial(npmle_fit, max_iter=1))
+        monkeypatch.setattr(tree_mod, "npmle_batch", functools.partial(npmle_batch, max_iter=1))
         with pytest.warns(NpmleWarning) as record:
             fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=1))
         messages = [str(w.message) for w in record if issubclass(w.category, NpmleWarning)]
@@ -117,8 +117,6 @@ class TestFit:
 
     def test_insufficient_data(self, sim):
         ds = sim.dataset
-        from icrf import Dataset
-
         tiny = Dataset(ds.lefts[:8], ds.rights[:8], ds.X[:8], ds.feature_names, ds.tau)
         with pytest.raises(InsufficientData):
             fit(tiny, ForestParams(n_tree=4, n_fold=1))
@@ -158,6 +156,26 @@ class TestFit:
     def test_unknown_metric_rejected(self, model, sim, call):
         with pytest.raises(InsufficientData):
             call(model, sim.dataset)
+
+    @pytest.mark.parametrize("width", [lambda X: X[:, :-1], lambda X: np.hstack((X, X))],
+                             ids=["fewer", "more"])
+    @pytest.mark.parametrize("call", [
+        oob_error, functools.partial(variable_importance, n_perm=1),
+    ], ids=["oob_error", "variable_importance"])
+    def test_data_of_other_width_is_dimension_mismatch(self, model, sim, call, width):
+        # fewer columns used to raise a bare IndexError, more were read as
+        # their first p
+        ds = sim.dataset
+        X = width(ds.X)
+        names = [f"x{j}" for j in range(X.shape[1])]
+        with pytest.raises(DimensionMismatch, match="data has"):
+            call(model, Dataset(ds.lefts, ds.rights, X, names, ds.tau))
+
+    @pytest.mark.parametrize("n_perm", [0, -1])
+    def test_importance_needs_a_permutation(self, model, sim, n_perm):
+        # n_perm=0 used to return all-NaN importances
+        with pytest.raises(InsufficientData, match="n_perm"):
+            variable_importance(model, sim.dataset, n_perm=n_perm)
 
     def test_unsmoothed_initial_curve(self, sim):
         m = fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=6, initial_smooth=False))
@@ -464,8 +482,6 @@ class TestImportance:
         assert np.isclose(res.multiplier, res.raw.max())
 
     def test_constant_feature_importance_zero(self, sim):
-        from icrf import Dataset
-
         ds = sim.dataset
         X = np.hstack([ds.X, np.ones((ds.n, 1))])
         names = list(ds.feature_names) + ["const"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import icrf.npmle as npmle_mod
 from icrf import npmle_fit, tail_correct, turnbull_intervals
 from icrf.dataio import encode_exact
-from icrf.exceptions import EmptyInput, InvalidAnchor
+from icrf.exceptions import DimensionMismatch, EmptyInput, InvalidAnchor
 
 from _oracles import em_loglik, kkt_gap, newton_fit, random_intervals, simplex_grid_loglik
 
@@ -65,6 +65,30 @@ class TestTurnbull:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             turnbull_intervals([], [])
+
+
+# ends that are not one 1-D pair used to broadcast into a fit of the wrong
+# intervals (lengths 2 and 1) or raise numpy's bare ValueError (2-D)
+BAD_ENDS = {
+    "lengths_differ": ([1.0, 2.0], [3.0]),
+    "lefts_2d": ([[1.0, 2.0]], [[3.0, 4.0]]),
+    "scalar": (1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ENDS))
+@pytest.mark.parametrize("call", [turnbull_intervals, npmle_fit], ids=["turnbull", "npmle_fit"])
+def test_bad_ends_are_dimension_mismatch(call, case):
+    with pytest.raises(DimensionMismatch):
+        call(*BAD_ENDS[case])
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]],
+                         ids=["short", "long", "2d"])
+def test_weights_of_another_length_are_dimension_mismatch(weights):
+    # a short weights array used to raise a bare IndexError
+    with pytest.raises(DimensionMismatch):
+        npmle_fit([1.0, 1.5], [2.0, 3.0], weights=weights)
 
 
 class TestNpmleFit:
@@ -240,6 +264,67 @@ class TestNpmleKkt:
         assert np.array_equal(fit.masses, [0.5, 0.5])
         assert np.array_equal(newton_fit(lefts, rights, weights=weights).masses, [0.5, 0.5])
         assert fit.converged
+
+
+@st.composite
+def leaf_partitions(draw):
+    """The members of a tree's quasi-honest leaves, one leaf after another:
+    leaves of one Turnbull interval (every member holds (0.5, 1]), of two
+    (two disjoint clusters, and members that span both) and of more (three
+    or more distinct exact times, and free intervals), each kind at least
+    once, in a drawn order; right-unbounded ends are capped at
+    SUPPORT_BOUND, as a tree's leaves cap them. Returns the lefts, the
+    capped rights and the leaf sizes."""
+    kinds = list(draw(st.permutations(["one", "two", "more"])))
+    kinds += draw(st.lists(st.sampled_from(["one", "two", "more"]), max_size=4))
+    lefts, rights, sizes = [], [], []
+    for kind in kinds:
+        if kind == "one":
+            ls = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=1, max_size=6))
+            rs = [draw(st.sampled_from([1.0, 1.5, np.inf])) for _ in ls]
+        elif kind == "two":
+            early, late, span = (draw(st.integers(lo, 3)) for lo in (1, 1, 0))
+            ls = ([draw(st.sampled_from([0.0, 0.25])) for _ in range(early)]
+                  + [draw(st.sampled_from([1.0, 1.25])) for _ in range(late)] + [0.0] * span)
+            rs = ([draw(st.sampled_from([0.5, 0.75])) for _ in range(early)]
+                  + [draw(st.sampled_from([1.5, np.inf])) for _ in range(late + span)])
+        else:
+            times = draw(st.lists(st.sampled_from([0.2, 0.9, 1.7, 2.6, 3.1]), min_size=3,
+                                  max_size=5, unique=True))
+            ls, rs = (list(e) for e in zip(*(encode_exact(t) for t in times)))
+            for _ in range(draw(st.integers(0, 8))):
+                left = draw(ends)
+                ls.append(left)
+                rs.append(draw(st.one_of(st.just(np.inf), st.floats(0.1, 2.5).map(left.__add__))))
+        order = draw(st.permutations(range(len(ls))))
+        lefts += [ls[i] for i in order]
+        rights += [rs[i] for i in order]
+        sizes.append(len(ls))
+    return np.asarray(lefts), np.minimum(rights, SUPPORT_BOUND), np.asarray(sizes)
+
+
+class TestBatch:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(leaf_partitions())
+    def test_leaf_pass_equals_npmle_fit_leaf_by_leaf(self, partition):
+        lefts, rights, sizes = partition
+        batch = npmle_mod.npmle_batch(lefts, rights, sizes)
+        times, values, offsets = batch.knots()
+        ends = np.concatenate(([0], np.cumsum(sizes)))
+        ks = []
+        for j, size in enumerate(sizes):
+            fit = npmle_fit(lefts[ends[j]:ends[j + 1]], rights[ends[j]:ends[j + 1]])
+            mine = batch.problem == j
+            assert np.array_equal(batch.lefts[mine], fit.intervals.lefts)
+            assert np.array_equal(batch.rights[mine], fit.intervals.rights)
+            assert np.array_equal(batch.masses[mine], fit.masses)
+            assert batch.kkt_gaps[j] == fit.kkt_gap
+            assert batch.iterations[j] == fit.iterations
+            knots = slice(offsets[j], offsets[j + 1])
+            assert np.array_equal(times[knots], fit.curve.times)
+            assert np.array_equal(values[knots], fit.curve.values)
+            ks.append(fit.intervals.n_intervals)
+        assert {1, 2} <= set(ks) and max(ks) > 2  # closed-form and Newton leaves mixed
 
 
 class TestEmProperties:
