@@ -218,6 +218,8 @@ class LeafStore:
         slope * (t - x_j) + y_j."""
         idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=np.intp)
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        # np.interp reads one curve ~5x faster than _segment_rows (358 knots:
+        # 10 vs 52 us), and a one-tree fold's 1-query raw predict reads one
         if idx.size == 1:
             knots = slice(self.offsets[idx[0]], self.offsets[idx[0] + 1])
             out = np.interp(grid, np.concatenate(([0.0], self.times[knots])),
@@ -258,7 +260,9 @@ class LeafStore:
         y0 = np.where(first, 1.0, self.values[at])
         nxt = np.minimum(j + 1, self.times.size - 1)
         inside = (c < counts[:, None]) & (grid > x0)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # outside its segment, slope * (grid - x0) may overflow (a knot at
+        # 1e308) and is discarded; inside, it is at most the value drop, 1
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             slope = (self.values[nxt] - y0) / (self.times[nxt] - x0)
             out = np.where(inside, slope * (grid - x0) + y0, y0)
         if order is not None:

@@ -9,33 +9,28 @@ intervals (``curves.project_rows``); so does the IMSE2 monitor. The first
 row, OOB monitoring, smoothed prediction and variable importance smooth
 with the leaves' kernel, ``_leaf_rows``: one kernel column per distinct
 mass interval, and per curve the sum of its own masses times its own
-columns, so a leaf's row depends on that leaf alone. OOB monitoring
-routes each tree first (``_routed_rows``) and smooths or interpolates
-only the leaves its rows reach, reading them straight from the tree's
-``LeafStore``.
+columns, so a leaf's row depends on that leaf alone.
 
-Prediction and variable importance work on the fold as a whole, through
-its routing table (``ForestFold.routing``, a ``FoldRouting`` built on the
-fold's first such call and never saved): the trees' node arrays stacked
-into one, which ``tree.route`` walks for every tree at once, and all the
-fold's leaf curves in one ``LeafStore``. ``predict`` routes the queries
-through every tree in one pass and reads all the leaves they reach in one
-``_leaf_rows`` call, or in a few when the rows would pass GATHER_BUDGET
-grid values (``_reached_sum``); variable importance, which routes the
-whole sample many times, computes every leaf's row once, in the same
-bounded groups. Either adds each query's rows tree by tree, in tree
-order, so its answer is that of a loop over the trees, bit for bit.
+Trees are read only through a routing table (``FoldRouting``): their node
+arrays stacked into one, which ``tree.route`` walks for every tree at
+once, and their leaf curves in one ``LeafStore``. ``fit`` builds one per
+batch of trees; ``predict``, ``oob_error`` and variable importance use the
+fold's (``ForestFold.routing``, built on first use, never saved). OOB
+monitoring (``_oob_errors``) smooths the leaves the trees' OOB subjects
+reach in one ``_leaf_rows`` call; the carried update and variable
+importance read every leaf once (``_all_leaf_rows``), ``predict`` the
+leaves the queries reach; both in groups of at most GATHER_BUDGET grid
+values. Rows are added tree by tree, in tree order, so every answer is
+that of a loop over the trees, bit for bit.
 
 The columns live in one table per call, a dict from interval to column
-for the call's single bandwidth and grid: ``fit`` keeps one for the
-monitor grid through all its folds and tree batches (with n_jobs > 1,
-one process pool serves the fit, and each worker keeps its own table for
-it), and ``predict``, ``oob_error`` and ``variable_importance`` each make
-one that the fold's trees share. An interval is therefore smoothed once
-per call, not once per tree; no table outlives its call. A column is a
-pure function of its interval, the bandwidth and the grid, so rows, OOB
-errors and model files are the same, bit for bit, whichever table
-computed it and whatever the worker count.
+for its bandwidth and grid: ``fit`` keeps one for the monitor grid
+through all its folds and batches (each worker process of its one pool
+keeps its own), and ``predict``, ``oob_error`` and ``variable_importance``
+each make one; an interval is smoothed once per call, and no table
+outlives its call. A column is a pure function of its interval, the
+bandwidth and the grid, so rows, OOB errors and model files are the same,
+bit for bit, whichever table computed it and whatever the worker count.
 """
 
 from __future__ import annotations
@@ -123,13 +118,13 @@ class ForestParams:
 
 @dataclass(frozen=True)
 class FoldRouting:
-    """A fold's trees as one routing table: their node arrays stacked tree
-    after tree, child numbers shifted to the stacked positions, with each
-    tree's root and, at each leaf node, the fold-wide number of its leaf;
-    and every leaf curve of the fold in one ``LeafStore``, numbered tree
-    after tree (tree t's leaves are leaf_start[t]:leaf_start[t + 1]). The
-    store is a copy of the trees' curves, so a fold that has predicted
-    holds its leaf curves twice."""
+    """A fold's trees (or a batch of them) as one routing table: their
+    node arrays stacked tree after tree, child numbers shifted to the
+    stacked positions, with each tree's root and, at each leaf node, the
+    fold-wide number of its leaf; and every leaf curve of the trees in one
+    ``LeafStore``, numbered tree after tree (tree t's leaves are
+    leaf_start[t]:leaf_start[t + 1]). The store is a copy of the trees'
+    curves, so a fold that has predicted holds its leaf curves twice."""
 
     feature: np.ndarray
     cutoff: np.ndarray
@@ -179,7 +174,7 @@ class ForestFold:
     @cached_property
     def routing(self) -> FoldRouting:
         """The fold's routing table, built on first use (a fold's first
-        predict or importance call) and never saved."""
+        predict, oob_error or importance call) and never saved."""
         return FoldRouting.of(self.trees)
 
 
@@ -321,14 +316,15 @@ def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None, columns=None) 
     return np.clip(1.0 - mix @ cdf, 0.0, 1.0)
 
 
-def _routed_rows(tree, leaf_of, grid, h: float | None, columns=None) -> np.ndarray:
+def _routed_rows(source, leaf_of, grid, h: float | None, columns=None) -> np.ndarray:
     """Rows (``_leaf_rows``, with the column table ``columns``) of the
-    leaves ``leaf_of`` names, one per entry; only the leaves reached are
-    smoothed or interpolated."""
-    reached = np.flatnonzero(np.bincount(leaf_of, minlength=tree.n_leaves))
-    slot = np.zeros(tree.n_leaves, dtype=np.intp)
+    leaves of ``source.store`` (a routing table's or a tree's) ``leaf_of``
+    names, one per entry; only the leaves reached are read."""
+    n_leaves = source.store.n
+    reached = np.flatnonzero(np.bincount(leaf_of, minlength=n_leaves))
+    slot = np.zeros(n_leaves, dtype=np.intp)
     slot[reached] = np.arange(reached.size)
-    return _leaf_rows(tree.store, grid, h, reached, columns)[slot[leaf_of]]
+    return _leaf_rows(source.store, grid, h, reached, columns)[slot[leaf_of]]
 
 
 def _group_size(grid) -> int:
@@ -368,22 +364,37 @@ def _reached_sum(table: FoldRouting, leaf_of, grid, h: float | None) -> np.ndarr
     return acc
 
 
-def _forest_rows(table: FoldRouting, rows, X) -> np.ndarray:
-    """Equal-weight average over the fold's trees of the rows (``rows``,
-    one per fold-wide leaf) of the leaves X routes to."""
-    leaf_of = table.apply(X)
-    acc = np.zeros((X.shape[0], rows.shape[1]))
-    for tree_leaves in leaf_of:
-        acc += rows[tree_leaves]
-    return acc / leaf_of.shape[0]
+def _all_leaf_rows(store: LeafStore, grid, h: float | None) -> np.ndarray:
+    """Every curve's row (``_leaf_rows``), in groups of at most
+    GATHER_BUDGET grid values that share one column table."""
+    step, columns, idx = _group_size(grid), {}, np.arange(store.n)
+    rows = np.empty((store.n, grid.size))
+    for lo in range(0, store.n, step):
+        rows[lo:lo + step] = _leaf_rows(store, grid, h, idx[lo:lo + step], columns)
+    return rows
 
 
-def _tree_oob_error(tree, leaf_of, lefts, rights, tau, h, grid, metric, columns) -> float:
-    """Monitor metric of the tree's smoothed prediction for its OOB
-    subjects, routed to the leaves ``leaf_of``; ``columns`` is the column
-    table of (h, grid)."""
-    rows = _routed_rows(tree, leaf_of, grid, h, columns)
-    return _monitor_error(metric, rows, lefts, rights, tau, grid)
+def _tree_sum(rows, leaf_of, mask=None) -> np.ndarray:
+    """Sum over the trees, in tree order, of the rows (``rows``, one per
+    fold-wide leaf) of the leaves ``leaf_of`` (trees, subjects) names;
+    with ``mask`` (trees, subjects), tree t adds to subjects mask[t] only."""
+    acc = np.zeros((leaf_of.shape[1], rows.shape[1]))
+    for t, at in enumerate(leaf_of):
+        keep = slice(None) if mask is None else mask[t]
+        acc[keep] += rows[at[keep]]
+    return acc
+
+
+def _oob_errors(table: FoldRouting, leaf_of, oobs, lefts, rights, tau, h, grid, metric,
+                columns) -> list:
+    """Monitor metric of each tree's smoothed prediction for its OOB
+    subjects ``oobs[t]``, in tree order, from one ``_routed_rows`` read of
+    ``leaf_of`` (every subject's fold-wide leaf in each tree)."""
+    rows = _routed_rows(table, np.concatenate([at[oob] for at, oob in zip(leaf_of, oobs)]),
+                        grid, h, columns)
+    ends = np.cumsum([oob.size for oob in oobs]).tolist()
+    return [_monitor_error(metric, rows[a:b], lefts[oob], rights[oob], tau, grid)
+            for a, b, oob in zip([0] + ends, ends, oobs)]
 
 
 # -- tree batch construction -------------------------------------------------
@@ -403,30 +414,22 @@ def _build_tree_batch(args):
     worker process, which then uses its own table (``_init_worker``)."""
     (ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode) = args
     columns = _worker_columns if columns is None else columns
-    n = ctx.n
-    trees, oob_errs = [], []
-    pred_sum = np.zeros((n, ctx.grid.size))
-    oob_sum = np.zeros((n, ctx.grid.size)) if update_mode == "oob" else None
-    oob_cnt = np.zeros(n) if update_mode == "oob" else None
-    npmle_gaps = []
-    for b in b_list:
+    trees, oob, npmle_gaps = [], np.ones((len(b_list), ctx.n), dtype=bool), []
+    for t, b in enumerate(b_list):
         rng = np.random.default_rng(np.random.SeedSequence([seed, fold_k, b]))
-        inbag = np.sort(rng.choice(n, size=s_size, replace=False))
-        oob = np.setdiff1d(np.arange(n), inbag)
-        tree = grow_tree_ctx(ctx, inbag, tparams, rng, npmle_gaps)
-        leaf_of = tree.apply(ctx.X)
-        oob_errs.append(_tree_oob_error(
-            tree, leaf_of[oob], ctx.lefts[oob], ctx.rights[oob], ctx.tau, h, mgrid, metric,
-            columns))
-        # leaf curves enter the forest through their within-interval
-        # (uniform-density) interpolation, not the right-endpoint step
-        rows = _routed_rows(tree, leaf_of, ctx.grid, None)
-        pred_sum += rows
-        if update_mode == "oob":
-            oob_sum[oob] += rows[oob]
-            oob_cnt[oob] += 1.0
-        trees.append(tree)
-    return trees, oob_errs, pred_sum, oob_sum, oob_cnt, npmle_gaps
+        inbag = np.sort(rng.choice(ctx.n, size=s_size, replace=False))
+        oob[t, inbag] = False
+        trees.append(grow_tree_ctx(ctx, inbag, tparams, rng, npmle_gaps))
+    table = FoldRouting.of(trees)
+    leaf_of = table.apply(ctx.X)
+    oob_errs = _oob_errors(table, leaf_of, [np.flatnonzero(o) for o in oob], ctx.lefts,
+                           ctx.rights, ctx.tau, h, mgrid, metric, columns)
+    # leaf curves enter the forest through their within-interval
+    # (uniform-density) interpolation, not the right-endpoint step
+    rows = _all_leaf_rows(table.store, ctx.grid, None)
+    oob_sum, oob_cnt = ((_tree_sum(rows, leaf_of, oob), oob.sum(axis=0).astype(float))
+                        if update_mode == "oob" else (None, None))
+    return trees, oob_errs, _tree_sum(rows, leaf_of), oob_sum, oob_cnt, npmle_gaps
 
 
 def _warn_uncertified(marginal_gap: float, leaf_gaps: list) -> None:
@@ -500,8 +503,8 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
                 for b0 in range(0, params.n_tree, TREE_BATCH)
             ]
             results = list((pool.map if parallel else map)(_build_tree_batch, jobs))
-            trees = [tree for r in results for tree in r[0]]
-            folds.append(ForestFold(k, trees, np.asarray([e for r in results for e in r[1]])))
+            folds.append(ForestFold(k, [tree for r in results for tree in r[0]],
+                                    np.asarray([e for r in results for e in r[1]])))
             leaf_gaps += [g for r in results for g in r[5]]
             # results are in batch order, so batch sums are added in that
             # order whatever the worker count
@@ -586,17 +589,13 @@ def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float
     tree's smoothed prediction on its own held-out subjects."""
     _check_width(model.feature_names, data.p, "data")
     fobj = _check_fold(model, fold)
-    mgrid = monitor_grid(data.tau)
-    columns = {}
-    errs = []
-    for tree in fobj.trees:
-        oob = np.setdiff1d(np.arange(data.n), tree.inbag_ids)
-        if oob.size == 0:
-            raise EmptyOob("a tree has no out-of-bag subjects")
-        errs.append(_tree_oob_error(
-            tree, tree.apply(data.X[oob]), data.lefts[oob], data.rights[oob], data.tau,
-            model.h, mgrid, model.params.monitor_metric, columns))
-    return float(np.nanmean(errs))
+    oobs = [np.setdiff1d(np.arange(data.n), tree.inbag_ids) for tree in fobj.trees]
+    if any(oob.size == 0 for oob in oobs):
+        raise EmptyOob("a tree has no out-of-bag subjects")
+    table = fobj.routing
+    return float(np.nanmean(_oob_errors(
+        table, table.apply(data.X), oobs, data.lefts, data.rights, data.tau, model.h,
+        monitor_grid(data.tau), model.params.monitor_metric, {})))
 
 
 # -- permutation variable importance -----------------------------------------
@@ -625,15 +624,10 @@ def variable_importance(
         raise InsufficientData(f"n_perm must be >= 1, got {n_perm}")
     table = _check_fold(model, None).routing
     grid = monitor_grid(model.tau)
-    # every leaf's row, computed in groups of at most GATHER_BUDGET values
-    store, step, columns = table.store, _group_size(grid), {}
-    leaf_rows = np.empty((store.n, grid.size))
-    for lo in range(0, store.n, step):
-        idx = np.arange(lo, min(lo + step, store.n))
-        leaf_rows[idx] = _leaf_rows(store, grid, model.h, idx, columns)
+    leaf_rows = _all_leaf_rows(table.store, grid, model.h)
 
     def metric_of(X):
-        rows = _forest_rows(table, leaf_rows, X)
+        rows = _tree_sum(leaf_rows, table.apply(X)) / table.roots.size
         return _monitor_error(metric, rows, data.lefts, data.rights, data.tau, grid)
 
     base = metric_of(data.X)

@@ -282,8 +282,8 @@ def npmle_fit(lefts, rights, weights=None, max_iter: int = DEFAULT_MAX_ITER) -> 
     weights = np.ones(lefts.size) if weights is None else np.array(weights, dtype=float)
     if weights.shape != lefts.shape:
         raise DimensionMismatch(f"weights of shape {weights.shape} for {lefts.size} intervals")
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise EmptyInput("weights must be >= 0 with positive sum")
+    if not np.all(np.isfinite(weights) & (weights >= 0)) or weights.sum() <= 0:
+        raise EmptyInput("weights must be finite and >= 0 with positive sum")
     live = weights > 0.0
     w = weights[live] / weights.sum()
     one = _solve(lefts[live], rights[live], w, np.array([w.size]), tb.lefts, tb.rights,

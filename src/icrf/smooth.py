@@ -187,6 +187,8 @@ def kernel_cdf(z: np.ndarray, sparse: bool = False) -> np.ndarray:
     return p
 
 
+# a z that overflows (an atom near 1e308) is far past CUT_Z: +-inf saturates alike
+@np.errstate(over="ignore")
 def smoothed_values_matrix(
     atom_locs: list[np.ndarray],
     atom_masses: list[np.ndarray],

@@ -15,7 +15,9 @@ for all leaves at once, against each leaf's curve built on its own
 (``terminal_curve``). Fold-level prediction, which routes all of a fold's
 trees at once and reads their reached leaves together, is checked against
 the loop over trees (``predict_per_tree``), and its routing against a
-walk down each tree, row by row (``route_loop``). The columnar readers
+walk down each tree, row by row (``route_loop``); so is a fit's batch of
+trees, which it routes and reads through one routing table, against the
+loop that routes and reads each tree on its own (``tree_batch_loop``). The columnar readers
 of ``curves.LeafStore`` are checked against the per-curve forms they
 replaced: ``interpolate_curve`` for interpolation, ``mass_intervals`` for
 ``smooth.mass_intervals_of``, and ``refine_uniform`` with each mass at
@@ -474,6 +476,40 @@ def predict_per_tree(model, X, grid, fold=None, smoothed: bool = True):
     for tree in trees:
         acc += _routed_rows(tree, tree.apply(X), grid, h, columns)
     return acc / len(trees)
+
+
+def tree_batch_loop(args):
+    """``forest._build_tree_batch`` tree by tree: each tree is grown, then
+    routes every subject on its own (``Tree.apply``) and reads the leaves
+    it reached (``_routed_rows``): its OOB subjects' smoothed rows for its
+    monitor error, and every subject's interpolated rows for the carried
+    sums, added tree after tree (OOB subjects only, for ``oob_sum``)."""
+    from icrf.forest import _monitor_error, _routed_rows
+    from icrf.tree import grow_tree_ctx
+
+    ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode = args
+    columns = {} if columns is None else columns
+    n = ctx.n
+    trees, oob_errs, npmle_gaps = [], [], []
+    pred_sum = np.zeros((n, ctx.grid.size))
+    oob_sum = np.zeros((n, ctx.grid.size)) if update_mode == "oob" else None
+    oob_cnt = np.zeros(n) if update_mode == "oob" else None
+    for b in b_list:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, fold_k, b]))
+        inbag = np.sort(rng.choice(n, size=s_size, replace=False))
+        oob = np.setdiff1d(np.arange(n), inbag)
+        tree = grow_tree_ctx(ctx, inbag, tparams, rng, npmle_gaps)
+        leaf_of = tree.apply(ctx.X)
+        rows = _routed_rows(tree, leaf_of[oob], mgrid, h, columns)
+        oob_errs.append(_monitor_error(metric, rows, ctx.lefts[oob], ctx.rights[oob], ctx.tau,
+                                       mgrid))
+        rows = _routed_rows(tree, leaf_of, ctx.grid, None)
+        pred_sum += rows
+        if update_mode == "oob":
+            oob_sum[oob] += rows[oob]
+            oob_cnt[oob] += 1.0
+        trees.append(tree)
+    return trees, oob_errs, pred_sum, oob_sum, oob_cnt, npmle_gaps
 
 
 def route_loop(tree, X):

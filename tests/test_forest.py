@@ -27,10 +27,10 @@ from icrf import (
 )
 import icrf.forest as forest_mod
 import icrf.tree as tree_mod
-from icrf.forest import METRICS, _monitor_error, monitor_grid
+from icrf.forest import METRICS, UPDATE_MODES, _monitor_error, monitor_grid
 from icrf.npmle import npmle_batch, npmle_fit
 
-from _oracles import predict_per_tree, route_loop
+from _oracles import predict_per_tree, route_loop, tree_batch_loop
 from test_tree import tree_predict
 from icrf.exceptions import (
     DimensionMismatch,
@@ -213,18 +213,26 @@ class TestFit:
 
         monkeypatch.setattr(icrf.smooth, "smooth_curve", off_path)
         monkeypatch.setattr(icrf.smooth.SmoothedSurvival, "eval", off_path)
-        routed = []
-        real_apply = icrf.tree.Tree.apply
+        # trees are routed only through routing tables, never one by one
+        monkeypatch.setattr(icrf.tree.Tree, "apply", off_path)
+        routed, tables = [], {}
+        real_of, real_apply = forest_mod.FoldRouting.of, forest_mod.FoldRouting.apply
 
-        def apply(tree, X):
-            routed.append(id(tree))
-            return real_apply(tree, X)
+        def of(cls, trees):
+            table = real_of(trees)
+            tables[id(table)] = [id(t) for t in trees]
+            return table
 
-        monkeypatch.setattr(icrf.tree.Tree, "apply", apply)
+        def apply(table, X):
+            routed.extend((tree, X.shape[0]) for tree in tables[id(table)])
+            return real_apply(table, X)
+
+        monkeypatch.setattr(forest_mod.FoldRouting, "of", classmethod(of))
+        monkeypatch.setattr(forest_mod.FoldRouting, "apply", apply)
         for metric in METRICS:
             routed.clear()
-            m = fit(sim.dataset, ForestParams(n_tree=3, n_fold=2, seed=4, monitor_metric=metric))
-            trees = [id(t) for f in m.folds for t in f.trees]
+            m = fit(sim.dataset, ForestParams(n_tree=10, n_fold=2, seed=4, monitor_metric=metric))
+            trees = [(id(t), sim.dataset.n) for f in m.folds for t in f.trees]
             assert sorted(routed) == sorted(trees)
 
     def test_exploitative_fit_smooths_each_monitor_interval_once(self, sim, monkeypatch):
@@ -257,6 +265,24 @@ class TestFit:
         m = fit(sim.dataset, ForestParams(n_tree=6, n_fold=2, seed=6,
                                           monitor_metric="imse2"))
         assert np.all(np.isfinite(m.oob_errors))
+
+    @pytest.mark.parametrize("prediction", ["quasi_honest", "exploitative"])
+    def test_huge_finite_right_end_fits_without_warning(self, sim, prediction):
+        # a right end of 1e308 puts a knot there; interpolating beyond a
+        # segment's end used to overflow, with a RuntimeWarning
+        d = sim.dataset
+        rights = np.array(d.rights)
+        rights[np.flatnonzero(np.isfinite(rights))[0]] = 1e308
+        data = Dataset(d.lefts, rights, d.X, d.feature_names, d.tau)
+        grid = np.linspace(0.0, d.tau, 21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = fit(data, ForestParams(n_tree=3, n_fold=2, seed=1,
+                                       tree=TreeParams(prediction=prediction)))
+            for smoothed in (True, False):
+                vals = predict(m, d.X, grid, smoothed=smoothed)
+                assert np.all(np.isfinite(vals)) and np.all((vals >= 0.0) & (vals <= 1.0))
+                assert np.all(np.diff(vals, axis=1) <= 1e-9)
 
 
 class TestPredict:
@@ -440,6 +466,42 @@ def test_fold_routing_equals_each_tree_apply(sim, leaf_kind_models):
                     want = route_loop(tree, X)
                     assert np.array_equal(tree.apply(X), want)
                     assert np.array_equal(leaf_of[t] - table.leaf_start[t], want)
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default_budget", "one_leaf_groups"])
+@pytest.mark.parametrize("prediction", ["quasi_honest", "exploitative"])
+def test_tree_batch_equals_tree_loop(sim, prediction, budget, monkeypatch):
+    # a fit's batches of trees (two per fold: 8 trees and 2), read through
+    # one routing table, against the loop that routes and reads each tree
+    # on its own, bit for bit
+    jobs, real = [], forest_mod._build_tree_batch
+
+    def spy(args):
+        jobs.append(args)
+        return real(args)
+
+    monkeypatch.setattr(forest_mod, "_build_tree_batch", spy)
+    for metric in METRICS:
+        for update in UPDATE_MODES:
+            fit(sim.dataset, ForestParams(n_tree=10, n_fold=2, seed=5, monitor_metric=metric,
+                                          update_curves=update,
+                                          tree=TreeParams(prediction=prediction)))
+    assert len(jobs) == 16
+    if budget is not None:
+        monkeypatch.setattr(forest_mod, "GATHER_BUDGET", budget)
+    for args in jobs:
+        args = args[:8] + ({},) + args[9:]
+        got, want = real(args), tree_batch_loop(args)
+        assert len(got[0]) == len(want[0]) == len(args[4])
+        same = functools.partial(np.array_equal, equal_nan=True)
+        for a, b in zip(got[0], want[0]):
+            for name in ("feature", "cutoff", "left", "right", "leaf_idx", "inbag_ids"):
+                assert same(getattr(a, name), getattr(b, name))
+            for name in ("times", "values", "offsets", "rates", "members", "member_offsets"):
+                assert same(getattr(a.store, name), getattr(b.store, name))
+        assert same(got[1], want[1])
+        for g, w in zip(got[2:], want[2:]):
+            assert (g is None and w is None) or same(g, w)
 
 
 def test_gather_budget_leaves_importance_unchanged(sim, model, monkeypatch):

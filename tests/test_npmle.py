@@ -91,6 +91,13 @@ def test_weights_of_another_length_are_dimension_mismatch(weights):
         npmle_fit([1.0, 1.5], [2.0, 3.0], weights=weights)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_nonfinite_weights_are_empty_input(bad):
+    # a NaN weight used to give masses [0.5, 0.5] with a NaN kkt_gap
+    with pytest.raises(EmptyInput):
+        npmle_fit([0.0, 1.0, 0.0], [1.0, 2.0, 2.0], weights=[bad, 1.0, 1.0])
+
+
 class TestNpmleFit:
     def test_all_exact_equals_empirical_survival(self):
         times = np.array([0.7, 1.3, 2.9, 3.4, 4.8])
