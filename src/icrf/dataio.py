@@ -20,6 +20,13 @@ from .exceptions import InvariantViolation, ParseError
 EPS_EXACT = 1e-9  # relative offset encoding an exactly observed time
 
 
+def require_count(value, what: str, error=InvariantViolation):
+    """``value`` if it is an integer >= 0 (a size or a seed), else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise error(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     if np.isinf(x):
         return "inf"

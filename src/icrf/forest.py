@@ -49,7 +49,7 @@ import numpy as np
 # removes these two imports
 from .curves import (LeafStore, StepSurvival, endpoint_values_on_grid, project_rows,  # noqa: F401
                      refine_uniform)
-from .dataio import Dataset
+from .dataio import Dataset, require_count
 from .exceptions import (
     DimensionMismatch,
     EmptyOob,
@@ -101,6 +101,7 @@ class ForestParams:
     def __post_init__(self):
         if self.n_tree < 1 or self.n_fold < 1:
             raise InsufficientData("n_tree and n_fold must be >= 1")
+        require_count(self.seed, "seed", InsufficientData)
         if not 0.0 < self.subsample <= 1.0:
             raise InsufficientData("subsample must be in (0, 1]")
         if self.monitor_metric not in METRICS:
@@ -307,8 +308,8 @@ def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None, columns=None) 
     # a CSR matrix times a dense one adds each row's stored entries to that
     # row one after another, in their stored order (a dense product's
     # summation order would depend on which columns the call holds); a curve
-    # with no interval sums to 0. Imported here, as nnls is: `import icrf`
-    # should not pay for scipy.sparse
+    # with no interval sums to 0. Imported at first use, as every SciPy
+    # module is: `import icrf` should not pay for scipy.sparse
     from scipy.sparse import csr_array
 
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -622,6 +623,7 @@ def variable_importance(
     _check_width(model.feature_names, data.p, "data")
     if n_perm < 1:
         raise InsufficientData(f"n_perm must be >= 1, got {n_perm}")
+    entropy = model.params.seed if seed is None else require_count(seed, "seed", InsufficientData)
     table = _check_fold(model, None).routing
     grid = monitor_grid(model.tau)
     leaf_rows = _all_leaf_rows(table.store, grid, model.h)
@@ -631,7 +633,6 @@ def variable_importance(
         return _monitor_error(metric, rows, data.lefts, data.rights, data.tau, grid)
 
     base = metric_of(data.X)
-    entropy = model.params.seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence([entropy, 0x1C8F]))
     p = data.p
     raw = np.zeros(p)

@@ -23,13 +23,13 @@ M draws conditionally independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
-from .dataio import Dataset
+from .dataio import Dataset, require_count
 from .exceptions import InvariantViolation
 
 TAU_DEFAULT = 5.0
@@ -55,6 +55,8 @@ class Scenario:
             raise InvariantViolation(f"scenario id must be 1..6, got {self.id}")
         if self.M < 1:
             raise InvariantViolation("monitoring count M must be >= 1")
+        require_count(self.n, "sample size n")
+        require_count(self.seed, "seed")
 
     @property
     def p(self) -> int:
@@ -102,7 +104,16 @@ def mu_of(scenario_id: int, X: np.ndarray) -> np.ndarray:
         return 0.5 + 0.3 * np.abs(X[:, 10:15].sum(axis=1))
     if scenario_id == 4:
         return 0.3 * np.abs(X[:, 0:5].sum(axis=1)) + 0.3 * np.abs(X[:, 20:25].sum(axis=1))
-    return 2.0 * special.expit(X[:, 0] + X[:, 1] + X[:, 2])
+    return 2.0 * np.fromiter(map(_expit, (X[:, 0] + X[:, 1] + X[:, 2]).tolist()), float)
+
+
+def _expit(x: float) -> float:
+    """1 / (1 + e^-x) with the platform libm's exp, as scipy.special.expit
+    computes it (numpy's exp can differ in the last bit)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # e^-x beyond the largest double: libm gives inf
+        return 0.0
 
 
 @lru_cache(maxsize=None)
@@ -149,15 +160,20 @@ def draw_monitoring_times(
     return np.exp(latent_t[:, None] + rng.standard_normal((n, M)))
 
 
+def _brackets(t: np.ndarray, monitors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each subject's bracketing pair (L, R] of T among its row of monitors:
+    the largest below T (0 if none), the smallest at or above it (+inf if none)."""
+    below, above = monitors < t[:, None], monitors >= t[:, None]
+    lefts = np.where(below, monitors, -np.inf).max(axis=1, initial=-np.inf)
+    rights = np.where(above, monitors, np.inf).min(axis=1, initial=np.inf)
+    return np.where(below.any(axis=1), lefts, 0.0), rights
+
+
 def intervals_from_monitoring(t: float, monitors) -> tuple[float, float]:
-    """Bracketing pair (L, R] of T among sorted monitors, with the
-    sentinels U_(0) = 0 and U_(M+1) = +inf."""
-    u = np.sort(np.asarray(monitors, dtype=float))
-    below = u[u < t]
-    above = u[u >= t]
-    left = float(below[-1]) if below.size else 0.0
-    right = float(above[0]) if above.size else np.inf
-    return left, right
+    """Bracketing pair (L, R] of T among its monitors, with the sentinels
+    U_(0) = 0 and U_(M+1) = +inf: ``generate``'s bracket for one subject."""
+    lefts, rights = _brackets(np.array([t], dtype=float), np.array(monitors, dtype=float, ndmin=2))
+    return float(lefts[0]), float(rights[0])
 
 
 def _sde_exposure(t) -> np.ndarray:
@@ -175,10 +191,12 @@ def truth_eval(scenario_id: int, t, x) -> np.ndarray | float:
     if scenario_id in (1, 2, 5):
         out = np.exp(-t_arr / mu)
     elif scenario_id == 3:
-        out = special.gammaincc(mu, t_arr / 2.0)
+        from scipy.special import gammaincc
+        out = gammaincc(mu, t_arr / 2.0)
     elif scenario_id == 4:
+        from scipy.special import ndtr
         with np.errstate(divide="ignore"):
-            out = special.ndtr(mu - np.log(np.maximum(t_arr, 1e-300)))
+            out = ndtr(mu - np.log(np.maximum(t_arr, 1e-300)))
         out[t_arr <= 0.0] = 1.0
     else:
         out = np.exp(-_sde_exposure(t_arr) / mu)
@@ -202,10 +220,7 @@ def generate(scenario: Scenario) -> SimulatedDataset:
     monitors = draw_monitoring_times(
         scenario.id, mu, t, scenario.M, scenario.tau, rng
     )
-    lefts = np.empty(scenario.n)
-    rights = np.empty(scenario.n)
-    for i in range(scenario.n):
-        lefts[i], rights[i] = intervals_from_monitoring(t[i], monitors[i])
+    lefts, rights = _brackets(t, monitors)
     names = [f"x{j + 1}" for j in range(scenario.p)]
     ds = Dataset(lefts=lefts, rights=rights, X=X, feature_names=names, tau=scenario.tau)
     return SimulatedDataset(dataset=ds, latent_times=t, scenario=scenario)

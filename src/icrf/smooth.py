@@ -7,7 +7,9 @@ is the mirror boundary correction near t = 0; it guarantees S~(0) = 1
 and monotonicity, and is below Phi(-4) ~ 3e-5 once t > 4h.
 
 Phi is evaluated saturated (``kernel_cdf``): 0 for z <= -CUT_Z, 1 for
-z >= CUT_Z and ``scipy.special.ndtr`` between. With CUT_Z = 9 a value
+z >= CUT_Z and ``scipy.special.ndtr`` between, imported at its first
+call: ``import icrf`` and the paths that never smooth (load, save, raw
+predict, simulation) do not load SciPy for it. With CUT_Z = 9 a value
 moves by at most Phi(-9) ~ 1.1e-19, so a curve of unit mass moves by at
 most 2 Phi(-9) ~ 2.3e-19 in exact arithmetic, and by at most 1e-15 after
 rounding. Most kernel values of a forest's curves saturate, and
@@ -32,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .curves import REFINE_PER_GAP, LeafStore, StepSurvival, narrow_gaps
 from .exceptions import DegenerateQuantiles
@@ -168,6 +169,12 @@ def smooth_curve(base: StepSurvival, h: float, support_end: float) -> SmoothedSu
     support_end = check_bandwidth(support_end, what="support_end")
     locs, masses = curve_atoms(base)
     return SmoothedSurvival(bandwidth=h, support_end=support_end, locs=locs, masses=masses)
+
+
+def ndtr(z):
+    """``scipy.special.ndtr``, imported on first use."""
+    from scipy.special import ndtr as phi
+    return phi(z)
 
 
 def kernel_cdf(z: np.ndarray, sparse: bool = False) -> np.ndarray:

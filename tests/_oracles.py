@@ -27,7 +27,9 @@ as constants, is checked against the loop that evaluates each curve and
 each kernel value on its own (``smoothed_values_loop``). The GLR
 statistic, which takes the terms its candidates share from the node, is
 checked against the form that pools the two groups anew for each
-candidate (``glr_from_sums_pooled``).
+candidate (``glr_from_sums_pooled``). ``generate``'s bracket of every
+subject's time among its monitors at once is checked against the sort of
+one subject's monitors (``bracket_sorted``).
 """
 
 from __future__ import annotations
@@ -523,3 +525,12 @@ def route_loop(tree, X):
             node = tree.left[node] if go_left else tree.right[node]
         out[i] = tree.leaf_idx[node]
     return out
+
+
+def bracket_sorted(t: float, monitors) -> tuple[float, float]:
+    """(L, R] of T among one subject's sorted monitors: the last below T
+    (0 if none) and the first at or above it (+inf if none)."""
+    u = np.sort(np.asarray(monitors, dtype=float))
+    below, above = u[u < t], u[u >= t]
+    return (float(below[-1]) if below.size else 0.0,
+            float(above[0]) if above.size else np.inf)

@@ -168,6 +168,7 @@ HEADER = {
     "params_n_min": ("params", lambda hd: hd["params"]["tree"].update(n_min=0)),
     "params_c_override": ("params", lambda hd: hd["params"].update(c_override=-1.0)),
     "params_n_fold": ("params", lambda hd: hd["params"].update(n_fold=0)),
+    "params_seed_negative": ("params", lambda hd: hd["params"].update(seed=-1)),
 }
 
 

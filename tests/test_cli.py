@@ -427,3 +427,20 @@ class TestBenchCli:
         spec.write_text("n_tree = abc\n")
         assert run(["bench", "--spec", spec, "--out", tmp_path / "res"]) == 1
         assert "error[parse_error]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (lambda ws, d: ["simulate", "--scenario", 5, "--n", -5, "--out", d / "o.csv"],
+     "invariant_violation"),
+    (lambda ws, d: ["simulate", "--scenario", 1, "--seed", -1, "--out", d / "o.csv"],
+     "invariant_violation"),
+    (lambda ws, d: ["fit", "--data", ws / "d.csv", "--tau", 5, "--out", d / "o.bin",
+                    "--report", d / "r.csv", "--seed", -1], "insufficient_data"),
+    (lambda ws, d: ["importance", "--model", ws / "m.bin", "--data", ws / "d.csv",
+                    "--nperm", 1, "--seed", -1, "--out", d / "o.csv"], "insufficient_data"),
+], ids=["simulate_n", "simulate_seed", "fit_seed", "importance_seed"])
+def test_negative_seed_or_size_is_typed_error(workspace, tmp_path, capsys, argv, code):
+    # each used to end in numpy's "expected non-negative integer" traceback
+    assert run(argv(workspace, tmp_path)) == 1
+    assert f"error[{code}]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

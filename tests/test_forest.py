@@ -142,8 +142,11 @@ class TestFit:
         lambda: ForestParams(c_override=-1.0),
         lambda: ForestParams(c_override=np.nan),
         lambda: ForestParams(c_override=np.inf),
+        # a seed numpy's SeedSequence would reject with a bare ValueError
+        lambda: ForestParams(seed=-1),
+        lambda: ForestParams(seed=1.5),
     ], ids=["monitor_metric", "update_curves", "prediction", "n_min_0", "c_override_negative",
-            "c_override_nan", "c_override_inf"])
+            "c_override_nan", "c_override_inf", "seed_negative", "seed_fraction"])
     def test_unknown_option_value_rejected(self, make):
         with pytest.raises(InsufficientData):
             make()
@@ -176,6 +179,12 @@ class TestFit:
         # n_perm=0 used to return all-NaN importances
         with pytest.raises(InsufficientData, match="n_perm"):
             variable_importance(model, sim.dataset, n_perm=n_perm)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_importance_seed_is_a_non_negative_integer(self, model, sim, seed):
+        # -1 used to end in numpy's bare ValueError from SeedSequence
+        with pytest.raises(InsufficientData, match="seed"):
+            variable_importance(model, sim.dataset, n_perm=1, seed=seed)
 
     def test_unsmoothed_initial_curve(self, sim):
         m = fit(sim.dataset, ForestParams(n_tree=4, n_fold=2, seed=6, initial_smooth=False))

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import special, stats
 
+from _oracles import bracket_sorted
 from icrf import Scenario, generate, intervals_from_monitoring, truth_eval
 from icrf.exceptions import InvariantViolation
 from icrf.simgen import (
     SCENARIO_P,
+    _brackets,
     draw_covariates,
     draw_failure_times,
     mu_bar,
@@ -28,6 +33,25 @@ class TestIntervals:
     def test_boundary_is_right_closed(self):
         # T == U: the interval (previous, U] contains T
         assert intervals_from_monitoring(2.0, [2.0, 4.0]) == (0.0, 2.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), M=st.sampled_from([1, 3]), n=st.integers(1, 12))
+def test_all_subjects_bracket_as_each_one_alone(data, M, n):
+    # generate brackets every subject at once; each row is the one-subject
+    # bracket and the bracket of its sorted monitors, also where T is a
+    # monitor (that monitor is then R: the interval is (L, R])
+    times = st.floats(0.0, 10.0)
+    monitors = data.draw(hnp.arrays(float, (n, M), elements=times))
+    t = data.draw(hnp.arrays(float, n, elements=times))
+    at = data.draw(hnp.arrays(bool, n))
+    pick = data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, M - 1)))
+    t = np.where(at, monitors[np.arange(n), pick], t)
+    lefts, rights = _brackets(t, monitors)
+    for i in range(n):
+        assert (lefts[i], rights[i]) == intervals_from_monitoring(t[i], monitors[i])
+        assert (lefts[i], rights[i]) == bracket_sorted(t[i], monitors[i])
+    assert np.all(rights[at] == t[at])
 
 
 class TestTruth:
@@ -111,6 +135,26 @@ class TestGenerate:
         with pytest.raises(InvariantViolation):
             Scenario(id=7)
 
+    @pytest.mark.parametrize("kw", [dict(n=-5), dict(n=2.5), dict(seed=-1), dict(seed=1.5)],
+                             ids=["n_negative", "n_fraction", "seed_negative", "seed_fraction"])
+    def test_negative_or_fractional_size_or_seed(self, kw):
+        # these used to end in numpy's "expected non-negative integer"
+        # ValueError from SeedSequence, or a TypeError
+        with pytest.raises(InvariantViolation, match="non-negative integer"):
+            Scenario(id=5, **kw)
+
+    def test_scenario5_mu_is_scipy_expit_bit_for_bit(self):
+        # mu_of computes expit with the libm exp that scipy.special.expit
+        # uses; numpy's exp differs from it in the last bit on some values
+        rng = np.random.default_rng(55)
+        s = np.concatenate((rng.uniform(-1000.0, 1000.0, 20_000), rng.normal(0.0, 3.0, 20_000),
+                            np.linspace(-750.0, 750.0, 30_001), [np.inf, -np.inf, np.nan]))
+        X = np.zeros((s.size, 10))
+        X[:, 0] = s
+        np.testing.assert_array_equal(mu_of(5, X), 2.0 * special.expit(s))
+        X[:, :3] = s[:, None] / 3.0
+        np.testing.assert_array_equal(mu_of(5, X), 2.0 * special.expit(X[:, 0] + X[:, 1] + X[:, 2]))
+
     @pytest.mark.parametrize("sc", [1, 2, 3, 4, 5, 6])
     def test_failure_law_matches_truth_small(self, sc):
         # small-scale distribution check; the full 1e5-draw KS gate lives
@@ -126,8 +170,9 @@ class TestGenerate:
         assert d < 0.03
 
 
-def _loaded_by_import_icrf(modules) -> list:
-    """Which of ``modules`` a fresh ``import icrf`` loads."""
+def _loaded_by_import_icrf(modules, then: str = "") -> list:
+    """Which of ``modules``, or of the modules under them, a fresh process
+    loads by ``import icrf`` and then running ``then``."""
     import os
     import subprocess
     import sys
@@ -135,18 +180,49 @@ def _loaded_by_import_icrf(modules) -> list:
     import icrf
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(icrf.__file__)))
-    code = f"import sys, icrf; print(','.join(m for m in {list(modules)!r} if m in sys.modules))"
+    code = (f"import sys, icrf\n{then}\n"
+            f"print(','.join(m for m in sorted(sys.modules) for w in {list(modules)!r}"
+            f" if m == w or m.startswith(w + '.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     return [m for m in out.strip().split(",") if m]
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of `import icrf`; the package must not need it
-    assert _loaded_by_import_icrf(["scipy.stats"]) == []
+def test_import_loads_no_scipy():
+    # scipy.stats, scipy.optimize (the NPMLE's nnls) and scipy.special each
+    # cost a large share of `import icrf`; every SciPy module is imported
+    # where the work first needs it
+    assert _loaded_by_import_icrf(["scipy"]) == []
 
 
-def test_import_leaves_out_scipy_optimize():
-    # scipy.optimize (the NPMLE's nnls) costs about 0.2 s to import; the
-    # NPMLE imports it on first use, so `import icrf` stays without it
-    assert _loaded_by_import_icrf(["scipy.stats", "scipy.optimize"]) == []
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    import icrf
+
+    data = generate(Scenario(5, n=80, seed=2)).dataset
+    path = tmp_path_factory.mktemp("model") / "m.bin"
+    icrf.save_model(icrf.fit(data, icrf.ForestParams(n_tree=2, n_fold=1, seed=1)), str(path))
+    return path
+
+
+def _predict_after_load(path, smoothed: bool) -> str:
+    return (f"import numpy as np\n"
+            f"m = icrf.load_model({str(path)!r})\n"
+            f"icrf.predict(m, np.zeros((2, 10)), np.linspace(0, 5, 11), smoothed={smoothed})")
+
+
+def test_simulate_save_load_and_raw_predict_leave_out_scipy_special(model_file, tmp_path):
+    # none of these smooths or evaluates a scenario 3 or 4 truth
+    then = "\n".join([
+        "for sc in (1, 2, 5, 6):",
+        "    icrf.generate(icrf.Scenario(sc, n=50, M=3, seed=1))",
+        _predict_after_load(model_file, smoothed=False),
+        f"icrf.save_model(m, {str(tmp_path / 'copy.bin')!r})",
+    ])
+    assert _loaded_by_import_icrf(["scipy.special"], then) == []
+
+
+def test_smoothed_predict_loads_scipy_special(model_file):
+    # the check above is not vacuous: smoothing does load it
+    then = _predict_after_load(model_file, smoothed=True)
+    assert "scipy.special" in _loaded_by_import_icrf(["scipy.special"], then)
