@@ -7,14 +7,24 @@ keys make identical models produce identical bytes.
 
 Each tree is stored as the arrays of ``TREE_ARRAYS``: its nodes, its
 in-bag ids and its ``curves.LeafStore``, which ``save_model`` writes and
-``load_model`` reads back as they are, with no object per leaf. Loading
-checks every tree in one vectorized pass per array, and a file that fails
-a check raises ``ParseError`` naming the array: the node arrays must
-route every row to a leaf (a split's children come after it, so routing
-ends), ``leafidx`` must number the leaves one to one, the offsets must
-delimit them, the in-bag ids must be non-negative and strictly increasing
-and the leaves' members must partition them, and each leaf curve must
-pass ``StepSurvival``'s checks. In the header, ``tau`` and ``h`` must be
+``load_model`` reads back as they are, with no object per leaf.
+
+Loading checks the whole model in one pass. Each array is read from the
+file straight into the concatenation of its kind over all trees of all
+folds, so no copy of the file is held; each check runs once on a
+concatenation, with per-tree limits taken from the per-tree sizes; and
+each tree holds slices of the checked arrays. A file that fails a check
+raises ``ParseError`` naming the array of the tree at fault,
+``f{k}_t{b}_{name}``. The node arrays must route every row to a leaf (a
+split's children come after it, so routing ends, and its cut-off is
+finite), ``leafidx`` must number the leaves one to one, the offsets must
+delimit them, the in-bag ids must be non-negative and strictly
+increasing and the leaves' members must partition them, and each leaf
+curve must pass ``StepSurvival``'s checks. Each fold's ``f{k}_oob`` holds
+one OOB error per tree, NaN or >= 0, and the marginal curve is float64.
+The header must list its folds as 1, 2, ... in order, its manifest must
+name exactly the arrays of the header's folds and trees, in file order,
+and the file must end with the last array. ``tau`` and ``h`` must be
 finite and > 0, ``k_opt`` must name a stored fold and the params must
 pass their own checks.
 """
@@ -26,6 +36,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -62,6 +73,10 @@ TREE_ARRAYS = {
     "inbag": "<i8", "ltimes": "<f8", "lvalues": "<f8", "loffsets": "<i8", "lrates": "<f8",
     "lmembers": "<i8", "lmoffsets": "<i8",
 }
+# the arrays of a tree's LeafStore
+LEAF_ARRAYS = ("ltimes", "lvalues", "loffsets", "lrates", "lmembers", "lmoffsets")
+# the manifest's name of each dtype save_model writes: str(np.dtype(key))
+DTYPE_NAMES = {"<i4": "int32", "<i8": "int64", "<f8": "float64"}
 
 
 def _tree_arrays(tree: Tree) -> tuple:
@@ -71,10 +86,10 @@ def _tree_arrays(tree: Tree) -> tuple:
 
 
 def save_model(model: IcrfModel, path: str):
-    arrays: list[tuple[str, np.ndarray]] = []
+    arrays: list[tuple[str, np.ndarray, str]] = []
 
     def add(name, arr, dtype):
-        arrays.append((name, np.ascontiguousarray(arr, dtype=dtype)))
+        arrays.append((name, np.ascontiguousarray(arr, dtype=dtype), DTYPE_NAMES[dtype]))
 
     add("marginal_times", model.initial_marginal.times, "<f8")
     add("marginal_values", model.initial_marginal.values, "<f8")
@@ -99,9 +114,7 @@ def save_model(model: IcrfModel, path: str):
         "k_opt": model.k_opt,
         "marginal_tail_rate": model.initial_marginal.tail_rate,
         "folds": folds_meta,
-        "manifest": [
-            [name, str(arr.dtype), list(arr.shape)] for name, arr in arrays
-        ],
+        "manifest": [[name, dtype, list(arr.shape)] for name, arr, dtype in arrays],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     d = os.path.dirname(os.path.abspath(path))
@@ -111,7 +124,7 @@ def save_model(model: IcrfModel, path: str):
             fh.write(MAGIC)
             fh.write(np.uint64(len(blob)).tobytes())
             fh.write(blob)
-            for _, arr in arrays:
+            for _, arr, _ in arrays:
                 fh.write(arr.tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -122,49 +135,42 @@ def save_model(model: IcrfModel, path: str):
 
 def load_model(path: str) -> IcrfModel:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    start = len(MAGIC) + 8
-    if blob[: len(MAGIC)] != MAGIC or len(blob) < start:
-        raise ParseError(f"{path}: not a model file")
-    (hlen,) = np.frombuffer(blob[len(MAGIC) : start], dtype="<u8")
-    try:
-        header = json.loads(blob[start : start + int(hlen)].decode())
-    except ValueError:  # also covers invalid UTF-8
-        raise ParseError(f"{path}: malformed or truncated header") from None
-    try:
-        return _model_from(header, blob, start + int(hlen), path)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        # valid JSON, but a key is missing or a value has the wrong type
-        raise ParseError(f"{path}: malformed header: {exc!r}") from None
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(len(MAGIC) + 8)
+        if lead[: len(MAGIC)] != MAGIC or len(lead) < len(MAGIC) + 8:
+            raise ParseError(f"{path}: not a model file")
+        hlen = int.from_bytes(lead[len(MAGIC) :], "little")
+        if hlen > size - len(lead):
+            raise ParseError(f"{path}: malformed or truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode())
+        except ValueError:  # also covers invalid UTF-8
+            raise ParseError(f"{path}: malformed or truncated header") from None
+        try:
+            return _model_from(header, fh, size - len(lead) - hlen, path)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            # valid JSON, but a key is missing or a value has the wrong type
+            raise ParseError(f"{path}: malformed header: {exc!r}") from None
 
 
-def _model_from(header: dict, blob: bytes, pos: int, path: str) -> IcrfModel:
-    """The model a parsed header describes, its arrays read from ``blob``
-    starting at ``pos``."""
-    arrays = {}
-    for name, dtype, shape in header["manifest"]:
-        count = math.prod(shape)  # a Python product: np.prod costs more than the read
-        nbytes = count * np.dtype(dtype).itemsize
-        if min(shape, default=0) < 0 or pos + nbytes > len(blob):
-            raise ParseError(f"{path}: bad shape or truncated in array {name!r}")
-        arrays[name] = np.frombuffer(blob, dtype, count, pos).reshape(shape).copy()
-        pos += nbytes
-
+def _model_from(header: dict, fh, nbytes: int, path: str) -> IcrfModel:
+    """The model a parsed header describes, its arrays the ``nbytes`` bytes
+    left in ``fh``."""
+    prefixes, n_leaves, n_trees = _layout(header, path)
+    marginal_times, marginal_values, oob, kinds = _read_kinds(
+        header["manifest"], fh, nbytes, prefixes, n_trees, path)
     try:
-        marginal = StepSurvival(
-            arrays["marginal_times"],
-            arrays["marginal_values"],
-            tail_rate=header["marginal_tail_rate"],
-        )
+        marginal = StepSurvival(marginal_times.cat, marginal_values.cat,
+                                tail_rate=header["marginal_tail_rate"])
     except InvariantViolation as exc:
         raise ParseError(f"{path}: arrays 'marginal_times', 'marginal_values': {exc}") from None
-    p = len(header["feature_names"])
-    folds = []
-    for fmeta in header["folds"]:
-        k = fmeta["fold_index"]
-        trees = [_tree_from(arrays, f"f{k}_t{b}_", tmeta["n_leaves"], p, path)
-                 for b, tmeta in enumerate(fmeta["trees"])]
-        folds.append(ForestFold(k, trees, arrays[f"f{k}_oob"]))
+    oob.check_sizes(n_trees, lambda k: f"must have one entry per tree ({n_trees[k]})")
+    oob.check(np.isnan(oob.cat) | (oob.cat >= 0.0), "OOB errors must be >= 0 (NaN: none)")
+    trees = _trees_from(kinds, n_leaves, len(header["feature_names"]))
+    folds, at = [], 0
+    for k, (n, errors) in enumerate(zip(n_trees, oob.split()), 1):
+        folds.append(ForestFold(k, trees[at : at + n], errors))
+        at += n
 
     try:
         params = _params_from_dict(header["params"])
@@ -186,68 +192,244 @@ def _model_from(header: dict, blob: bytes, pos: int, path: str) -> IcrfModel:
     )
 
 
-def _check(ok, path: str, name: str, what: str):
-    if not ok:
-        raise ParseError(f"{path}: array {name!r}: {what}")
+def _layout(header: dict, path: str) -> tuple[list, list, list]:
+    """The name prefix and leaf count of each tree the header's folds list,
+    and the tree count of each fold. The folds must be listed 1, 2, ...
+    in order, and the manifest must name exactly their arrays, in file
+    order."""
+    names = ["marginal_times", "marginal_values"]
+    prefixes, n_leaves, n_trees = [], [], []
+    for k, fmeta in enumerate(header["folds"], 1):
+        if fmeta["fold_index"] != k:
+            raise ParseError(f"{path}: header 'folds': entry {k} has fold_index "
+                             f"{fmeta['fold_index']!r}; folds must be listed 1, 2, ... in order")
+        names.append(f"f{k}_oob")
+        n_trees.append(len(fmeta["trees"]))
+        for b, tmeta in enumerate(fmeta["trees"]):
+            pre = f"f{k}_t{b}_"
+            prefixes.append(pre)
+            n_leaves.append(tmeta["n_leaves"])
+            names += [pre + name for name in TREE_ARRAYS]
+    if min(n_trees, default=0) < 1 or not all(type(n) is int and n >= 1 for n in n_leaves):
+        raise ParseError(f"{path}: header 'folds': there must be a fold, every fold needs a "
+                         "tree and every tree an integer n_leaves >= 1")
+    listed = [entry[0] for entry in header["manifest"]]
+    if listed != names:
+        at, (got, want) = next((i, pair) for i, pair in enumerate(zip_longest(listed, names))
+                               if pair[0] != pair[1])
+        raise ParseError(f"{path}: header 'manifest' must list the arrays of the header's folds "
+                         f"and trees in file order: entry {at} is {got!r}, not {want!r}")
+    return prefixes, n_leaves, n_trees
 
 
-def _tree_from(arrays: dict, pre: str, n_leaves: int, p: int, path: str) -> Tree:
-    """The tree stored in the arrays named ``pre`` + TREE_ARRAYS, with
-    nodes that route every row to one of its ``n_leaves`` leaves."""
-    for name, dtype in TREE_ARRAYS.items():
-        arr = arrays[pre + name]
-        _check(arr.dtype == np.dtype(dtype) and arr.ndim == 1, path, pre + name,
-               f"must be 1-d {dtype}")
-    feature, cutoff, left, right, leafidx, inbag = (
-        arrays[pre + name] for name in ("feature", "cutoff", "left", "right", "leafidx", "inbag"))
-    nodes = feature.size
-    for name, arr in (("cutoff", cutoff), ("left", left), ("right", right), ("leafidx", leafidx)):
-        _check(arr.size == nodes, path, pre + name, f"must have one entry per node ({nodes})")
-    _check(nodes >= 1 and np.all((feature >= -1) & (feature < p)), path, pre + "feature",
-           f"must be -1 (a leaf) or a feature in [0, {p})")
-    inner = np.flatnonzero(feature >= 0)
+def _read_kinds(manifest: list, fh, nbytes: int, prefixes: list, n_trees: list, path: str):
+    """The marginal's times and values, the folds' OOB errors and a
+    ``_Kind`` for each of TREE_ARRAYS, read from the ``nbytes`` bytes left in
+    ``fh``: each array straight into its kind's concatenation."""
+    entries = _entries(manifest, nbytes, path)
+    marginal = [_Kind([entry], [""], name, "<f8", path)
+                for entry, name in zip(entries, ("marginal_times", "marginal_values"))]
+    oob_entries, tree_entries, at = [], [], 2
+    for n in n_trees:
+        oob_entries.append(entries[at])
+        tree_entries += entries[at + 1 : at + 1 + n * len(TREE_ARRAYS)]
+        at += 1 + n * len(TREE_ARRAYS)
+    oob = _Kind(oob_entries, [f"f{k}_" for k in range(1, len(n_trees) + 1)], "oob", "<f8", path)
+    kinds = {name: _Kind(tree_entries[j :: len(TREE_ARRAYS)], prefixes, name, dtype, path)
+             for j, (name, dtype) in enumerate(TREE_ARRAYS.items())}
+    # the room of every array, in file order
+    order = marginal[0].targets() + marginal[1].targets()
+    tree_targets = list(zip(*(kind.targets() for kind in kinds.values())))
+    at = 0
+    for errors, n in zip(oob.targets(), n_trees):
+        order.append(errors)
+        for targets in tree_targets[at : at + n]:
+            order += targets
+        at += n
+    for target in order:
+        if fh.readinto(target) != target.size:
+            raise ParseError(f"{path}: truncated while read")
+    return marginal[0], marginal[1], oob, kinds
+
+
+def _entries(manifest: list, nbytes: int, path: str) -> list[tuple[np.dtype, list]]:
+    """(dtype, shape) of each array ``manifest`` lists, which together must
+    take ``nbytes`` bytes."""
+    dtypes: dict[str, np.dtype] = {}
+    entries, pos = [], 0
+    for name, dtype, shape in manifest:
+        dt = dtypes.get(dtype)
+        if dt is None:
+            dt = dtypes[dtype] = np.dtype(dtype)
+        pos += math.prod(shape) * dt.itemsize  # a Python product: np.prod costs more
+        if min(shape, default=0) < 0 or pos > nbytes:
+            raise ParseError(f"{path}: bad shape or truncated in array {name!r}")
+        entries.append((dt, shape))
+    if pos != nbytes:
+        raise ParseError(f"{path}: {nbytes - pos} bytes after the last array {name!r}")
+    return entries
+
+
+class _Kind:
+    """One kind of array of every tree (or fold), as a file lists them:
+    each part, given as its (dtype, shape), checked to be a 1-d array of
+    ``dtype``, and ``cat``, room for all parts one after another. A failed
+    check raises ``ParseError`` naming the part at fault, prefix + kind."""
+
+    def __init__(self, parts: list, prefixes: list, kind: str, dtype: str, path: str):
+        self.prefixes, self.kind, self.path = prefixes, kind, path
+        want = np.dtype(dtype)
+        for i, (dt, shape) in enumerate(parts):
+            if dt != want or len(shape) != 1:
+                self.fail(i, f"must be 1-d {dtype}")
+        self.sizes = [shape[0] for _, shape in parts]
+        self.ends = list(accumulate(self.sizes))
+        self.starts = [0] + self.ends[:-1]
+        self.cat = np.empty(self.ends[-1] if parts else 0, dtype=want)
+
+    def targets(self) -> list[np.ndarray]:
+        """The bytes of each part's room in ``cat``, to read it into."""
+        raw, width = self.cat.view(np.uint8), self.cat.itemsize
+        return [raw[a * width : b * width] for a, b in zip(self.starts, self.ends)]
+
+    def fail(self, i: int, what):
+        """Raise for part ``i``; ``what`` is the message or gives it for ``i``."""
+        what = what if isinstance(what, str) else what(i)
+        raise ParseError(f"{self.path}: array {self.prefixes[i] + self.kind!r}: {what}")
+
+    def check(self, ok: np.ndarray, what, at=None, ends=None):
+        """Fail unless ``ok`` is all true; a false ``ok[j]`` blames the part
+        that holds entry ``at[j]`` (``j`` itself without ``at``), found in
+        ``ends`` (the parts' own ends by default)."""
+        if not ok.all():
+            j = int(ok.argmin())
+            j = j if at is None else int(at[j])
+            self.fail(int(np.searchsorted(self.ends if ends is None else ends, j, side="right")),
+                      what)
+
+    def check_sizes(self, want: list, what):
+        if self.sizes != want:
+            self.fail(next(i for i, (a, b) in enumerate(zip(self.sizes, want)) if a != b), what)
+
+    def split(self) -> list[np.ndarray]:
+        """The parts, as slices of ``cat``."""
+        cat = self.cat
+        return [cat[a:b] for a, b in zip(self.starts, self.ends)]
+
+
+def _trees_from(kinds: dict, n_leaves: list, p: int) -> list[Tree]:
+    """The trees whose arrays ``kinds`` holds, a ``_Kind`` for each of
+    TREE_ARRAYS: tree i has ``n_leaves[i]`` leaves, among ``p`` features,
+    and nodes that must route every row to one of its leaves.
+
+    All trees are checked in one pass: each check runs once on a kind's
+    concatenation over the trees, with the per-tree limits taken from the
+    per-tree sizes. The trees hold slices of the concatenations."""
+    feature, cutoff, left, right, leafidx = (
+        kinds[name] for name in ("feature", "cutoff", "left", "right", "leafidx"))
+    nodes = feature.sizes
+    for kind in (cutoff, left, right, leafidx):
+        kind.check_sizes(nodes, lambda i: f"must have one entry per node ({nodes[i]})")
+    in_range = f"must be -1 (a leaf) or a feature in [0, {p})"
+    if min(nodes) < 1:
+        feature.fail(nodes.index(min(nodes)), in_range)
+    feat = feature.cat
+    feature.check((feat >= -1) & (feat < p), in_range)
+    # each node's tree: its first and end node, its first and end leaf
+    leaf_ends = list(accumulate(n_leaves))
+    bounds = np.repeat(np.array([feature.starts, feature.ends, [0] + leaf_ends[:-1], leaf_ends]),
+                       nodes, axis=1)
+    split = feat >= 0
+    inner = np.flatnonzero(split)
+    first, end = bounds[:2, inner]
     # children after their parent: routing moves down and stops
-    for name, child in (("left", left), ("right", right)):
-        _check(np.all((child[inner] > inner) & (child[inner] < nodes)), path, pre + name,
-               "must name a later node at every split")
-    _check(np.array_equal(np.sort(leafidx[feature < 0]), np.arange(n_leaves)), path,
-           pre + "leafidx", f"must number the leaf nodes 0..{n_leaves - 1}, one each")
-    _check(inbag.size == 0 or (inbag[0] >= 0 and (inbag[1:] > inbag[:-1]).all()), path,
-           pre + "inbag", "ids must be non-negative and strictly increasing")
-    store = _leaf_store(arrays, pre, n_leaves, path)
-    members = np.sort(store.members)
-    _check(members.size == inbag.size and (members == inbag).all(), path, pre + "lmembers",
-           "the leaves' members must partition the in-bag ids")
-    return Tree(feature, cutoff, left, right, leafidx, store, inbag)
+    for kind in (left, right):
+        child = kind.cat[inner] + first
+        kind.check((child > inner) & (child < end), "must name a later node at every split",
+                   at=inner)
+    cutoff.check(np.isfinite(cutoff.cat[inner]), "must be finite at every split", at=inner)
+    leaf = np.flatnonzero(~split)
+    first, end = bounds[2:, leaf]
+    slot = leafidx.cat[leaf] + first
+
+    def numbered(i):
+        return f"must number the leaf nodes 0..{n_leaves[i] - 1}, one each"
+
+    leafidx.check((slot >= first) & (slot < end), numbered, at=leaf)
+    leafidx.check(np.bincount(slot, minlength=leaf_ends[-1]) == 1, numbered, ends=leaf_ends)
+    stores = _leaf_stores(kinds, n_leaves)
+    columns = [kind.split() for name, kind in kinds.items() if name not in LEAF_ARRAYS]
+    return [Tree(*node_arrays, store, inbag)
+            for *node_arrays, inbag, store in zip(*columns, stores)]
 
 
-def _leaf_store(arrays: dict, pre: str, n_leaves: int, path: str) -> LeafStore:
-    """The LeafStore of ``n_leaves`` leaves in the arrays named ``pre`` +
-    ltimes, ..., lmoffsets, checked in one vectorized pass: offsets that
-    delimit the leaves, and curves that StepSurvival would accept one by
-    one, their values clipped to [0, 1] the same way."""
-    times, values, offsets, rates, members, moffsets = (
-        arrays[pre + name]
-        for name in ("ltimes", "lvalues", "loffsets", "lrates", "lmembers", "lmoffsets"))
-    for name, off, data in (("loffsets", offsets, times), ("lmoffsets", moffsets, members)):
-        _check(off.size == n_leaves + 1 and off[0] == 0 and off[-1] == data.size
-               and np.all(off[1:] >= off[:-1]), path, pre + name,
-               f"must rise from 0 to {data.size} in {n_leaves + 1} entries")
-    _check(values.size == times.size, path, pre + "lvalues", "must have one value per knot")
-    _check(rates.size == n_leaves, path, pre + "lrates", "must have one rate per leaf")
-    # StepSurvival's checks on all curves at once; the differences within
-    # a curve are those that do not cross the start of the next
-    _check(np.all((times > 0.0) & (times < np.inf)), path, pre + "ltimes",
-           "knot times must be finite and > 0")
-    within = np.ones(max(times.size - 1, 0), dtype=bool)
-    starts = offsets[1:-1]
-    within[starts[(starts > 0) & (starts < times.size)] - 1] = False
-    _check(np.all(np.diff(times)[within] > 0.0), path, pre + "ltimes",
-           "knot times must be strictly increasing within each curve")
-    _check(np.all((values >= -1e-12) & (values <= 1.0 + 1e-12)), path, pre + "lvalues",
-           "values must lie in [0, 1]")
-    _check(not np.any(np.diff(values)[within] > 1e-12), path, pre + "lvalues",
-           "values must be non-increasing within each curve")
-    _check(np.all(np.isnan(rates) | (rates >= 0.0)), path, pre + "lrates",
-           "tail rates must be >= 0 (NaN: no tail)")
-    return LeafStore(times, np.clip(values, 0.0, 1.0), offsets, rates, members, moffsets)
+def _leaf_stores(kinds: dict, n_leaves: list) -> list[LeafStore]:
+    """The LeafStores of many trees, tree i with ``n_leaves[i]`` leaves, in
+    the ``_Kind`` of each of ``LEAF_ARRAYS`` and of ``inbag``: offsets that
+    delimit the leaves, curves that StepSurvival would accept one by one,
+    their values clipped to [0, 1] the same way, and members that partition
+    the tree's in-bag ids, which must be non-negative and strictly increasing.
+    Checked in one pass over all trees."""
+    inbag, times, values, offsets, rates, members, moffsets = (
+        kinds[name] for name in ("inbag",) + LEAF_ARRAYS)
+    n_trees = len(n_leaves)
+    ids = inbag.cat
+    # ids below the limit keep the members' sort keys (further down) within int64
+    limit = np.iinfo(np.int64).max // n_trees
+    inbag.check((ids >= 0) & (ids < limit), f"ids must lie in [0, {limit})")
+    inbag.check(_within(ids[1:] > ids[:-1], np.asarray(inbag.starts), True),
+                "ids must be strictly increasing")
+    curve_starts = _delimits(offsets, times, n_leaves)
+    _delimits(moffsets, members, n_leaves)
+    values.check_sizes(times.sizes, "must have one value per knot")
+    rates.check_sizes(n_leaves, "must have one rate per leaf")
+    # StepSurvival's checks on all curves at once; the pairs of knots within
+    # a curve are those that do not cross the start of the next. Comparing
+    # neighbours, not taking their differences, makes no temporary as large
+    # as the knots
+    t, v, r = times.cat, values.cat, rates.cat
+    times.check((t > 0.0) & (t < np.inf), "knot times must be finite and > 0")
+    times.check(_within(t[1:] > t[:-1], curve_starts, True),
+                "knot times must be strictly increasing within each curve")
+    values.check((v >= -1e-12) & (v <= 1.0 + 1e-12), "values must lie in [0, 1]")
+    # a rise of more than 1e-12 is a rise: only the rises need their size
+    rises = np.flatnonzero(_within(v[1:] > v[:-1], curve_starts, False))
+    values.check(v[rises + 1] - v[rises] <= 1e-12,
+                 "values must be non-increasing within each curve", at=rises)
+    rates.check(np.isnan(r) | (r >= 0.0), "tail rates must be >= 0 (NaN: no tail)")
+    partition = "the leaves' members must partition the in-bag ids"
+    members.check_sizes(inbag.sizes, partition)
+    m = members.cat
+    width = int(ids.max()) + 1 if ids.size else 1
+    members.check((m >= 0) & (m < width), partition)
+    # sort keys that keep each tree's members in the tree's own block
+    block = np.repeat(np.arange(0, n_trees * width, width), members.sizes)
+    members.check(np.sort(m + block) == ids + block, partition)
+    np.clip(v, 0.0, 1.0, out=v)
+    return [LeafStore(*arrays) for arrays in zip(*(kinds[name].split() for name in LEAF_ARRAYS))]
+
+
+def _delimits(offsets: _Kind, data: _Kind, n_leaves: list) -> np.ndarray:
+    """Check that each tree's ``offsets`` rise from 0 to the size of its
+    ``data`` in n_leaves + 1 entries; return them shifted by the tree's
+    first entry of ``data``."""
+    def rise(i):
+        return f"must rise from 0 to {data.sizes[i]} in {n_leaves[i] + 1} entries"
+
+    offsets.check_sizes([n + 1 for n in n_leaves], rise)
+    cat = offsets.cat
+    ends = (cat[np.asarray(offsets.ends) - 1] == data.sizes) & (cat[offsets.starts] == 0)
+    if not ends.all():
+        offsets.fail(int(ends.argmin()), rise)
+    # compared, not subtracted: a difference of two corrupt offsets may wrap
+    shifted = cat + np.repeat(data.starts, offsets.sizes)
+    offsets.check(shifted[1:] >= shifted[:-1], rise)
+    return shifted
+
+
+def _within(pairs: np.ndarray, starts: np.ndarray, fill) -> np.ndarray:
+    """``pairs``, a result for each two neighbours of a concatenation of
+    segments that start at ``starts``, with ``fill`` for each two that
+    cross from one segment to the next."""
+    pairs[starts[(starts > 0) & (starts <= pairs.size)] - 1] = fill
+    return pairs

@@ -4,11 +4,17 @@ arguments of the wrong shape or type raise typed errors, never a bare
 ValueError, TypeError, KeyError or IndexError, and are never read as
 something else."""
 
+import functools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import icrf
 from icrf import Dataset, load_csv, load_model, predict
 from icrf.cli import MAX_GRID_N, _parse_grid
 from icrf.exceptions import DimensionMismatch, InvalidFold, InvariantViolation, ParseError
@@ -65,8 +71,6 @@ def test_malformed_model_header_is_parse_error(tmp_path, header):
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
     """Bytes of a freshly saved model (scenario 5, n=200, 2 trees x 2 folds)."""
-    import icrf
-
     data = icrf.generate(icrf.Scenario(5, n=200, seed=4)).dataset
     model = icrf.fit(data, icrf.ForestParams(n_tree=2, n_fold=2, seed=1))
     path = tmp_path_factory.mktemp("model") / "m.bin"
@@ -97,65 +101,95 @@ def _write(blob: bytes, name: str, index: int, value) -> bytes:
     return blob[:at] + np.asarray(value, dtype=dtype).tobytes() + blob[at + dtype.itemsize:]
 
 
-def _first_leaf_node(blob):
-    return int(np.flatnonzero(_read(blob, "f1_t0_feature") < 0)[0])
+def _first_leaf_node(blob, pre):
+    return int(np.flatnonzero(_read(blob, pre + "feature") < 0)[0])
 
 
-def _interior_knot(blob):
-    """A knot of tree 0's leaf curves that is not the first of its curve,
+def _first_split_node(blob, pre):
+    return int(np.flatnonzero(_read(blob, pre + "feature") >= 0)[0])
+
+
+def _interior_knot(blob, pre):
+    """A knot of the tree's leaf curves that is not the first of its curve,
     with a predecessor below 1."""
-    off = _read(blob, "f1_t0_loffsets")
-    values = _read(blob, "f1_t0_lvalues")
+    off = _read(blob, pre + "loffsets")
+    values = _read(blob, pre + "lvalues")
     first = np.zeros(values.size, dtype=bool)
     first[off[:-1][off[:-1] < values.size]] = True
     return int(np.flatnonzero(~first & (np.roll(values, 1) < 0.5))[0])
 
 
-# each: (array, the entry to overwrite, its new value). Before these
-# checks, the first two loaded and predicted wrong rows or nothing at all;
-# the next three loaded and then raised a bare IndexError in predict, the
-# next made predict loop forever, and the last two loaded and gave a wrong
-# out-of-bag error (an in-bag id beyond the data, a member id twice).
+# each: (array, the entry to overwrite, its new value), the array named
+# with the tree's prefix {pre} (f1_t0_ or the last tree's, f2_t1_) or its
+# fold's {fold}. Before these checks, the first two loaded and predicted
+# wrong rows or nothing at all; the next three loaded and then raised a
+# bare IndexError in predict, the next made predict loop forever, and the
+# last two loaded and gave a wrong out-of-bag error (an in-bag id beyond
+# the data, a member id twice).
 STRUCTURAL = {
-    "loffsets_end": ("f1_t0_loffsets", lambda b: -1, lambda b: 1),
-    "lmoffsets_jump": ("f1_t0_lmoffsets", lambda b: 1, lambda b: 10**6),
-    "leafidx_out_of_range": ("f1_t0_leafidx", _first_leaf_node, lambda b: 999),
-    "left_out_of_range": ("f1_t0_left", lambda b: 0, lambda b: 5000),
-    "feature_out_of_range": ("f1_t0_feature", lambda b: 0, lambda b: 99),
-    "left_loops_to_root": ("f1_t0_left", lambda b: 0, lambda b: 0),
-    "inbag_out_of_range": ("f1_t0_inbag", lambda b: 0, lambda b: 10**6),
-    "lmembers_repeated": ("f1_t0_lmembers", lambda b: 1, lambda b: _read(b, "f1_t0_lmembers")[0]),
+    "loffsets_end": ("{pre}loffsets", lambda b, pre: -1, lambda b, pre: 1),
+    "lmoffsets_jump": ("{pre}lmoffsets", lambda b, pre: 1, lambda b, pre: 10**6),
+    "leafidx_out_of_range": ("{pre}leafidx", _first_leaf_node, lambda b, pre: 999),
+    "left_out_of_range": ("{pre}left", lambda b, pre: 0, lambda b, pre: 5000),
+    "feature_out_of_range": ("{pre}feature", lambda b, pre: 0, lambda b, pre: 99),
+    "left_loops_to_root": ("{pre}left", lambda b, pre: 0, lambda b, pre: 0),
+    "inbag_out_of_range": ("{pre}inbag", lambda b, pre: 0, lambda b, pre: 10**6),
+    "lmembers_repeated": ("{pre}lmembers", lambda b, pre: 1,
+                          lambda b, pre: _read(b, pre + "lmembers")[0]),
 }
 
 # one case per check StepSurvival makes of a curve; a NaN value used to
-# load and give NaN rows
+# load and give NaN rows. A non-finite cut-off at a split, a negative
+# OOB error or one of NaN loaded too: the cut-off routed rows the other
+# way, the OOB error went into the fold's
 VALUES = {
-    "time_nan": ("f1_t0_ltimes", lambda b: 0, lambda b: np.nan),
-    "time_zero": ("f1_t0_ltimes", lambda b: 0, lambda b: 0.0),
-    "time_repeated": ("f1_t0_ltimes", _interior_knot,
-                      lambda b: _read(b, "f1_t0_ltimes")[_interior_knot(b) - 1]),
-    "value_above_one": ("f1_t0_lvalues", lambda b: 0, lambda b: 1.5),
-    "value_nan": ("f1_t0_lvalues", lambda b: 0, lambda b: np.nan),
-    "value_increasing": ("f1_t0_lvalues", _interior_knot, lambda b: 1.0),
-    "tail_rate_negative": ("f1_t0_lrates", lambda b: 0, lambda b: -1.0),
-    "marginal_value_nan": ("marginal_values", lambda b: 0, lambda b: np.nan),
+    "time_nan": ("{pre}ltimes", lambda b, pre: 0, lambda b, pre: np.nan),
+    "time_zero": ("{pre}ltimes", lambda b, pre: 0, lambda b, pre: 0.0),
+    "time_repeated": ("{pre}ltimes", _interior_knot,
+                      lambda b, pre: _read(b, pre + "ltimes")[_interior_knot(b, pre) - 1]),
+    "value_above_one": ("{pre}lvalues", lambda b, pre: 0, lambda b, pre: 1.5),
+    "value_nan": ("{pre}lvalues", lambda b, pre: 0, lambda b, pre: np.nan),
+    "value_increasing": ("{pre}lvalues", _interior_knot, lambda b, pre: 1.0),
+    "tail_rate_negative": ("{pre}lrates", lambda b, pre: 0, lambda b, pre: -1.0),
+    "marginal_value_nan": ("marginal_values", lambda b, pre: 0, lambda b, pre: np.nan),
+    "cutoff_nan": ("{pre}cutoff", _first_split_node, lambda b, pre: np.nan),
+    "cutoff_inf": ("{pre}cutoff", _first_split_node, lambda b, pre: np.inf),
+    "cutoff_minus_inf": ("{pre}cutoff", _first_split_node, lambda b, pre: -np.inf),
+    "oob_negative": ("{fold}oob", lambda b, pre: 0, lambda b, pre: -5.0),
 }
+
+
+def _header(blob: bytes) -> tuple[dict, int]:
+    """The parsed header of a model file and the offset where it ends."""
+    pos = len(MAGIC) + 8
+    end = pos + int(np.frombuffer(blob[len(MAGIC):pos], dtype="<u8")[0])
+    return json.loads(blob[pos:end]), end
 
 
 def _with_header(blob: bytes, edit) -> bytes:
     """``blob`` with its header changed in place by ``edit``."""
-    pos = len(MAGIC) + 8
-    end = pos + int(np.frombuffer(blob[len(MAGIC):pos], dtype="<u8")[0])
-    header = json.loads(blob[pos:end])
+    header, end = _header(blob)
     edit(header)
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return MAGIC + np.uint64(len(text)).tobytes() + text + blob[end:]
 
 
+def _declare(name: str, dtype: str):
+    """A header edit that declares array ``name`` of ``dtype``, of the
+    same item size, so the file stays whole."""
+    def edit(header):
+        for entry in header["manifest"]:
+            if entry[0] == name:
+                entry[1] = dtype
+    return edit
+
+
 # each: (the header key, an edit of the header). Before these checks, h = -1
 # loaded and predicted rows of 1, h = NaN rows of 1.1e-16, tau = -3 loaded,
 # k_opt = 7 of 2 folds loaded and failed at predict (InvalidFold), and
-# params that fail their own checks raised InsufficientData
+# params that fail their own checks raised InsufficientData. An OOB error
+# array declared int64 loaded as errors of about 4.6e18, and marginal
+# arrays declared int64 as integer knots.
 HEADER = {
     "h_negative": ("h", lambda hd: hd.update(h=-1.0)),
     "h_nan": ("h", lambda hd: hd.update(h=np.nan)),
@@ -169,7 +203,21 @@ HEADER = {
     "params_c_override": ("params", lambda hd: hd["params"].update(c_override=-1.0)),
     "params_n_fold": ("params", lambda hd: hd["params"].update(n_fold=0)),
     "params_seed_negative": ("params", lambda hd: hd["params"].update(seed=-1)),
+    "oob_int64": ("f1_oob", _declare("f1_oob", "<i8")),
+    "marginal_times_int64": ("marginal_times", _declare("marginal_times", "<i8")),
+    "marginal_values_int64": ("marginal_values", _declare("marginal_values", "<i8")),
 }
+
+
+def _corrupt(blob: bytes, case: str, fold: int = 1, tree: int = 0) -> tuple[bytes, str]:
+    """``blob`` changed by a case of STRUCTURAL or VALUES in the given tree
+    (or its fold), and the name of the array changed."""
+    template, index, value = {**STRUCTURAL, **VALUES}[case]
+    pre = f"f{fold}_t{tree}_"
+    name = template.format(pre=pre, fold=f"f{fold}_")
+    changed = _write(blob, name, index(blob, pre), value(blob, pre))
+    assert changed != blob and len(changed) == len(blob)
+    return changed, name
 
 
 @pytest.mark.parametrize("case", list(STRUCTURAL) + list(VALUES) + list(HEADER))
@@ -179,13 +227,119 @@ def test_corrupted_model_file_is_parse_error(tmp_path, saved_model, case):
         blob = _with_header(saved_model, edit)
         assert blob != saved_model
     else:
-        name, index, value = {**STRUCTURAL, **VALUES}[case]
-        blob = _write(saved_model, name, index(saved_model), value(saved_model))
-        assert blob != saved_model and len(blob) == len(saved_model)
+        blob, name = _corrupt(saved_model, case)
     path = tmp_path / "bad.bin"
     path.write_bytes(blob)
     with pytest.raises(ParseError, match=name):
         load_model(str(path))
+
+
+# the cases of one tree's arrays or of its fold's
+IN_A_TREE = [case for case, (template, _, _) in {**STRUCTURAL, **VALUES}.items()
+             if template.startswith("{")]
+
+
+@pytest.mark.parametrize("case", IN_A_TREE)
+def test_corrupted_last_tree_is_parse_error(tmp_path, saved_model, case):
+    # the last tree of the last fold: a loader that checks all trees at
+    # once must still name the tree at fault
+    blob, name = _corrupt(saved_model, case, fold=2, tree=1)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match=name):
+        load_model(str(path))
+
+
+def _reverse_folds(header):
+    header["folds"].reverse()
+
+
+def _drop_last_tree(header):
+    header["folds"][0]["trees"].pop()
+
+
+# each: (a pattern of the error, a change of the file). Before these
+# checks, each loaded: folds out of order made k_opt pick the other fold,
+# a tree the header left out was dropped without notice, and bytes after
+# the last array were ignored
+STRUCTURE = {
+    "folds_reversed": ("'folds'", lambda b: _with_header(b, _reverse_folds)),
+    "tree_missing_from_header": ("'manifest'", lambda b: _with_header(b, _drop_last_tree)),
+    "trailing_bytes": ("after the last array", lambda b: b + bytes(1)),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURE))
+def test_bad_file_structure_is_parse_error(tmp_path, saved_model, case):
+    pattern, change = STRUCTURE[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(change(saved_model))
+    with pytest.raises(ParseError, match=pattern):
+        load_model(str(path))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_model(prediction: str) -> bytes:
+    """Bytes of a small saved model (scenario 5, n=120, 2 trees x 2
+    folds) with leaves of kind ``prediction``."""
+    data = icrf.generate(icrf.Scenario(5, n=120, seed=2)).dataset
+    model = icrf.fit(data, icrf.ForestParams(
+        n_tree=2, n_fold=2, seed=3, tree=icrf.TreeParams(prediction=prediction)))
+    return _saved(model)
+
+
+def _saved(model) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.bin")
+        icrf.save_model(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _loaded(blob: bytes):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.bin")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return load_model(path)
+
+
+# values a corrupted float entry may hold: the edges of every check, and any
+FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1.0, 0.5, 1.0, 1.0 + 5e-13,
+                     1.0 + 2e-12, 2.0, 1e300, -1e300]),
+    st.floats(allow_nan=True, allow_infinity=True))
+SHAPE_TOL = 1e-12  # rounding in the smoothed rows
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(["quasi_honest", "exploitative"]), st.data())
+def test_written_value_is_parse_error_or_a_sound_model(prediction, data):
+    """One value written anywhere in the arrays of a saved model either
+    fails the load or leaves a model whose curves are curves: finite, in
+    [0, 1] and non-increasing, raw and smoothed, and which saves back to
+    the bytes it loads from."""
+    blob = _small_model(prediction)
+    arrays = _arrays(blob)
+    name = data.draw(st.sampled_from(sorted(n for n, (_, _, count) in arrays.items() if count)))
+    _, dtype, count = arrays[name]
+    index = data.draw(st.integers(0, count - 1))
+    info = np.iinfo(dtype) if dtype.kind == "i" else None
+    value = data.draw(FLOATS if info is None else st.one_of(
+        st.sampled_from([-1, 0, 1, 2, info.max, info.min]), st.integers(info.min, info.max)))
+    try:
+        model = _loaded(_write(blob, name, index, value))
+    except ParseError:
+        return
+    X = np.random.default_rng(0).standard_normal((4, len(model.feature_names)))
+    grid = np.linspace(0.0, 2.0 * model.tau, 23)
+    for smoothed in (False, True):
+        rows = predict(model, X, grid, smoothed=smoothed)
+        assert np.isfinite(rows).all()
+        assert rows.min() >= -SHAPE_TOL and rows.max() <= 1.0 + SHAPE_TOL
+        assert np.diff(rows, axis=1).max() <= SHAPE_TOL
+    again = _saved(model)
+    assert _saved(_loaded(again)) == again
 
 
 def test_uncorrupted_model_file_loads(tmp_path, saved_model):

@@ -29,6 +29,7 @@ import icrf.forest as forest_mod
 import icrf.tree as tree_mod
 from icrf.forest import METRICS, UPDATE_MODES, _monitor_error, monitor_grid
 from icrf.npmle import npmle_batch, npmle_fit
+from icrf.serialize import DTYPE_NAMES, TREE_ARRAYS
 
 from _oracles import predict_per_tree, route_loop, tree_batch_loop
 from test_tree import tree_predict
@@ -605,6 +606,12 @@ class TestSerialization:
             params = ForestParams(n_tree=10, n_fold=2, seed=9, n_jobs=n_jobs, tree=tree)
             save_model(fit(sim.dataset, params), str(path))
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_manifest_dtype_names_are_numpys(self):
+        # save_model names each dtype it writes from a table, not str(dtype)
+        assert set(DTYPE_NAMES) == set(TREE_ARRAYS.values())
+        for dtype, name in DTYPE_NAMES.items():
+            assert str(np.dtype(dtype)) == name
 
     @pytest.mark.parametrize("cut", [lambda size: 40, lambda size: size // 2,
                                      lambda size: size - 3],

@@ -3,7 +3,8 @@ for bit: ``LeafStore.interpolate`` and ``StepSurvival.interpolate`` (its
 one-curve case) against the per-curve reading ``interpolate_curve``,
 ``smooth.mass_intervals_of`` against the per-curve ``mass_intervals``, and the
 vectorized checks of a model file's leaf arrays against ``StepSurvival``'s
-own; plus the save -> load -> save round trip of fitted models.
+own, over the curves of one tree or of two; plus the save -> load -> save
+round trip of fitted models.
 
 Curves come from a small knot pool, so they share knots, with gaps too
 narrow to refine (point intervals), zero-mass marker knots, exponential
@@ -22,7 +23,7 @@ import icrf
 from icrf import StepSurvival
 from icrf.curves import LeafStore
 from icrf.exceptions import InvariantViolation, ParseError
-from icrf.serialize import _leaf_store
+from icrf.serialize import LEAF_ARRAYS, TREE_ARRAYS, _Kind, _leaf_stores
 from icrf.smooth import mass_intervals_of
 
 from _oracles import interpolate_curve, mass_intervals
@@ -129,30 +130,50 @@ def raw_curves(draw):
     return DEFECTS[defect](times, values, rate)
 
 
+def _checked_stores(trees: list) -> list[LeafStore]:
+    """The LeafStores ``serialize`` reads from the leaf arrays of
+    ``trees``, each a list of (times, values, rate), checked in one pass."""
+    arrays = {name: [] for name in ("inbag",) + LEAF_ARRAYS}
+    for raw in trees:
+        parts = {
+            "inbag": np.empty(0, dtype=np.int64),
+            "ltimes": np.concatenate([np.empty(0)] + [t for t, _, _ in raw]),
+            "lvalues": np.concatenate([np.empty(0)] + [v for _, v, _ in raw]),
+            "loffsets": np.cumsum([0] + [t.size for t, _, _ in raw]).astype(np.int64),
+            "lrates": np.asarray([np.nan if r is None else r for _, _, r in raw], dtype=float),
+            "lmembers": np.empty(0, dtype=np.int64),
+            "lmoffsets": np.zeros(len(raw) + 1, dtype=np.int64),
+        }
+        for name, arr in parts.items():
+            arrays[name].append(arr)
+    prefixes = [f"t{i}_" for i in range(len(trees))]
+    kinds = {}
+    for name, parts in arrays.items():
+        kinds[name] = _Kind([(a.dtype, a.shape) for a in parts], prefixes, name,
+                            TREE_ARRAYS[name], "m.bin")
+        kinds[name].cat[:] = np.concatenate(parts)
+    return _leaf_stores(kinds, [len(raw) for raw in trees])
+
+
 @SETTINGS
-@given(st.lists(raw_curves(), max_size=3))
-def test_store_checks_reject_what_step_survival_rejects(raw):
+@given(st.lists(raw_curves(), max_size=3), st.booleans())
+def test_store_checks_reject_what_step_survival_rejects(raw, two_trees):
     try:
         want = [StepSurvival(t, v, tail_rate=r) for t, v, r in raw]
     except InvariantViolation:
         want = None
-    offsets = np.cumsum([0] + [t.size for t, _, _ in raw]).astype(np.int64)
-    arrays = {
-        "ltimes": np.concatenate([np.empty(0)] + [t for t, _, _ in raw]),
-        "lvalues": np.concatenate([np.empty(0)] + [v for _, v, _ in raw]),
-        "loffsets": offsets,
-        "lrates": np.asarray([np.nan if r is None else r for _, _, r in raw], dtype=float),
-        "lmembers": np.empty(0, dtype=np.int64),
-        "lmoffsets": np.zeros(len(raw) + 1, dtype=np.int64),
-    }
+    # in two trees, the first holds the first half of the curves
+    trees = [raw[:len(raw) // 2], raw[len(raw) // 2:]] if two_trees else [raw]
     if want is None:
         with pytest.raises(ParseError):
-            _leaf_store(arrays, "", len(raw), "m.bin")
+            _checked_stores(trees)
         return
-    store = _leaf_store(arrays, "", len(raw), "m.bin")
-    assert np.array_equal(store.values, np.concatenate([np.empty(0)] + [c.values for c in want]))
-    for i, c in enumerate(want):
-        view = store.curve(i)
+    stores = _checked_stores(trees)
+    views = [store.curve(i) for store in stores for i in range(store.n)]
+    assert np.array_equal(np.concatenate([store.values for store in stores]),
+                          np.concatenate([np.empty(0)] + [c.values for c in want]))
+    assert len(views) == len(want)
+    for view, c in zip(views, want):
         assert np.array_equal(view.times, c.times) and np.array_equal(view.values, c.values)
         assert view.tail_rate == c.tail_rate
 
