@@ -17,10 +17,11 @@ unbounded last interval keeps its mass in the plateau or the tail.
 
 Many curves are held column-wise in a ``LeafStore``: the knot times and
 values of all of them concatenated, int64 offsets delimiting each curve,
-one tail rate per curve (NaN: no tail) and, for a tree's leaves, the
-member ids with their offsets. These are the arrays a model file stores.
-A tree holds its leaves this way, and ``LeafStore.interpolate`` (here)
-and ``smooth.mass_intervals_of`` read any subset of the curves in one
+one tail rate per curve (NaN: no tail) and, for leaves, the member ids
+with their offsets. These are the arrays a model file stores. A forest
+fold holds all its trees' leaves in one store, and a tree's store is a
+view of its leaves' part of it; ``LeafStore.interpolate`` (here) and
+``smooth.mass_intervals_of`` read any subset of the curves in one
 vectorized pass. A single curve is read as the one-curve store:
 ``StepSurvival.interpolate`` and ``smooth.smooth_curve`` call them.
 
@@ -71,8 +72,8 @@ class StepSurvival:
             if np.any(np.diff(values) > 1e-12):
                 raise InvariantViolation("values must be non-increasing")
             values = np.clip(values, 0.0, 1.0)
-        if self.tail_rate is not None and not (self.tail_rate >= 0.0):
-            raise InvariantViolation("tail_rate must be >= 0")
+        if self.tail_rate is not None and not (0.0 <= self.tail_rate < np.inf):
+            raise InvariantViolation("tail_rate must be finite and >= 0")
         times.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -81,27 +82,15 @@ class StepSurvival:
     # -- evaluation ---------------------------------------------------
 
     def eval(self, t) -> np.ndarray | float:
-        """Right-continuous value S(t)."""
+        """Right-continuous value S(t); the tail, if any, past the last knot (or 0)."""
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        if self.times.size == 0:
-            out = np.ones_like(t_arr)
-            if self.tail_rate is not None:
-                out = np.exp(-self.tail_rate * np.maximum(t_arr, 0.0))
-        else:
-            idx = np.searchsorted(self.times, t_arr, side="right") - 1
-            out = np.where(idx < 0, 1.0, self.values[np.clip(idx, 0, None)])
-            if self.tail_rate is not None:
-                last_t, last_v = self.times[-1], self.values[-1]
-                beyond = t_arr > last_t
-                if np.any(beyond):
-                    out = np.where(
-                        beyond,
-                        last_v * np.exp(-self.tail_rate * (t_arr - last_t)),
-                        out,
-                    )
-        return float(out[0]) if scalar else out
+        x, values = np.atleast_1d(t_arr), np.concatenate(([1.0], self.values))
+        out = values[np.searchsorted(self.times, x, side="right")]
+        if self.tail_rate is not None:
+            last_t = self.times[-1] if self.times.size else 0.0
+            beyond = values[-1] * np.exp(-self.tail_rate * np.maximum(x - last_t, 0.0))
+            out = np.where(x > last_t, beyond, out)
+        return float(out[0]) if t_arr.ndim == 0 else out
 
     def jump_masses(self) -> np.ndarray:
         """Probability mass dropped at each knot (>= 0, excludes the tail)."""
@@ -121,8 +110,7 @@ class StepSurvival:
         if hit.size:
             return float(self.times[hit[0]])
         if self.tail_rate is not None and self.tail_rate > 0.0:
-            last_t = self.times[-1] if self.times.size else 0.0
-            last_v = self.values[-1] if self.times.size else 1.0
+            last_t, last_v = (self.times[-1], self.values[-1]) if self.times.size else (0.0, 1.0)
             if last_v > 0.0:
                 return float(last_t + np.log(last_v / q) / self.tail_rate)
         return np.inf
@@ -132,7 +120,7 @@ class StepSurvival:
 class LeafStore:
     """Step curves held column-wise (see the module docstring): curve i
     has the knots times[offsets[i]:offsets[i + 1]] with their values, the
-    tail rate rates[i] (NaN: none) and, for a tree's leaf, the members
+    tail rate rates[i] (NaN: none) and, for a leaf, the members
     members[member_offsets[i]:member_offsets[i + 1]]. The arrays are
     taken as they are: a store built here holds validated curves, and
     ``serialize.load_model`` validates the arrays it reads."""
@@ -145,32 +133,24 @@ class LeafStore:
     member_offsets: np.ndarray
 
     @classmethod
-    def of(cls, curves, members=None) -> LeafStore:
-        """The store of ``curves`` (StepSurvival) and their member ids."""
-        members = [np.empty(0, dtype=np.int64)] * len(curves) if members is None else members
-
-        def flat(parts, dtype):
-            return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)
-
-        def offsets(parts):
-            return np.cumsum([0] + [part.size for part in parts]).astype(np.int64)
-
+    def of(cls, curves) -> LeafStore:
+        """The store of ``curves`` (StepSurvival), with no members."""
         rates = [np.nan if c.tail_rate is None else c.tail_rate for c in curves]
-        return cls(flat([c.times for c in curves], float), flat([c.values for c in curves], float),
-                   offsets([c.times for c in curves]), np.asarray(rates, dtype=float),
-                   flat(members, np.int64), offsets(members))
+        return cls(np.concatenate([np.empty(0)] + [c.times for c in curves]),
+                   np.concatenate([np.empty(0)] + [c.values for c in curves]),
+                   np.cumsum([0] + [c.times.size for c in curves]).astype(np.int64),
+                   np.asarray(rates, dtype=float), np.empty(0, dtype=np.int64),
+                   np.zeros(len(curves) + 1, dtype=np.int64))
 
     @classmethod
     def stack(cls, stores) -> LeafStore:
-        """The curves of ``stores``, store after store, in one store
-        without member ids."""
-        knots = np.cumsum([0] + [s.times.size for s in stores])
-        n = sum(s.n for s in stores)
-        return cls(np.concatenate([s.times for s in stores]),
-                   np.concatenate([s.values for s in stores]),
-                   np.concatenate([[0]] + [s.offsets[1:] + k for s, k in zip(stores, knots)]),
-                   np.concatenate([s.rates for s in stores]),
-                   np.empty(0, dtype=np.int64), np.zeros(n + 1, dtype=np.int64))
+        """The curves and members of ``stores``, one after another."""
+        def cat(name):
+            return np.concatenate([getattr(s, name) for s in stores])
+
+        return cls(cat("times"), cat("values"), stack_offsets([s.offsets for s in stores]),
+                   cat("rates"), cat("members"),
+                   stack_offsets([s.member_offsets for s in stores]))
 
     @property
     def n(self) -> int:
@@ -231,9 +211,9 @@ class LeafStore:
         if tail.size:
             last_t, last_v = (a[:, None] for a in self.last_knots(idx[tail]))
             knotless = (self.offsets[idx[tail] + 1] == self.offsets[idx[tail]])[:, None]
-            t = np.where(knotless, np.maximum(grid, 0.0), grid)
+            # time past the last knot (or 0), and 0 before it, where exp is unread
             with np.errstate(over="ignore"):
-                beyond = last_v * np.exp(-rate[tail, None] * (t - last_t))
+                beyond = last_v * np.exp(-rate[tail, None] * np.maximum(grid - last_t, 0.0))
             out[tail] = np.where(knotless | (grid > last_t), beyond, out[tail])
         return out
 
@@ -268,6 +248,11 @@ class LeafStore:
         if order is not None:
             out[:, order] = out.copy()
         return out
+
+
+def stack_offsets(parts) -> np.ndarray:
+    """Offsets of the items that ``parts`` (offsets) delimit, one after another."""
+    return np.cumsum(np.concatenate([[0]] + [np.diff(p) for p in parts]))
 
 
 def step_knots(starts, ends, before, after, curve=None,

@@ -11,17 +11,17 @@ with the leaves' kernel, ``_leaf_rows``: one kernel column per distinct
 mass interval, and per curve the sum of its own masses times its own
 columns, so a leaf's row depends on that leaf alone.
 
-Trees are read only through a routing table (``FoldRouting``): their node
-arrays stacked into one, which ``tree.route`` walks for every tree at
-once, and their leaf curves in one ``LeafStore``. ``fit`` builds one per
-batch of trees; ``predict``, ``oob_error`` and variable importance use the
-fold's (``ForestFold.routing``, built on first use, never saved). OOB
-monitoring (``_oob_errors``) smooths the leaves the trees' OOB subjects
-reach in one ``_leaf_rows`` call; the carried update and variable
-importance read every leaf once (``_all_leaf_rows``), ``predict`` the
-leaves the queries reach; both in groups of at most GATHER_BUDGET grid
-values. Rows are added tree by tree, in tree order, so every answer is
-that of a loop over the trees, bit for bit.
+A fold is one table of its trees (``ForestFold``), from fit to file:
+their node arrays stacked, which ``tree.route`` walks for every tree at
+once, and all their leaves, with members, in one ``LeafStore``. ``fit``
+builds one per batch of trees and joins a fold's batches; ``predict``,
+``oob_error``, importance and ``serialize`` read it. OOB monitoring
+(``_oob_errors``) smooths the leaves the trees' OOB subjects reach in one
+``_leaf_rows`` call; the carried update and variable importance read
+every leaf once (``_all_leaf_rows``), ``predict`` the leaves the queries
+reach; both in groups of at most GATHER_BUDGET grid values. Rows are
+added tree by tree, in tree order, so every answer is that of a loop
+over the trees, bit for bit.
 
 The columns live in one table per call, a dict from interval to column
 for its bandwidth and grid: ``fit`` keeps one for the monitor grid
@@ -39,7 +39,6 @@ import concurrent.futures
 import contextlib
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +47,7 @@ import numpy as np
 # module; the benchmark change that repairs its tracer (ROADMAP direction 1)
 # removes these two imports
 from .curves import (LeafStore, StepSurvival, endpoint_values_on_grid, project_rows,  # noqa: F401
-                     refine_uniform)
+                     refine_uniform, stack_offsets)
 from .dataio import Dataset, require_count
 from .exceptions import (
     DimensionMismatch,
@@ -83,6 +82,9 @@ UPDATE_MODES = ("full", "oob")  # carried curves from all trees, or from OOB tre
 # fold-level predict or importance computes, 8 MB of rows: a one-query
 # predict is one call up to 10,000 trees on a 101-point grid
 GATHER_BUDGET = 1 << 20
+# the most grid values (256 KB) of a tree's rows a predict adds at once, so the
+# temporaries are reused, not given back to the system and faulted in again
+QUERY_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -117,66 +119,94 @@ class ForestParams:
             check_bandwidth(self.c_override, InsufficientData, "c_override")
 
 
-@dataclass(frozen=True)
-class FoldRouting:
-    """A fold's trees (or a batch of them) as one routing table: their
-    node arrays stacked tree after tree, child numbers shifted to the
-    stacked positions, with each tree's root and, at each leaf node, the
-    fold-wide number of its leaf; and every leaf curve of the trees in one
-    ``LeafStore``, numbered tree after tree (tree t's leaves are
-    leaf_start[t]:leaf_start[t + 1]). The store is a copy of the trees'
-    curves, so a fold that has predicted holds its leaf curves twice."""
+@dataclass
+class ForestFold:
+    """One fold's trees as one table, from fit to file. Tree t has the nodes
+    node_start[t]:node_start[t + 1] of the stacked node arrays (feature -1
+    marks a leaf node) and the curves leaf_start[t]:leaf_start[t + 1] of
+    ``store``; its in-bag ids lie in ``inbag_ids`` where its leaves' members
+    lie in ``store.members``. Every node's ``left``, ``right`` and ``leaf`` (its
+    curve, at a leaf node) are the tree's own plus its first node and leaf."""
 
+    fold_index: int
     feature: np.ndarray
     cutoff: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    roots: np.ndarray
     leaf: np.ndarray
+    node_start: np.ndarray
     leaf_start: np.ndarray
     store: LeafStore
+    inbag_ids: np.ndarray
+    per_tree_oob: np.ndarray
 
     @classmethod
-    def of(cls, trees) -> FoldRouting:
-        sizes = [t.feature.size for t in trees]
-        roots = np.cumsum([0] + sizes[:-1])
-        leaf_start = np.cumsum([0] + [t.n_leaves for t in trees])
-        node_shift = np.repeat(roots, sizes)
-        leaf_shift = np.repeat(leaf_start[:-1], sizes)
+    def of(cls, fold_index: int, trees) -> ForestFold:
+        """The table of ``trees`` (each a one-tree table), NaN OOB errors."""
+        return cls.join(fold_index, [
+            cls(fold_index, t.feature, t.cutoff, t.left, t.right, t.leaf_idx,
+                np.array([0, t.feature.size]), np.array([0, t.n_leaves]), t.store, t.inbag_ids,
+                np.full(1, np.nan)) for t in trees])
 
-        def stacked(name):
-            return np.concatenate([getattr(t, name) for t in trees])
+    @classmethod
+    def join(cls, fold_index: int, tables) -> ForestFold:
+        """The trees of ``tables``, table after table, in one table."""
+        nodes = np.cumsum([0] + [t.feature.size for t in tables])
+        leaves = np.cumsum([0] + [t.store.n for t in tables])
 
-        split = stacked("feature") >= 0
-        return cls(stacked("feature"), stacked("cutoff"),
-                   np.where(split, stacked("left") + node_shift, -1),
-                   np.where(split, stacked("right") + node_shift, -1), roots,
-                   np.where(split, -1, stacked("leaf_idx") + leaf_shift), leaf_start,
-                   LeafStore.stack([t.store for t in trees]))
+        def cat(name, shift=None):
+            parts = [getattr(t, name) for t in tables]
+            return np.concatenate(parts if shift is None else [p + a for p, a in zip(parts, shift)])
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Fold-wide leaf number of each row of X in each tree: an array
-        (trees, rows), each row ``Tree.apply`` of its tree shifted by the
-        tree's leaf_start."""
-        node = route(self.feature, self.cutoff, self.left, self.right, X, self.roots)
-        return self.leaf[node].reshape(self.roots.size, X.shape[0])
+        return cls(fold_index, cat("feature"), cat("cutoff"), cat("left", nodes),
+                   cat("right", nodes), cat("leaf", leaves),
+                   *(stack_offsets([getattr(t, name) for t in tables])
+                     for name in ("node_start", "leaf_start")),
+                   LeafStore.stack([t.store for t in tables]), cat("inbag_ids"),
+                   cat("per_tree_oob"))
 
-
-@dataclass
-class ForestFold:
-    fold_index: int
-    trees: list[Tree]
-    per_tree_oob: np.ndarray
+    @property
+    def n_trees(self) -> int:
+        return self.node_start.size - 1
 
     @property
     def oob_error(self) -> float:
         return float(np.nanmean(self.per_tree_oob))
 
-    @cached_property
-    def routing(self) -> FoldRouting:
-        """The fold's routing table, built on first use (a fold's first
-        predict, oob_error or importance call) and never saved."""
-        return FoldRouting.of(self.trees)
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Fold-wide leaf of each row of X in each tree, (trees, rows)."""
+        node = route(self.feature, self.cutoff, self.left, self.right, X, self.node_start[:-1])
+        return self.leaf[node].reshape(self.n_trees, X.shape[0])
+
+    def oob_mask(self, n: int) -> np.ndarray:
+        """(trees, n): whether subject i is out of tree t's bag, in one scatter."""
+        mask = np.ones((self.n_trees, n), dtype=bool)
+        counts = np.diff(self.store.member_offsets[self.leaf_start])
+        mask[np.repeat(np.arange(self.n_trees), counts), self.inbag_ids] = False
+        return mask
+
+    def tree_columns(self) -> list[tuple]:
+        """Each kind of ``serialize.TREE_ARRAYS`` as (array, cuts): tree t's own
+        array is array[cuts[t]:cuts[t + 1]], renumbered for all trees at once."""
+        s, nodes, leaves = self.store, self.node_start, self.leaf_start
+        knots, ids, per_node = s.offsets[leaves], s.member_offsets[leaves], nodes[1:] - nodes[:-1]
+        # tree t's offsets are the fold's at leaves[t]..leaves[t + 1], both ends
+        ends = leaves + np.arange(leaves.size)
+        tree = np.repeat(np.arange(self.n_trees), ends[1:] - ends[:-1])
+        at = np.arange(tree.size) - tree
+        n, lf, k, i, e = (a.tolist() for a in (nodes, leaves, knots, ids, ends))
+        node0, leaf0 = np.repeat(nodes[:-1], per_node), np.repeat(leaves[:-1], per_node)
+        own = np.array([self.left - node0, self.right - node0, self.leaf - leaf0], dtype=np.int32)
+        return [(self.feature, n), (self.cutoff, n), (own[0], n), (own[1], n), (own[2], n),
+                (self.inbag_ids, i), (s.times, k), (s.values, k), (s.offsets[at] - knots[tree], e),
+                (s.rates, lf), (s.members, i), (s.member_offsets[at] - ids[tree], e)]
+
+    @property
+    def trees(self) -> list[Tree]:
+        """Each tree (``tree.Tree``), built on each use; its curves views of the fold's."""
+        columns = self.tree_columns()
+        return [Tree(*a[:5], LeafStore(*a[6:]), a[5]) for a in (
+            [arr[c[t]:c[t + 1]] for arr, c in columns] for t in range(self.n_trees))]
 
 
 @dataclass
@@ -263,7 +293,7 @@ def _monitor_error(metric, rows, lefts, rights, tau, grid) -> float:
 
 
 def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None, columns=None) -> np.ndarray:
-    """Curves ``idx`` (all by default) of ``store`` (a tree's leaves, or
+    """Curves ``idx`` (all by default) of ``store`` (a fold's leaves, or
     the marginal) on ``grid``, one row per curve: smoothed with bandwidth
     ``h``, or read through within-interval interpolation when h is None
     (``LeafStore.interpolate``).
@@ -319,7 +349,7 @@ def _leaf_rows(store: LeafStore, grid, h: float | None, idx=None, columns=None) 
 
 def _routed_rows(source, leaf_of, grid, h: float | None, columns=None) -> np.ndarray:
     """Rows (``_leaf_rows``, with the column table ``columns``) of the
-    leaves of ``source.store`` (a routing table's or a tree's) ``leaf_of``
+    leaves of ``source.store`` (a fold's or a tree's) ``leaf_of``
     names, one per entry; only the leaves reached are read."""
     n_leaves = source.store.n
     reached = np.flatnonzero(np.bincount(leaf_of, minlength=n_leaves))
@@ -334,21 +364,21 @@ def _group_size(grid) -> int:
     return max(1, GATHER_BUDGET // max(grid.size, 1))
 
 
-def _reached_sum(table: FoldRouting, leaf_of, grid, h: float | None) -> np.ndarray:
-    """Sum over the fold's trees, in tree order, of the row (``_leaf_rows``)
-    of the leaf each query reaches; ``leaf_of`` holds the fold-wide leaf
-    numbers, (trees, queries). Only the reached leaves are read, in groups
-    of at most GATHER_BUDGET grid values, each group one ``_leaf_rows``
-    call and all of them one column table. A tree whose reached leaves
-    fall in two groups adds each query's row from the group that holds
-    it, so every query still takes its trees' rows in tree order."""
+def _reached_mean(table: ForestFold, leaf_of, grid, h: float | None) -> np.ndarray:
+    """Mean over the fold's trees, summed in tree order, of the row
+    (``_leaf_rows``) of the leaf each query reaches; ``leaf_of`` holds the
+    fold-wide leaf numbers, (trees, queries). Only the reached leaves are
+    read, in groups of at most GATHER_BUDGET grid values, each group one
+    ``_leaf_rows`` call and all of them one column table. A tree whose
+    reached leaves fall in two groups adds each query's row from the group
+    that holds it, so every query still takes its trees' rows in tree order."""
     n_leaves = table.store.n
     reached = np.flatnonzero(np.bincount(leaf_of.ravel(), minlength=n_leaves))
     slot = np.zeros(n_leaves, dtype=np.intp)
     slot[reached] = np.arange(reached.size)
     # tree t's reached leaves hold the slots bounds[t]:bounds[t + 1]
     bounds = np.searchsorted(reached, table.leaf_start).tolist()
-    step = _group_size(grid)
+    step, block = _group_size(grid), max(1, QUERY_BLOCK // max(grid.size, 1))
     acc = np.zeros((leaf_of.shape[1], grid.size))
     columns, lo = {}, None
     for t, at in enumerate(slot[leaf_of]):
@@ -357,11 +387,15 @@ def _reached_sum(table: FoldRouting, leaf_of, grid, h: float | None) -> np.ndarr
             if g * step != lo:
                 lo = g * step
                 rows = _leaf_rows(table.store, grid, h, reached[lo:lo + step], columns)
-            if lo <= a and b <= lo + step:
-                acc += rows[at - lo]
-            else:
+            if not (lo <= a and b <= lo + step):
                 part = (at >= lo) & (at < lo + step)
                 acc[part] += rows[at[part] - lo]
+            elif at.size <= block:
+                acc += rows[at - lo]
+            else:
+                for q in range(0, at.size, block):
+                    acc[q:q + block] += rows[at[q:q + block] - lo]
+    acc /= table.n_trees
     return acc
 
 
@@ -386,16 +420,17 @@ def _tree_sum(rows, leaf_of, mask=None) -> np.ndarray:
     return acc
 
 
-def _oob_errors(table: FoldRouting, leaf_of, oobs, lefts, rights, tau, h, grid, metric,
+def _oob_errors(table: ForestFold, leaf_of, oob, lefts, rights, tau, h, grid, metric,
                 columns) -> list:
     """Monitor metric of each tree's smoothed prediction for its OOB
-    subjects ``oobs[t]``, in tree order, from one ``_routed_rows`` read of
-    ``leaf_of`` (every subject's fold-wide leaf in each tree)."""
-    rows = _routed_rows(table, np.concatenate([at[oob] for at, oob in zip(leaf_of, oobs)]),
-                        grid, h, columns)
-    ends = np.cumsum([oob.size for oob in oobs]).tolist()
-    return [_monitor_error(metric, rows[a:b], lefts[oob], rights[oob], tau, grid)
-            for a, b, oob in zip([0] + ends, ends, oobs)]
+    subjects (``ForestFold.oob_mask``), in tree order, from one
+    ``_routed_rows`` read of ``leaf_of`` (every subject's fold-wide leaf in
+    each tree)."""
+    rows = _routed_rows(table, leaf_of[oob], grid, h, columns)
+    subject = np.nonzero(oob)[1]
+    ends = np.cumsum(oob.sum(axis=1)).tolist()
+    return [_monitor_error(metric, rows[a:b], lefts[subject[a:b]], rights[subject[a:b]], tau,
+                           grid) for a, b in zip([0] + ends, ends)]
 
 
 # -- tree batch construction -------------------------------------------------
@@ -410,27 +445,27 @@ def _init_worker():
 
 
 def _build_tree_batch(args):
-    """One batch of a fold's trees. ``columns`` is the fit's monitor-grid
-    column table when the batch runs in the fitting process, or None in a
-    worker process, which then uses its own table (``_init_worker``)."""
+    """One batch of a fold's trees (their table) and its carried sums.
+    ``columns`` is the fit's monitor-grid column table when the batch runs
+    in the fitting process, or None in a worker process, which then uses
+    its own table (``_init_worker``)."""
     (ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode) = args
     columns = _worker_columns if columns is None else columns
-    trees, oob, npmle_gaps = [], np.ones((len(b_list), ctx.n), dtype=bool), []
-    for t, b in enumerate(b_list):
+    trees, npmle_gaps = [], []
+    for b in b_list:
         rng = np.random.default_rng(np.random.SeedSequence([seed, fold_k, b]))
         inbag = np.sort(rng.choice(ctx.n, size=s_size, replace=False))
-        oob[t, inbag] = False
         trees.append(grow_tree_ctx(ctx, inbag, tparams, rng, npmle_gaps))
-    table = FoldRouting.of(trees)
-    leaf_of = table.apply(ctx.X)
-    oob_errs = _oob_errors(table, leaf_of, [np.flatnonzero(o) for o in oob], ctx.lefts,
-                           ctx.rights, ctx.tau, h, mgrid, metric, columns)
+    table = ForestFold.of(fold_k, trees)
+    leaf_of, oob = table.apply(ctx.X), table.oob_mask(ctx.n)
+    table.per_tree_oob = np.asarray(_oob_errors(table, leaf_of, oob, ctx.lefts, ctx.rights,
+                                                ctx.tau, h, mgrid, metric, columns))
     # leaf curves enter the forest through their within-interval
     # (uniform-density) interpolation, not the right-endpoint step
     rows = _all_leaf_rows(table.store, ctx.grid, None)
     oob_sum, oob_cnt = ((_tree_sum(rows, leaf_of, oob), oob.sum(axis=0).astype(float))
                         if update_mode == "oob" else (None, None))
-    return trees, oob_errs, _tree_sum(rows, leaf_of), oob_sum, oob_cnt, npmle_gaps
+    return table, _tree_sum(rows, leaf_of), oob_sum, oob_cnt, npmle_gaps
 
 
 def _warn_uncertified(marginal_gap: float, leaf_gaps: list) -> None:
@@ -504,14 +539,13 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
                 for b0 in range(0, params.n_tree, TREE_BATCH)
             ]
             results = list((pool.map if parallel else map)(_build_tree_batch, jobs))
-            folds.append(ForestFold(k, [tree for r in results for tree in r[0]],
-                                    np.asarray([e for r in results for e in r[1]])))
-            leaf_gaps += [g for r in results for g in r[5]]
+            folds.append(ForestFold.join(k, [r[0] for r in results]))
+            leaf_gaps += [g for r in results for g in r[4]]
             # results are in batch order, so batch sums are added in that
             # order whatever the worker count
-            base_rows = sum(r[2] for r in results) / params.n_tree
+            base_rows = sum(r[1] for r in results) / params.n_tree
             if params.update_curves == "oob":
-                oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (3, 4))
+                oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (2, 3))
                 have = oob_cnt > 0
                 base_rows[have] = oob_sum[have] / oob_cnt[have, None]
 
@@ -559,8 +593,8 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     """Survival values on ``grid`` for each query row of X: the
     equal-weight average of the routed (smoothed) leaf curves.
 
-    X is routed through all of the fold's trees in one pass (the fold's
-    routing table), and only the leaves the queries reach are smoothed (or
+    X is routed through all of the fold's trees in one pass (its table),
+    and only the leaves the queries reach are smoothed (or
     interpolated), all of them in one ``_leaf_rows`` call unless their rows
     pass GATHER_BUDGET values; each query's rows are then added tree by
     tree. A leaf's row depends on that leaf, the grid and the bandwidth
@@ -579,9 +613,7 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
     if not np.all(np.isfinite(grid)):
         raise InvariantViolation("prediction grid must be finite")
     fobj = _check_fold(model, fold)
-    table = fobj.routing
-    acc = _reached_sum(table, table.apply(X), grid, model.h if smoothed else None)
-    return acc / len(fobj.trees)
+    return _reached_mean(fobj, fobj.apply(X), grid, model.h if smoothed else None)
 
 
 def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float:
@@ -590,12 +622,13 @@ def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float
     tree's smoothed prediction on its own held-out subjects."""
     _check_width(model.feature_names, data.p, "data")
     fobj = _check_fold(model, fold)
-    oobs = [np.setdiff1d(np.arange(data.n), tree.inbag_ids) for tree in fobj.trees]
-    if any(oob.size == 0 for oob in oobs):
+    if fobj.inbag_ids.max(initial=-1) >= data.n:
+        raise DimensionMismatch(f"the fold's trees hold subjects beyond the data's {data.n}")
+    oob = fobj.oob_mask(data.n)
+    if not oob.any(axis=1).all():
         raise EmptyOob("a tree has no out-of-bag subjects")
-    table = fobj.routing
     return float(np.nanmean(_oob_errors(
-        table, table.apply(data.X), oobs, data.lefts, data.rights, data.tau, model.h,
+        fobj, fobj.apply(data.X), oob, data.lefts, data.rights, data.tau, model.h,
         monitor_grid(data.tau), model.params.monitor_metric, {})))
 
 
@@ -624,12 +657,12 @@ def variable_importance(
     if n_perm < 1:
         raise InsufficientData(f"n_perm must be >= 1, got {n_perm}")
     entropy = model.params.seed if seed is None else require_count(seed, "seed", InsufficientData)
-    table = _check_fold(model, None).routing
+    fobj = _check_fold(model, None)
     grid = monitor_grid(model.tau)
-    leaf_rows = _all_leaf_rows(table.store, grid, model.h)
+    leaf_rows = _all_leaf_rows(fobj.store, grid, model.h)
 
     def metric_of(X):
-        rows = _tree_sum(leaf_rows, table.apply(X)) / table.roots.size
+        rows = _tree_sum(leaf_rows, fobj.apply(X)) / fobj.n_trees
         return _monitor_error(metric, rows, data.lefts, data.rights, data.tau, grid)
 
     base = metric_of(data.X)

@@ -5,16 +5,17 @@ keys; scalars, curve/tree structure counts, array manifest), then the
 raw array bytes concatenated in manifest order. Fixed dtypes and sorted
 keys make identical models produce identical bytes.
 
-Each tree is stored as the arrays of ``TREE_ARRAYS``: its nodes, its
-in-bag ids and its ``curves.LeafStore``, which ``save_model`` writes and
-``load_model`` reads back as they are, with no object per leaf.
+Each tree is stored as its own arrays (``TREE_ARRAYS``): its nodes, its
+in-bag ids and its leaves' ``curves.LeafStore``, cut from its fold's
+table (``forest.ForestFold.tree_columns``); ``load_model`` builds each
+fold's table back, with no object per tree or per leaf.
 
 Loading checks the whole model in one pass. Each array is read from the
 file straight into the concatenation of its kind over all trees of all
 folds, so no copy of the file is held; each check runs once on a
 concatenation, with per-tree limits taken from the per-tree sizes; and
-each tree holds slices of the checked arrays. A file that fails a check
-raises ``ParseError`` naming the array of the tree at fault,
+each fold's table holds slices of the checked arrays. A file that fails
+a check raises ``ParseError`` naming the array of the tree at fault,
 ``f{k}_t{b}_{name}``. The node arrays must route every row to a leaf (a
 split's children come after it, so routing ends, and its cut-off is
 finite), ``leafidx`` must number the leaves one to one, the offsets must
@@ -31,7 +32,6 @@ pass their own checks.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -45,15 +45,15 @@ from .exceptions import IcrfError, InvariantViolation, ParseError
 from .forest import ForestFold, ForestParams, IcrfModel
 from .smooth import check_bandwidth
 from .splits import SplitRule
-from .tree import Tree, TreeParams
+from .tree import TreeParams
 
 MAGIC = b"ICRFMDL1"
 
 
 def _params_dict(p: ForestParams) -> dict:
-    # n_jobs is an execution detail, not a model property; keeping it
-    # out makes files byte-identical across worker counts
-    d = dataclasses.asdict(p)
+    # n_jobs is an execution detail, not a model property; keeping it out makes
+    # files byte-identical across worker counts (vars: asdict's deep copy is slow)
+    d = {**vars(p), "tree": {**vars(p.tree), "rule": dict(vars(p.tree.rule))}}
     del d["n_jobs"]
     return d
 
@@ -67,7 +67,7 @@ def _params_from_dict(d: dict) -> ForestParams:
 
 
 # the arrays of each tree, in file order, with their dtypes: the nodes,
-# the in-bag ids, then the tree's LeafStore
+# the in-bag ids, then the tree's LeafStore (``ForestFold.tree_columns``)
 TREE_ARRAYS = {
     "feature": "<i4", "cutoff": "<f8", "left": "<i4", "right": "<i4", "leafidx": "<i4",
     "inbag": "<i8", "ltimes": "<f8", "lvalues": "<f8", "loffsets": "<i8", "lrates": "<f8",
@@ -79,17 +79,12 @@ LEAF_ARRAYS = ("ltimes", "lvalues", "loffsets", "lrates", "lmembers", "lmoffsets
 DTYPE_NAMES = {"<i4": "int32", "<i8": "int64", "<f8": "float64"}
 
 
-def _tree_arrays(tree: Tree) -> tuple:
-    s = tree.store
-    return (tree.feature, tree.cutoff, tree.left, tree.right, tree.leaf_idx, tree.inbag_ids,
-            s.times, s.values, s.offsets, s.rates, s.members, s.member_offsets)
-
-
 def save_model(model: IcrfModel, path: str):
-    arrays: list[tuple[str, np.ndarray, str]] = []
+    manifest, arrays = [], []
 
     def add(name, arr, dtype):
-        arrays.append((name, np.ascontiguousarray(arr, dtype=dtype), DTYPE_NAMES[dtype]))
+        arrays.append(np.ascontiguousarray(arr, dtype=dtype))
+        manifest.append([name, DTYPE_NAMES[dtype], list(arrays[-1].shape)])
 
     add("marginal_times", model.initial_marginal.times, "<f8")
     add("marginal_values", model.initial_marginal.values, "<f8")
@@ -98,12 +93,15 @@ def save_model(model: IcrfModel, path: str):
     for fold in model.folds:
         k = fold.fold_index
         add(f"f{k}_oob", fold.per_tree_oob, "<f8")
-        trees_meta = []
-        for b, tree in enumerate(fold.trees):
-            for (name, dtype), arr in zip(TREE_ARRAYS.items(), _tree_arrays(tree)):
-                add(f"f{k}_t{b}_{name}", arr, dtype)
-            trees_meta.append({"n_leaves": tree.n_leaves})
-        folds_meta.append({"fold_index": k, "trees": trees_meta})
+        # each kind once in its dtype, then cut: a tree's arrays are slices
+        kinds = [(name, np.ascontiguousarray(arr, dtype=dtype), cuts, DTYPE_NAMES[dtype])
+                 for (name, dtype), (arr, cuts) in zip(TREE_ARRAYS.items(), fold.tree_columns())]
+        for t in range(fold.n_trees):
+            for name, arr, cuts, dname in kinds:
+                arrays.append(arr[cuts[t]:cuts[t + 1]])
+                manifest.append([f"f{k}_t{t}_{name}", dname, [cuts[t + 1] - cuts[t]]])
+        folds_meta.append({"fold_index": k, "trees": [
+            {"n_leaves": n} for n in np.diff(fold.leaf_start).tolist()]})
 
     header = {
         "format": MAGIC.decode(),
@@ -114,7 +112,7 @@ def save_model(model: IcrfModel, path: str):
         "k_opt": model.k_opt,
         "marginal_tail_rate": model.initial_marginal.tail_rate,
         "folds": folds_meta,
-        "manifest": [[name, dtype, list(arr.shape)] for name, arr, dtype in arrays],
+        "manifest": manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     d = os.path.dirname(os.path.abspath(path))
@@ -124,8 +122,7 @@ def save_model(model: IcrfModel, path: str):
             fh.write(MAGIC)
             fh.write(np.uint64(len(blob)).tobytes())
             fh.write(blob)
-            for _, arr, _ in arrays:
-                fh.write(arr.tobytes())
+            fh.write(b"".join(arrays))  # one write: many small writes cost more
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -163,14 +160,11 @@ def _model_from(header: dict, fh, nbytes: int, path: str) -> IcrfModel:
         marginal = StepSurvival(marginal_times.cat, marginal_values.cat,
                                 tail_rate=header["marginal_tail_rate"])
     except InvariantViolation as exc:
-        raise ParseError(f"{path}: arrays 'marginal_times', 'marginal_values': {exc}") from None
+        raise ParseError(f"{path}: header 'marginal_tail_rate', arrays 'marginal_times', "
+                         f"'marginal_values': {exc}") from None
     oob.check_sizes(n_trees, lambda k: f"must have one entry per tree ({n_trees[k]})")
     oob.check(np.isnan(oob.cat) | (oob.cat >= 0.0), "OOB errors must be >= 0 (NaN: none)")
-    trees = _trees_from(kinds, n_leaves, len(header["feature_names"]))
-    folds, at = [], 0
-    for k, (n, errors) in enumerate(zip(n_trees, oob.split()), 1):
-        folds.append(ForestFold(k, trees[at : at + n], errors))
-        at += n
+    folds = _folds_from(kinds, n_leaves, n_trees, oob.cat, len(header["feature_names"]))
 
     try:
         params = _params_from_dict(header["params"])
@@ -238,14 +232,10 @@ def _read_kinds(manifest: list, fh, nbytes: int, prefixes: list, n_trees: list, 
     kinds = {name: _Kind(tree_entries[j :: len(TREE_ARRAYS)], prefixes, name, dtype, path)
              for j, (name, dtype) in enumerate(TREE_ARRAYS.items())}
     # the room of every array, in file order
+    trees = iter(zip(*(kind.targets() for kind in kinds.values())))
     order = marginal[0].targets() + marginal[1].targets()
-    tree_targets = list(zip(*(kind.targets() for kind in kinds.values())))
-    at = 0
     for errors, n in zip(oob.targets(), n_trees):
-        order.append(errors)
-        for targets in tree_targets[at : at + n]:
-            order += targets
-        at += n
+        order += [errors, *(room for _ in range(n) for room in next(trees))]
     for target in order:
         if fh.readinto(target) != target.size:
             raise ParseError(f"{path}: truncated while read")
@@ -311,20 +301,15 @@ class _Kind:
         if self.sizes != want:
             self.fail(next(i for i, (a, b) in enumerate(zip(self.sizes, want)) if a != b), what)
 
-    def split(self) -> list[np.ndarray]:
-        """The parts, as slices of ``cat``."""
-        cat = self.cat
-        return [cat[a:b] for a, b in zip(self.starts, self.ends)]
 
-
-def _trees_from(kinds: dict, n_leaves: list, p: int) -> list[Tree]:
-    """The trees whose arrays ``kinds`` holds, a ``_Kind`` for each of
-    TREE_ARRAYS: tree i has ``n_leaves[i]`` leaves, among ``p`` features,
-    and nodes that must route every row to one of its leaves.
-
-    All trees are checked in one pass: each check runs once on a kind's
-    concatenation over the trees, with the per-tree limits taken from the
-    per-tree sizes. The trees hold slices of the concatenations."""
+def _folds_from(kinds: dict, n_leaves: list, n_trees: list, errors, p: int) -> list[ForestFold]:
+    """The folds whose trees' arrays ``kinds`` holds, a ``_Kind`` for each of
+    TREE_ARRAYS: fold k has ``n_trees[k]`` trees, tree i the OOB error
+    ``errors[i]``, ``n_leaves[i]`` leaves, among ``p`` features, and nodes
+    that must route every row to one of its leaves. All trees are checked in
+    one pass: each check runs once on a kind's concatenation over the trees,
+    with per-tree limits from the per-tree sizes; each fold's table holds
+    slices of the concatenations."""
     feature, cutoff, left, right, leafidx = (
         kinds[name] for name in ("feature", "cutoff", "left", "right", "leafidx"))
     nodes = feature.sizes
@@ -339,37 +324,48 @@ def _trees_from(kinds: dict, n_leaves: list, p: int) -> list[Tree]:
     leaf_ends = list(accumulate(n_leaves))
     bounds = np.repeat(np.array([feature.starts, feature.ends, [0] + leaf_ends[:-1], leaf_ends]),
                        nodes, axis=1)
+    # every node's child and leaf numbers in the whole model: the tree's own
+    # plus the tree's first node and first leaf
+    child = {kind: kind.cat + bounds[0] for kind in (left, right)}
+    slot = leafidx.cat + bounds[2]
     split = feat >= 0
     inner = np.flatnonzero(split)
-    first, end = bounds[:2, inner]
+    end = bounds[1, inner]
     # children after their parent: routing moves down and stops
     for kind in (left, right):
-        child = kind.cat[inner] + first
-        kind.check((child > inner) & (child < end), "must name a later node at every split",
-                   at=inner)
+        to = child[kind][inner]
+        kind.check((to > inner) & (to < end), "must name a later node at every split", at=inner)
     cutoff.check(np.isfinite(cutoff.cat[inner]), "must be finite at every split", at=inner)
     leaf = np.flatnonzero(~split)
-    first, end = bounds[2:, leaf]
-    slot = leafidx.cat[leaf] + first
+    (first, end), number = bounds[2:, leaf], slot[leaf]
 
     def numbered(i):
         return f"must number the leaf nodes 0..{n_leaves[i] - 1}, one each"
 
-    leafidx.check((slot >= first) & (slot < end), numbered, at=leaf)
-    leafidx.check(np.bincount(slot, minlength=leaf_ends[-1]) == 1, numbered, ends=leaf_ends)
-    stores = _leaf_stores(kinds, n_leaves)
-    columns = [kind.split() for name, kind in kinds.items() if name not in LEAF_ARRAYS]
-    return [Tree(*node_arrays, store, inbag)
-            for *node_arrays, inbag, store in zip(*columns, stores)]
+    leafidx.check((number >= first) & (number < end), numbered, at=leaf)
+    leafidx.check(np.bincount(number, minlength=leaf_ends[-1]) == 1, numbered, ends=leaf_ends)
+    # a fold's numbers and offsets are the model's less the fold's first
+    s, inbag, folds = _leaf_store(kinds, n_leaves), kinds["inbag"].cat, []
+    node_at, leaf_at, tree_at = [0] + feature.ends, [0] + leaf_ends, [0, *accumulate(n_trees)]
+    for k, (a, b) in enumerate(zip(tree_at, tree_at[1:])):
+        n0, n1, l0, l1 = node_at[a], node_at[b], leaf_at[a], leaf_at[b]
+        k0, k1, i0, i1 = s.offsets[l0], s.offsets[l1], s.member_offsets[l0], s.member_offsets[l1]
+        store = LeafStore(s.times[k0:k1], s.values[k0:k1], s.offsets[l0:l1 + 1] - k0,
+                          s.rates[l0:l1], s.members[i0:i1], s.member_offsets[l0:l1 + 1] - i0)
+        folds.append(ForestFold(
+            k + 1, feat[n0:n1], cutoff.cat[n0:n1], child[left][n0:n1] - n0,
+            child[right][n0:n1] - n0, slot[n0:n1] - l0, np.array(node_at[a:b + 1]) - n0,
+            np.array(leaf_at[a:b + 1]) - l0, store, inbag[i0:i1], errors[a:b]))
+    return folds
 
 
-def _leaf_stores(kinds: dict, n_leaves: list) -> list[LeafStore]:
-    """The LeafStores of many trees, tree i with ``n_leaves[i]`` leaves, in
-    the ``_Kind`` of each of ``LEAF_ARRAYS`` and of ``inbag``: offsets that
-    delimit the leaves, curves that StepSurvival would accept one by one,
-    their values clipped to [0, 1] the same way, and members that partition
-    the tree's in-bag ids, which must be non-negative and strictly increasing.
-    Checked in one pass over all trees."""
+def _leaf_store(kinds: dict, n_leaves: list) -> LeafStore:
+    """The LeafStore of the leaves of many trees, tree after tree, tree i
+    with ``n_leaves[i]``, in the ``_Kind`` of each of ``LEAF_ARRAYS`` and of
+    ``inbag``: offsets that delimit the leaves, curves that StepSurvival
+    would accept one by one, their values clipped to [0, 1] the same way,
+    and members that partition the tree's in-bag ids, which must be
+    non-negative and strictly increasing. Checked in one pass."""
     inbag, times, values, offsets, rates, members, moffsets = (
         kinds[name] for name in ("inbag",) + LEAF_ARRAYS)
     n_trees = len(n_leaves)
@@ -379,8 +375,8 @@ def _leaf_stores(kinds: dict, n_leaves: list) -> list[LeafStore]:
     inbag.check((ids >= 0) & (ids < limit), f"ids must lie in [0, {limit})")
     inbag.check(_within(ids[1:] > ids[:-1], np.asarray(inbag.starts), True),
                 "ids must be strictly increasing")
-    curve_starts = _delimits(offsets, times, n_leaves)
-    _delimits(moffsets, members, n_leaves)
+    curve_starts, member_starts = (_delimits(offsets, times, n_leaves),
+                                   _delimits(moffsets, members, n_leaves))
     values.check_sizes(times.sizes, "must have one value per knot")
     rates.check_sizes(n_leaves, "must have one rate per leaf")
     # StepSurvival's checks on all curves at once; the pairs of knots within
@@ -396,7 +392,8 @@ def _leaf_stores(kinds: dict, n_leaves: list) -> list[LeafStore]:
     rises = np.flatnonzero(_within(v[1:] > v[:-1], curve_starts, False))
     values.check(v[rises + 1] - v[rises] <= 1e-12,
                  "values must be non-increasing within each curve", at=rises)
-    rates.check(np.isnan(r) | (r >= 0.0), "tail rates must be >= 0 (NaN: no tail)")
+    rates.check(np.isnan(r) | ((r >= 0.0) & (r < np.inf)),
+                "tail rates must be finite and >= 0 (NaN: no tail)")
     partition = "the leaves' members must partition the in-bag ids"
     members.check_sizes(inbag.sizes, partition)
     m = members.cat
@@ -406,13 +403,13 @@ def _leaf_stores(kinds: dict, n_leaves: list) -> list[LeafStore]:
     block = np.repeat(np.arange(0, n_trees * width, width), members.sizes)
     members.check(np.sort(m + block) == ids + block, partition)
     np.clip(v, 0.0, 1.0, out=v)
-    return [LeafStore(*arrays) for arrays in zip(*(kinds[name].split() for name in LEAF_ARRAYS))]
+    return LeafStore(t, v, curve_starts, r, m, member_starts)
 
 
 def _delimits(offsets: _Kind, data: _Kind, n_leaves: list) -> np.ndarray:
     """Check that each tree's ``offsets`` rise from 0 to the size of its
-    ``data`` in n_leaves + 1 entries; return them shifted by the tree's
-    first entry of ``data``."""
+    ``data`` in n_leaves + 1 entries; return the offsets of all trees'
+    items, tree after tree."""
     def rise(i):
         return f"must rise from 0 to {data.sizes[i]} in {n_leaves[i] + 1} entries"
 
@@ -424,7 +421,9 @@ def _delimits(offsets: _Kind, data: _Kind, n_leaves: list) -> np.ndarray:
     # compared, not subtracted: a difference of two corrupt offsets may wrap
     shifted = cat + np.repeat(data.starts, offsets.sizes)
     offsets.check(shifted[1:] >= shifted[:-1], rise)
-    return shifted
+    # a tree's first entry is where the tree before ends
+    shifted[offsets.starts[1:]] = -1
+    return shifted[shifted >= 0]
 
 
 def _within(pairs: np.ndarray, starts: np.ndarray, fill) -> np.ndarray:

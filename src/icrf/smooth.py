@@ -40,9 +40,9 @@ from .exceptions import DegenerateQuantiles
 
 TAIL_ATOMS = 64
 # the most kernel values (curves x grid points x atoms) one step of
-# ``smoothed_values_matrix`` evaluates, 512 KB per array: large enough that
-# the per-step cost vanishes, small enough to stay in cache
-KERNEL_BLOCK = 1 << 16
+# ``smoothed_values_matrix`` evaluates, 256 KB per array: large enough that the
+# per-step cost vanishes, small enough to stay in cache and in reused memory
+KERNEL_BLOCK = 1 << 15
 # the kernel CDF saturates beyond CUT_Z bandwidths from an atom: there Phi
 # is within Phi(-9) ~ 1.1e-19 of 0 or 1 (a Gaussian tail bound, with no
 # claim about ndtr's own error), so a unit mass moves by at most 2 Phi(-9)

@@ -16,8 +16,9 @@ rows through one tree with it, and a forest fold through all its trees at
 once. A leaf is quasi-honest (the NPMLE of the members' raw intervals) or
 exploitative (the mean of the members' carried curves).
 
-A tree holds its leaf curves and member ids column-wise, in one
-``curves.LeafStore``. Growth only collects each leaf's members; the store
+A tree, grown or a fold's view of one (``forest.ForestFold.trees``), holds
+its leaf curves and member ids column-wise, in one ``curves.LeafStore``.
+Growth only collects each leaf's members; the store
 is then built for all leaves of the tree at once (``_leaf_store``):
 quasi-honest leaves are the problems of one ``npmle.npmle_batch``, which
 sorts all their endpoints once and encodes all their knots in one pass;
@@ -116,7 +117,7 @@ class Leaf:
 
 class Tree:
     """Array-backed binary tree; feature == -1 marks a leaf node, and
-    leaf_idx numbers its curve in ``store``."""
+    leaf_idx numbers its curve in ``store``: the tree's own numbers."""
 
     def __init__(self, feature, cutoff, left, right, leaf_idx, store: LeafStore, inbag_ids):
         self.feature = np.asarray(feature, dtype=np.int32)

@@ -139,7 +139,8 @@ STRUCTURAL = {
 }
 
 # one case per check StepSurvival makes of a curve; a NaN value used to
-# load and give NaN rows. A non-finite cut-off at a split, a negative
+# load and give NaN rows, and a tail rate of +inf read a curve without
+# knots as NaN at t = 0. A non-finite cut-off at a split, a negative
 # OOB error or one of NaN loaded too: the cut-off routed rows the other
 # way, the OOB error went into the fold's
 VALUES = {
@@ -151,6 +152,7 @@ VALUES = {
     "value_nan": ("{pre}lvalues", lambda b, pre: 0, lambda b, pre: np.nan),
     "value_increasing": ("{pre}lvalues", _interior_knot, lambda b, pre: 1.0),
     "tail_rate_negative": ("{pre}lrates", lambda b, pre: 0, lambda b, pre: -1.0),
+    "tail_rate_inf": ("{pre}lrates", lambda b, pre: 0, lambda b, pre: np.inf),
     "marginal_value_nan": ("marginal_values", lambda b, pre: 0, lambda b, pre: np.nan),
     "cutoff_nan": ("{pre}cutoff", _first_split_node, lambda b, pre: np.nan),
     "cutoff_inf": ("{pre}cutoff", _first_split_node, lambda b, pre: np.inf),
@@ -188,8 +190,8 @@ def _declare(name: str, dtype: str):
 # loaded and predicted rows of 1, h = NaN rows of 1.1e-16, tau = -3 loaded,
 # k_opt = 7 of 2 folds loaded and failed at predict (InvalidFold), and
 # params that fail their own checks raised InsufficientData. An OOB error
-# array declared int64 loaded as errors of about 4.6e18, and marginal
-# arrays declared int64 as integer knots.
+# array declared int64 loaded as errors of about 4.6e18, marginal arrays
+# declared int64 as integer knots, and a marginal tail rate of +inf.
 HEADER = {
     "h_negative": ("h", lambda hd: hd.update(h=-1.0)),
     "h_nan": ("h", lambda hd: hd.update(h=np.nan)),
@@ -206,6 +208,8 @@ HEADER = {
     "oob_int64": ("f1_oob", _declare("f1_oob", "<i8")),
     "marginal_times_int64": ("marginal_times", _declare("marginal_times", "<i8")),
     "marginal_values_int64": ("marginal_values", _declare("marginal_values", "<i8")),
+    "marginal_tail_rate_inf": ("marginal_tail_rate",
+                               lambda hd: hd.update(marginal_tail_rate=np.inf)),
 }
 
 
@@ -312,6 +316,7 @@ FLOATS = st.one_of(
 SHAPE_TOL = 1e-12  # rounding in the smoothed rows
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.sampled_from(["quasi_honest", "exploitative"]), st.data())
 def test_written_value_is_parse_error_or_a_sound_model(prediction, data):

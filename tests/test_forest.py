@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icrf import (
@@ -27,7 +27,8 @@ from icrf import (
 )
 import icrf.forest as forest_mod
 import icrf.tree as tree_mod
-from icrf.forest import METRICS, UPDATE_MODES, _monitor_error, monitor_grid
+from icrf.curves import LeafStore, StepSurvival
+from icrf.forest import METRICS, UPDATE_MODES, ForestFold, IcrfModel, _monitor_error, monitor_grid
 from icrf.npmle import npmle_batch, npmle_fit
 from icrf.serialize import DTYPE_NAMES, TREE_ARRAYS
 
@@ -91,6 +92,21 @@ class TestFit:
             assert oob_error(m, sim.dataset) == m.folds[m.k_opt - 1].oob_error
             with pytest.raises(InvalidFold):
                 oob_error(m, sim.dataset, fold=3)
+
+    def test_oob_recompute_needs_each_tree_oob_subjects(self, sim):
+        # a one-leaf tree that holds every subject has none out of its bag;
+        # a data set without one of its in-bag subjects is not its training data
+        d, every = sim.dataset, np.arange(sim.dataset.n)
+        store = LeafStore(np.array([1.0]), np.array([0.5]), np.array([0, 1]), np.array([np.nan]),
+                          every, np.array([0, every.size]))
+        tree = tree_mod.Tree([-1], [np.nan], [-1], [-1], [0], store, every)
+        model = IcrfModel(ForestParams(), list(d.feature_names), d.tau, 0.3,
+                          StepSurvival([1.0], [0.0]), [ForestFold.of(1, [tree])], 1)
+        with pytest.raises(EmptyOob):
+            oob_error(model, d)
+        fewer = Dataset(d.lefts[1:], d.rights[1:], d.X[1:], list(d.feature_names), d.tau)
+        with pytest.raises(DimensionMismatch, match="beyond"):
+            oob_error(model, fewer)
 
     def test_subsample_one_requires_single_fold(self, sim):
         with pytest.raises(EmptyOob):
@@ -223,27 +239,24 @@ class TestFit:
 
         monkeypatch.setattr(icrf.smooth, "smooth_curve", off_path)
         monkeypatch.setattr(icrf.smooth.SmoothedSurvival, "eval", off_path)
-        # trees are routed only through routing tables, never one by one
+        # trees are routed only through their batch's table, never one by one
+        # nor again through their fold's; a tree is known by its fold and its
+        # in-bag ids
         monkeypatch.setattr(icrf.tree.Tree, "apply", off_path)
-        routed, tables = [], {}
-        real_of, real_apply = forest_mod.FoldRouting.of, forest_mod.FoldRouting.apply
-
-        def of(cls, trees):
-            table = real_of(trees)
-            tables[id(table)] = [id(t) for t in trees]
-            return table
+        routed, real_apply = [], forest_mod.ForestFold.apply
 
         def apply(table, X):
-            routed.extend((tree, X.shape[0]) for tree in tables[id(table)])
+            routed.extend((table.fold_index, tree.inbag_ids.tobytes(), X.shape[0])
+                          for tree in table.trees)
             return real_apply(table, X)
 
-        monkeypatch.setattr(forest_mod.FoldRouting, "of", classmethod(of))
-        monkeypatch.setattr(forest_mod.FoldRouting, "apply", apply)
+        monkeypatch.setattr(forest_mod.ForestFold, "apply", apply)
         for metric in METRICS:
             routed.clear()
             m = fit(sim.dataset, ForestParams(n_tree=10, n_fold=2, seed=4, monitor_metric=metric))
-            trees = [(id(t), sim.dataset.n) for f in m.folds for t in f.trees]
-            assert sorted(routed) == sorted(trees)
+            trees = [(f.fold_index, t.inbag_ids.tobytes(), sim.dataset.n)
+                     for f in m.folds for t in f.trees]
+            assert len(set(trees)) == 20 and sorted(routed) == sorted(trees)
 
     def test_exploitative_fit_smooths_each_monitor_interval_once(self, sim, monkeypatch):
         # one column table for the whole fit: across its two batches of trees
@@ -356,8 +369,9 @@ def all_leaves_prediction(model, X, grid, smoothed):
     """Reference: every leaf's row of the k_opt fold computed, then routed."""
     fold = model.folds[model.k_opt - 1]
     h = model.h if smoothed else None
-    rows = [forest_mod._leaf_rows(t.store, grid, h) for t in fold.trees]
-    return sum(r[t.apply(X)] for t, r in zip(fold.trees, rows)) / len(fold.trees)
+    trees = fold.trees
+    rows = [forest_mod._leaf_rows(t.store, grid, h) for t in trees]
+    return sum(r[t.apply(X)] for t, r in zip(trees, rows)) / len(trees)
 
 
 @pytest.mark.parametrize("smoothed", [True, False], ids=["smoothed", "raw"])
@@ -452,6 +466,17 @@ class TestFoldLevelPredict:
         assert len(sizes) > len(m.folds[m.k_opt - 1].trees)
         assert max(sizes) <= max(budget, grid.size)
 
+    @pytest.mark.parametrize("queries_per_block", [1, 7])
+    def test_query_blocks_leave_bits_unchanged(self, sim, leaf_kind_models, kind, smoothed,
+                                               queries_per_block, monkeypatch):
+        # each tree's rows added a block of queries at a time, blocks that end
+        # inside the queries among them, give each query the rows it gets at once
+        m = leaf_kind_models[kind]
+        X, grid = sim.dataset.X, np.linspace(0.0, 5.0, 41)
+        want = predict(m, X, grid, smoothed=smoothed)
+        monkeypatch.setattr(forest_mod, "QUERY_BLOCK", queries_per_block * grid.size)
+        assert np.array_equal(predict(m, X, grid, smoothed=smoothed), want)
+
     def test_one_query_is_one_gather(self, sim, leaf_kind_models, kind, smoothed, monkeypatch):
         m = leaf_kind_models[kind]
         calls, real = [], forest_mod._leaf_rows
@@ -468,14 +493,44 @@ class TestFoldLevelPredict:
 def test_fold_routing_equals_each_tree_apply(sim, leaf_kind_models):
     for m in leaf_kind_models.values():
         for fold in m.folds:
-            table = fold.routing
             for X in (sim.dataset.X, sim.dataset.X[:1], sim.dataset.X[:0]):
-                leaf_of = table.apply(X)
-                assert leaf_of.shape == (len(fold.trees), X.shape[0])
+                leaf_of = fold.apply(X)
+                assert leaf_of.shape == (fold.n_trees, X.shape[0])
                 for t, tree in enumerate(fold.trees):
                     want = route_loop(tree, X)
                     assert np.array_equal(tree.apply(X), want)
-                    assert np.array_equal(leaf_of[t] - table.leaf_start[t], want)
+                    assert np.array_equal(leaf_of[t] - fold.leaf_start[t], want)
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(st.sampled_from(["quasi_honest", "exploitative"]), st.integers(1, 10),
+       st.integers(0, 2**16))
+@example("quasi_honest", 10, 1)
+@example("exploitative", 9, 2)
+def test_fold_table_routes_as_each_tree(prediction, n_tree, seed):
+    # up to 10 trees, so a fold may join two batches' tables; the fitted
+    # and the loaded fold alike route as each tree on its own, and the file
+    # is the fold's trees' own arrays
+    sim = generate(Scenario(id=5, n=60, M=1, seed=seed))
+    X = sim.dataset.X
+    model = fit(sim.dataset, ForestParams(n_tree=n_tree, n_fold=2, seed=seed,
+                                          tree=TreeParams(prediction=prediction)))
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "a.bin"), os.path.join(d, "b.bin")
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+    for m in (model, loaded):
+        for fold in m.folds:
+            leaf_of = fold.apply(X)
+            trees = fold.trees
+            assert len(trees) == fold.n_trees == n_tree
+            for t, tree in enumerate(trees):
+                assert np.array_equal(leaf_of[t] - fold.leaf_start[t], route_loop(tree, X))
+                assert np.array_equal(
+                    np.sort(tree.store.members), tree.inbag_ids)
 
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["default_budget", "one_leaf_groups"])
@@ -502,15 +557,17 @@ def test_tree_batch_equals_tree_loop(sim, prediction, budget, monkeypatch):
     for args in jobs:
         args = args[:8] + ({},) + args[9:]
         got, want = real(args), tree_batch_loop(args)
-        assert len(got[0]) == len(want[0]) == len(args[4])
+        table = got[0]
+        assert table.fold_index == args[3]
+        assert table.n_trees == len(table.trees) == len(want[0]) == len(args[4])
         same = functools.partial(np.array_equal, equal_nan=True)
-        for a, b in zip(got[0], want[0]):
+        for a, b in zip(table.trees, want[0]):
             for name in ("feature", "cutoff", "left", "right", "leaf_idx", "inbag_ids"):
                 assert same(getattr(a, name), getattr(b, name))
             for name in ("times", "values", "offsets", "rates", "members", "member_offsets"):
                 assert same(getattr(a.store, name), getattr(b.store, name))
-        assert same(got[1], want[1])
-        for g, w in zip(got[2:], want[2:]):
+        assert same(table.per_tree_oob, want[1])
+        for g, w in zip(got[1:], want[2:]):
             assert (g is None and w is None) or same(g, w)
 
 
@@ -521,13 +578,25 @@ def test_gather_budget_leaves_importance_unchanged(sim, model, monkeypatch):
 
 
 def test_load_model_builds_no_routing_table(sim, model, tmp_path):
+    # a loaded fold is its own routing table: predicting, recomputing OOB
+    # errors and importance leave it the arrays load_model filled, which its
+    # trees' views share, so no second copy of the curves exists
     path = tmp_path / "m.bin"
     save_model(model, str(path))
     loaded = load_model(str(path))
-    assert not any("routing" in vars(f) for f in loaded.folds)
+    filled = [(vars(f).copy(), f.store.times, f.store.values) for f in loaded.folds]
     predict(loaded, sim.dataset.X[:2], np.linspace(0.0, 5.0, 11))
-    assert ["routing" in vars(f) for f in loaded.folds] == [
-        f.fold_index == loaded.k_opt for f in loaded.folds]
+    predict(loaded, sim.dataset.X[:2], np.linspace(0.0, 5.0, 11), smoothed=False)
+    for k in range(1, len(loaded.folds) + 1):
+        oob_error(loaded, sim.dataset, fold=k)
+    variable_importance(loaded, sim.dataset, n_perm=1)
+    for fold, (fields, times, values) in zip(loaded.folds, filled):
+        assert vars(fold).keys() == fields.keys()
+        assert all(vars(fold)[name] is value for name, value in fields.items())
+        assert fold.store.times is times and fold.store.values is values
+        for tree in fold.trees:
+            assert np.shares_memory(tree.store.times, times)
+            assert np.shares_memory(tree.store.values, values)
 
 
 def test_one_worker_pool_per_fit(sim, monkeypatch):

@@ -23,7 +23,7 @@ import icrf
 from icrf import StepSurvival
 from icrf.curves import LeafStore
 from icrf.exceptions import InvariantViolation, ParseError
-from icrf.serialize import LEAF_ARRAYS, TREE_ARRAYS, _Kind, _leaf_stores
+from icrf.serialize import LEAF_ARRAYS, TREE_ARRAYS, _Kind, _leaf_store
 from icrf.smooth import mass_intervals_of
 
 from _oracles import interpolate_curve, mass_intervals
@@ -111,7 +111,7 @@ DEFECTS = {
     "value_rising": lambda t, v, r: (t, np.r_[v[:-1], v[-2:-1] + 2e-12], r),
     "value_rising_ok": lambda t, v, r: (t, np.r_[v[:-1], v[-2:-1] + 5e-13], r),
     "rate_negative": lambda t, v, r: (t, v, -1.0),
-    "rate_inf_ok": lambda t, v, r: (t, v, np.inf),
+    "rate_inf": lambda t, v, r: (t, v, np.inf),
 }
 
 
@@ -130,9 +130,10 @@ def raw_curves(draw):
     return DEFECTS[defect](times, values, rate)
 
 
-def _checked_stores(trees: list) -> list[LeafStore]:
-    """The LeafStores ``serialize`` reads from the leaf arrays of
-    ``trees``, each a list of (times, values, rate), checked in one pass."""
+def _checked_store(trees: list) -> LeafStore:
+    """The LeafStore ``serialize`` reads from the leaf arrays of ``trees``,
+    each a list of (times, values, rate), checked in one pass: every
+    tree's curves, tree after tree."""
     arrays = {name: [] for name in ("inbag",) + LEAF_ARRAYS}
     for raw in trees:
         parts = {
@@ -152,7 +153,7 @@ def _checked_stores(trees: list) -> list[LeafStore]:
         kinds[name] = _Kind([(a.dtype, a.shape) for a in parts], prefixes, name,
                             TREE_ARRAYS[name], "m.bin")
         kinds[name].cat[:] = np.concatenate(parts)
-    return _leaf_stores(kinds, [len(raw) for raw in trees])
+    return _leaf_store(kinds, [len(raw) for raw in trees])
 
 
 @SETTINGS
@@ -166,12 +167,11 @@ def test_store_checks_reject_what_step_survival_rejects(raw, two_trees):
     trees = [raw[:len(raw) // 2], raw[len(raw) // 2:]] if two_trees else [raw]
     if want is None:
         with pytest.raises(ParseError):
-            _checked_stores(trees)
+            _checked_store(trees)
         return
-    stores = _checked_stores(trees)
-    views = [store.curve(i) for store in stores for i in range(store.n)]
-    assert np.array_equal(np.concatenate([store.values for store in stores]),
-                          np.concatenate([np.empty(0)] + [c.values for c in want]))
+    store = _checked_store(trees)
+    views = [store.curve(i) for i in range(store.n)]
+    assert np.array_equal(store.values, np.concatenate([np.empty(0)] + [c.values for c in want]))
     assert len(views) == len(want)
     for view, c in zip(views, want):
         assert np.array_equal(view.times, c.times) and np.array_equal(view.values, c.values)

@@ -176,7 +176,8 @@ class TestSmoothedValuesMatrix:
     constants, give each curve's own values, bit for bit, whatever the
     other curves of the call, the block size and the grid's order."""
 
-    @pytest.mark.parametrize("block", [1, 200, smooth_mod.KERNEL_BLOCK])
+    # 1 << 16: a block twice the default
+    @pytest.mark.parametrize("block", [1, 200, smooth_mod.KERNEL_BLOCK, 1 << 16])
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_equals_the_loop_over_curves(self, block, seed):
@@ -191,7 +192,7 @@ class TestSmoothedValuesMatrix:
         got = _matrix(block, locs, masses, h, grid)
         assert np.array_equal(got, smoothed_values_loop(locs, masses, h, grid), equal_nan=True)
 
-    @pytest.mark.parametrize("block", [1, 200, smooth_mod.KERNEL_BLOCK])
+    @pytest.mark.parametrize("block", [1, 200, smooth_mod.KERNEL_BLOCK, 1 << 16])
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_within_tolerance_of_the_unsaturated_form(self, block, seed):

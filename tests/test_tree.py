@@ -257,7 +257,7 @@ class TestRouting:
     def test_dimension_mismatch(self):
         # the width check lives in predict, which routes queries to trees
         tree, _ = self._two_leaf_tree()
-        fold = ForestFold(1, [tree], np.zeros(1))
+        fold = ForestFold.of(1, [tree])
         model = IcrfModel(ForestParams(), ["x1"], TAU, 0.1, StepSurvival([], []), [fold], 1)
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros((2, 2)), np.linspace(0.0, TAU, 11))
@@ -308,7 +308,7 @@ class TestLeafStore:
     @pytest.mark.parametrize("prediction", [QUASI_HONEST, EXPLOITATIVE])
     def test_store_passes_load_checks(self, prediction):
         data, _, tree, _ = self._tree(prediction, 4)
-        fold = ForestFold(1, [tree], np.zeros(1))
+        fold = ForestFold.of(1, [tree])
         model = IcrfModel(ForestParams(tree=TreeParams(prediction=prediction)),
                           list(data.feature_names), data.tau, 0.3, StepSurvival([1.0], [0.0]),
                           [fold], 1)
