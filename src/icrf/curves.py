@@ -298,38 +298,50 @@ def endpoint_values_on_grid(rows, lefts, rights, grid) -> tuple[np.ndarray, np.n
 
 def project_rows(rows, s_l, s_r, lefts, rights, grid, tau: float,
                  floor: float = EPS_MASS) -> np.ndarray:
-    """Full-conditional curves S(t | X_i, I_i) on ``grid``, one row per subject.
+    """Full-conditional curves S(t | X_i, I_i) on the increasing ``grid``,
+    one row per subject.
 
     ``rows`` holds S(grid | X_i) (a single row serves every subject);
-    ``s_l``/``s_r`` are S(L_i | X_i) and S(R_i | X_i) (0 at R_i = inf).
-    Row i is 1 on t <= L_i, the clipped renormalization of S(t | X_i) on
-    (L_i, R_i] and 0 beyond a finite R_i. When S(. | X_i) carries no mass
-    (at most ``floor``) on the interval, the row falls back to the uniform curve on
-    (L_i, min(R_i, tau)], or to the exponential with mean tau beyond L_i
-    when R_i = inf. Rows are monotone up to rounding; the carried update
-    takes their running minimum.
+    ``s_l``/``s_r`` are S(L_i | X_i) and S(R_i | X_i), and S(R_i) is taken
+    as 0 at R_i = inf whatever ``s_r`` holds there. Row i is 1 on t <= L_i,
+    the clipped renormalization clip((S(t | X_i) - S(R_i)) / (S(L_i) -
+    S(R_i)), 0, 1) on (L_i, R_i] and 0 beyond a finite R_i. When S(. | X_i)
+    carries no mass (at most ``floor``) on the interval, the row falls back
+    to the uniform curve on (L_i, min(R_i, tau)], or to the exponential with
+    mean tau beyond L_i when R_i = inf.
+
+    Every row is renormalized in one pass into one output (an empty row by
+    1, not by its mass, and then overwritten by its fallback), and the spans
+    before L_i and beyond R_i are written from each row's column bounds.
+    Rows are monotone up to rounding; the carried update takes their
+    running minimum in place (``np.minimum.accumulate(..., out=)``).
     """
     lefts, rights, s_l, s_r, grid = (
         np.asarray(a, dtype=float) for a in (lefts, rights, s_l, s_r, grid)
     )
-    rows = np.broadcast_to(rows, (lefts.size, grid.size))
-    out = np.empty(rows.shape)
     unbounded = np.isinf(rights)
-    mass = np.where(unbounded, s_l, s_l - s_r)
+    s_r = np.where(unbounded, 0.0, s_r)
+    mass = s_l - s_r
     empty = mass <= floor
-    i = unbounded & ~empty
-    out[i] = np.minimum(rows[i] / s_l[i, None], 1.0)
-    i = ~unbounded & ~empty
-    out[i] = np.clip((rows[i] - s_r[i, None]) / mass[i, None], 0.0, 1.0)
-    i = unbounded & empty
+    out = np.subtract(rows, s_r[:, None], out=np.empty((lefts.size, grid.size)))
+    np.divide(out, np.where(empty, 1.0, mass)[:, None], out=out)
+    np.clip(out, 0.0, 1.0, out=out)
+    i = np.flatnonzero(unbounded & empty)
     out[i] = np.exp(-(grid - lefts[i, None]) / tau)
-    for i in np.nonzero(~unbounded & empty)[0]:
+    for i in np.flatnonzero(~unbounded & empty):
         hi = min(rights[i], tau)
         if hi <= lefts[i]:
             hi = rights[i]  # interval entirely beyond tau; keep it
         out[i] = np.where(grid > hi, 0.0, np.interp(grid, [lefts[i], hi], [1.0, 0.0]))
-    out[grid <= lefts[:, None]] = 1.0
-    out[grid > rights[:, None]] = 0.0
+    # row i is 1 on its columns [0, before[i]) (grid <= L_i) and 0 on
+    # [after[i], g) (grid > R_i)
+    before = np.searchsorted(grid, lefts, side="right")
+    after = np.searchsorted(grid, rights, side="right")
+    ones, zeros = np.flatnonzero(before), np.flatnonzero(after < grid.size)
+    for i, b in zip(ones.tolist(), before[ones].tolist()):
+        out[i, :b] = 1.0
+    for i, a in zip(zeros.tolist(), after[zeros].tolist()):
+        out[i, a:] = 0.0
     return out
 
 

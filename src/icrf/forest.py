@@ -4,8 +4,10 @@ best-fold selection, prediction, and permutation variable importance.
 
 Each fold starts from rows on the knot grid, the marginal's for the first
 fold and the previous forest's after it, reads S(L_i), S(R_i) off them
-(``curves.endpoint_values_on_grid``) and projects them onto the subjects'
-intervals (``curves.project_rows``); so does the IMSE2 monitor. The first
+(``curves.endpoint_values_on_grid``), projects them onto the subjects'
+intervals (``curves.project_rows``; so does the IMSE2 monitor) and takes
+their running minimum in place. Only folds 1..K-1 build the carried sums
+that the next fold starts from: the last fold's batches skip them. The first
 row, OOB monitoring, smoothed prediction and variable importance smooth
 with the leaves' kernel, ``_leaf_rows``: one kernel column per distinct
 mass interval, and per curve the sum of its own masses times its own
@@ -20,8 +22,9 @@ builds one per batch of trees and joins a fold's batches; ``predict``,
 ``_leaf_rows`` call; the carried update and variable importance read
 every leaf once (``_all_leaf_rows``), ``predict`` the leaves the queries
 reach; both in groups of at most GATHER_BUDGET grid values. Rows are
-added tree by tree, in tree order, so every answer is that of a loop
-over the trees, bit for bit.
+added tree by tree, in tree order (for the carried sums and importance, in
+one CSR product, ``_tree_sum``), so every answer is that of a loop over the
+trees, bit for bit.
 
 The columns live in one table per call, a dict from interval to column
 for its bandwidth and grid: ``fit`` keeps one for the monitor grid
@@ -412,12 +415,20 @@ def _all_leaf_rows(store: LeafStore, grid, h: float | None) -> np.ndarray:
 def _tree_sum(rows, leaf_of, mask=None) -> np.ndarray:
     """Sum over the trees, in tree order, of the rows (``rows``, one per
     fold-wide leaf) of the leaves ``leaf_of`` (trees, subjects) names;
-    with ``mask`` (trees, subjects), tree t adds to subjects mask[t] only."""
-    acc = np.zeros((leaf_of.shape[1], rows.shape[1]))
-    for t, at in enumerate(leaf_of):
-        keep = slice(None) if mask is None else mask[t]
-        acc[keep] += rows[at[keep]]
-    return acc
+    with ``mask`` (trees, subjects), tree t adds to subjects mask[t] only.
+
+    One CSR product: subject i's stored entries are its leaves in tree
+    order, each of weight 1, and the product adds them to a zero row one
+    after another, as a loop over the trees would, bit for bit."""
+    from scipy.sparse import csr_array
+
+    n_trees, n = leaf_of.shape
+    if mask is None:
+        leaves, ends = leaf_of.T.ravel(), np.arange(0, n_trees * n + 1, n_trees)
+    else:
+        leaves, ends = leaf_of.T[mask.T], np.concatenate(([0], np.cumsum(mask.sum(axis=0))))
+    mix = csr_array((np.ones(leaves.size), leaves, ends), shape=(n, rows.shape[0]))
+    return mix @ rows
 
 
 def _oob_errors(table: ForestFold, leaf_of, oob, lefts, rights, tau, h, grid, metric,
@@ -448,8 +459,10 @@ def _build_tree_batch(args):
     """One batch of a fold's trees (their table) and its carried sums.
     ``columns`` is the fit's monitor-grid column table when the batch runs
     in the fitting process, or None in a worker process, which then uses
-    its own table (``_init_worker``)."""
-    (ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode) = args
+    its own table (``_init_worker``). ``carry`` says whether a fold follows
+    this one; the last fold's batches build no carried sums (all three None)."""
+    (ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode,
+     carry) = args
     columns = _worker_columns if columns is None else columns
     trees, npmle_gaps = [], []
     for b in b_list:
@@ -460,6 +473,8 @@ def _build_tree_batch(args):
     leaf_of, oob = table.apply(ctx.X), table.oob_mask(ctx.n)
     table.per_tree_oob = np.asarray(_oob_errors(table, leaf_of, oob, ctx.lefts, ctx.rights,
                                                 ctx.tau, h, mgrid, metric, columns))
+    if not carry:
+        return table, None, None, None, npmle_gaps
     # leaf curves enter the forest through their within-interval
     # (uniform-density) interpolation, not the right-endpoint step
     rows = _all_leaf_rows(table.store, ctx.grid, None)
@@ -484,7 +499,9 @@ def _warn_uncertified(marginal_gap: float, leaf_gaps: list) -> None:
 def fit(data: Dataset, params: ForestParams) -> IcrfModel:
     """Fit the recursive forest (Algorithm: marginal init, K folds of
     extremely randomized trees on carried full-conditional curves, OOB
-    monitoring, best-fold selection)."""
+    monitoring, best-fold selection). Folds 1..K-1 carry their trees'
+    mean curves into the next fold; fold K, which no fold reads, builds
+    none."""
     n, p = data.n, data.p
     n_min = params.tree.n_min
     if n < 2 * n_min:
@@ -531,23 +548,30 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
         for k in range(1, params.n_fold + 1):
             s_l, s_r = endpoint_values_on_grid(base_rows, data.lefts, data.rights, grid)
             carried = project_rows(base_rows, s_l, s_r, data.lefts, data.rights, grid, data.tau)
-            ctx = fold_context(data, grid, np.minimum.accumulate(carried, axis=1), s_l, s_r)
+            np.minimum.accumulate(carried, axis=1, out=carried)
+            ctx = fold_context(data, grid, carried, s_l, s_r)
+            carry = k < params.n_fold  # only a fold with a successor builds carried sums
             jobs = [
                 (ctx, params.tree, params.seed, k,
                  list(range(b0, min(b0 + TREE_BATCH, params.n_tree))), s_size, h, mgrid,
-                 None if parallel else columns, params.monitor_metric, params.update_curves)
+                 None if parallel else columns, params.monitor_metric, params.update_curves,
+                 carry)
                 for b0 in range(0, params.n_tree, TREE_BATCH)
             ]
             results = list((pool.map if parallel else map)(_build_tree_batch, jobs))
             folds.append(ForestFold.join(k, [r[0] for r in results]))
             leaf_gaps += [g for r in results for g in r[4]]
-            # results are in batch order, so batch sums are added in that
-            # order whatever the worker count
-            base_rows = sum(r[1] for r in results) / params.n_tree
-            if params.update_curves == "oob":
-                oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (2, 3))
-                have = oob_cnt > 0
-                base_rows[have] = oob_sum[have] / oob_cnt[have, None]
+            if carry:
+                # results are in batch order, so batch sums are added in that
+                # order whatever the worker count, into the first batch's
+                base_rows = results[0][1]
+                for r in results[1:]:
+                    base_rows += r[1]
+                base_rows /= params.n_tree
+                if params.update_curves == "oob":
+                    oob_sum, oob_cnt = (sum(r[j] for r in results) for j in (2, 3))
+                    have = oob_cnt > 0
+                    base_rows[have] = oob_sum[have] / oob_cnt[have, None]
 
     _warn_uncertified(marginal_fit.kkt_gap, leaf_gaps)
     errors = np.asarray([f.oob_error for f in folds])

@@ -337,6 +337,11 @@ def _folds_from(kinds: dict, n_leaves: list, n_trees: list, errors, p: int) -> l
         kind.check((to > inner) & (to < end), "must name a later node at every split", at=inner)
     cutoff.check(np.isfinite(cutoff.cat[inner]), "must be finite at every split", at=inner)
     leaf = np.flatnonzero(~split)
+    # the entries a node does not read are -1, as ``fit`` writes them, so
+    # that one table has one file
+    for kind in (left, right):
+        kind.check(kind.cat[leaf] == -1, "must be -1 at every leaf node", at=leaf)
+    leafidx.check(leafidx.cat[inner] == -1, "must be -1 at every split", at=inner)
     (first, end), number = bounds[2:, leaf], slot[leaf]
 
     def numbered(i):

@@ -485,17 +485,20 @@ def tree_batch_loop(args):
     routes every subject on its own (``Tree.apply``) and reads the leaves
     it reached (``_routed_rows``): its OOB subjects' smoothed rows for its
     monitor error, and every subject's interpolated rows for the carried
-    sums, added tree after tree (OOB subjects only, for ``oob_sum``)."""
+    sums, added tree after tree (OOB subjects only, for ``oob_sum``). The
+    last fold's batch (``carry`` false) reads no carried rows: its sums are
+    None."""
     from icrf.forest import _monitor_error, _routed_rows
     from icrf.tree import grow_tree_ctx
 
-    ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode = args
+    (ctx, tparams, seed, fold_k, b_list, s_size, h, mgrid, columns, metric, update_mode,
+     carry) = args
     columns = {} if columns is None else columns
     n = ctx.n
     trees, oob_errs, npmle_gaps = [], [], []
-    pred_sum = np.zeros((n, ctx.grid.size))
-    oob_sum = np.zeros((n, ctx.grid.size)) if update_mode == "oob" else None
-    oob_cnt = np.zeros(n) if update_mode == "oob" else None
+    pred_sum = np.zeros((n, ctx.grid.size)) if carry else None
+    oob_sum = np.zeros((n, ctx.grid.size)) if carry and update_mode == "oob" else None
+    oob_cnt = np.zeros(n) if carry and update_mode == "oob" else None
     for b in b_list:
         rng = np.random.default_rng(np.random.SeedSequence([seed, fold_k, b]))
         inbag = np.sort(rng.choice(n, size=s_size, replace=False))
@@ -505,12 +508,14 @@ def tree_batch_loop(args):
         rows = _routed_rows(tree, leaf_of[oob], mgrid, h, columns)
         oob_errs.append(_monitor_error(metric, rows, ctx.lefts[oob], ctx.rights[oob], ctx.tau,
                                        mgrid))
+        trees.append(tree)
+        if not carry:
+            continue
         rows = _routed_rows(tree, leaf_of, ctx.grid, None)
         pred_sum += rows
         if update_mode == "oob":
             oob_sum[oob] += rows[oob]
             oob_cnt[oob] += 1.0
-        trees.append(tree)
     return trees, oob_errs, pred_sum, oob_sum, oob_cnt, npmle_gaps
 
 

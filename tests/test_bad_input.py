@@ -124,8 +124,9 @@ def _interior_knot(blob, pre):
 # fold's {fold}. Before these checks, the first two loaded and predicted
 # wrong rows or nothing at all; the next three loaded and then raised a
 # bare IndexError in predict, the next made predict loop forever, and the
-# last two loaded and gave a wrong out-of-bag error (an in-bag id beyond
-# the data, a member id twice).
+# next two loaded and gave a wrong out-of-bag error (an in-bag id beyond
+# the data, a member id twice). The last three loaded, predicted as the
+# file without the change and saved it back, so two files held one model.
 STRUCTURAL = {
     "loffsets_end": ("{pre}loffsets", lambda b, pre: -1, lambda b, pre: 1),
     "lmoffsets_jump": ("{pre}lmoffsets", lambda b, pre: 1, lambda b, pre: 10**6),
@@ -136,6 +137,9 @@ STRUCTURAL = {
     "inbag_out_of_range": ("{pre}inbag", lambda b, pre: 0, lambda b, pre: 10**6),
     "lmembers_repeated": ("{pre}lmembers", lambda b, pre: 1,
                           lambda b, pre: _read(b, pre + "lmembers")[0]),
+    "left_at_leaf": ("{pre}left", _first_leaf_node, lambda b, pre: 12345),
+    "right_at_leaf": ("{pre}right", _first_leaf_node, lambda b, pre: 12345),
+    "leafidx_at_split": ("{pre}leafidx", _first_split_node, lambda b, pre: 0),
 }
 
 # one case per check StepSurvival makes of a curve; a NaN value used to

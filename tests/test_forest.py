@@ -538,7 +538,7 @@ def test_fold_table_routes_as_each_tree(prediction, n_tree, seed):
 def test_tree_batch_equals_tree_loop(sim, prediction, budget, monkeypatch):
     # a fit's batches of trees (two per fold: 8 trees and 2), read through
     # one routing table, against the loop that routes and reads each tree
-    # on its own, bit for bit
+    # on its own, bit for bit; the last fold's batches carry no sums
     jobs, real = [], forest_mod._build_tree_batch
 
     def spy(args):
@@ -567,8 +567,40 @@ def test_tree_batch_equals_tree_loop(sim, prediction, budget, monkeypatch):
             for name in ("times", "values", "offsets", "rates", "members", "member_offsets"):
                 assert same(getattr(a.store, name), getattr(b.store, name))
         assert same(table.per_tree_oob, want[1])
-        for g, w in zip(got[1:], want[2:]):
-            assert (g is None and w is None) or same(g, w)
+        # of two folds, the first carries its sums into the second; the
+        # sums (all, OOB-only, OOB counts) are None where no fold reads them
+        carry, oob_mode = args[11], args[10] == "oob"
+        assert carry == (args[3] == 1)
+        for j, (g, w) in enumerate(zip(got[1:4], want[2:5])):
+            if carry and (j == 0 or oob_mode):
+                assert same(g, w)
+            else:
+                assert g is None and w is None
+        assert got[4] == want[5]
+
+
+@pytest.mark.parametrize("update", UPDATE_MODES)
+@pytest.mark.parametrize("n_fold", [1, 3])
+def test_last_fold_builds_no_carried_sums(sim, n_fold, update, monkeypatch):
+    # carried sums feed the next fold only: each batch of folds 1..K-1 adds
+    # its rows once (and once more over its OOB subjects in "oob" mode), and
+    # the last fold's batches add none
+    fold, calls = [None], []
+    real_batch, real_sum = forest_mod._build_tree_batch, forest_mod._tree_sum
+
+    def batch(args):
+        fold[0] = args[3]
+        return real_batch(args)
+
+    def tree_sum(*args, **kwargs):
+        calls.append(fold[0])
+        return real_sum(*args, **kwargs)
+
+    monkeypatch.setattr(forest_mod, "_build_tree_batch", batch)
+    monkeypatch.setattr(forest_mod, "_tree_sum", tree_sum)
+    fit(sim.dataset, ForestParams(n_tree=10, n_fold=n_fold, seed=5, update_curves=update))
+    per_batch = 2 if update == "oob" else 1
+    assert calls == [k for k in range(1, n_fold) for _ in range(2 * per_batch)]
 
 
 def test_gather_budget_leaves_importance_unchanged(sim, model, monkeypatch):

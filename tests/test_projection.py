@@ -27,9 +27,16 @@ def projections(draw):
     lefts, rights, s_l, s_r = [], [], [], []
     for i in range(n):
         row = rows[i if n_rows > 1 else 0]
+        # lefts at or below the first grid point and rights at or past the
+        # last one reach both ends of the kernel's column bounds
         left = float(draw(st.one_of(st.just(0.0), st.sampled_from(list(grid)),
+                                    st.floats(0.0, float(grid[0])),
                                     st.floats(0.0, float(grid[-1])))))
-        right = draw(st.one_of(st.just(np.inf), st.floats(0.01, 4.0).map(lambda w: left + w)))
+        later = [float(t) for t in grid if t > left]
+        right = draw(st.one_of(st.just(np.inf), st.floats(0.01, 4.0).map(lambda w: left + w),
+                               st.floats(0.0, 2.0).map(lambda w: max(float(grid[-1]), left) + w)
+                               .filter(lambda r: r > left),
+                               st.sampled_from(later) if later else st.just(np.inf)))
         sl = 1.0 if left <= 0.0 else float(np.interp(left, grid, row))
         sr = 0.0 if np.isinf(right) else float(np.interp(right, grid, row))
         branch = draw(st.sampled_from(["exact", "no_mass", "drawn"]))
@@ -48,7 +55,8 @@ def projections(draw):
 @given(projections())
 def test_kernel_equals_loop_reference(case):
     rows, s_l, s_r, lefts, rights, grid = case
-    got = np.minimum.accumulate(project_rows(rows, s_l, s_r, lefts, rights, grid, TAU), axis=1)
+    got = project_rows(rows, s_l, s_r, lefts, rights, grid, TAU)
+    np.minimum.accumulate(got, axis=1, out=got)  # in place, as the carried update takes it
     want = carried_rows_loop(rows, s_l, s_r, lefts, rights, grid, TAU)
     assert np.array_equal(got, want)
 

@@ -131,6 +131,14 @@ class TestGenerate:
         assert mu_bar(1) == mu_bar(1)
         assert 1.0 < mu_bar(1) < 2.0  # near E[mu] for scenario 1
 
+    @pytest.mark.parametrize("scenario_id", [1, 6])
+    def test_mu_bar_is_the_mean_over_its_pre_draw(self, scenario_id):
+        # the stored constant is the mean of mu over 100,000 covariate rows of
+        # a fixed stream; the bound leaves room for BLAS summation order only
+        rng = np.random.default_rng(np.random.SeedSequence([987_654_321, scenario_id]))
+        want = float(mu_of(scenario_id, draw_covariates(scenario_id, 100_000, rng)).mean())
+        assert mu_bar(scenario_id) == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_invalid_scenario(self):
         with pytest.raises(InvariantViolation):
             Scenario(id=7)
