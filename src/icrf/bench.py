@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import atomic_write, _fmt
+from .dataio import atomic_write, require_count, write_table
 from .exceptions import InsufficientData
 from .forest import ForestParams, fit, predict
 from .metrics import oracle_errors
@@ -61,6 +61,7 @@ class ExperimentSpec:
         for rule in self.rules:
             for pred in self.predictions:
                 self.forest_params(rule, pred, seed=0)
+        require_count(self.n_jobs, "n_jobs", InsufficientData, least=1)
         if self.n_test < 1:
             raise InsufficientData(f"n_test must be >= 1, got {self.n_test}")
         if self.grid_resolution < 2:
@@ -138,16 +139,8 @@ def _shard_name(cell, rep: int) -> str:
     return f"s{sc}_M{m}_n{n}_{rule}_{pred}_rep{rep}.csv"
 
 
-def _rows_to_csv(rows, columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                for c in columns
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _write_rows(path, rows, columns):
+    write_table(path, columns, ([row[c] for c in columns] for row in rows))
 
 
 def _read_rows(path, columns):
@@ -177,7 +170,7 @@ def _replicate_task(args):
     except Exception as exc:  # recorded, run continues
         return [], f"{cell} rep {rep}: {type(exc).__name__}: {exc}"
     if shard_path is not None:
-        atomic_write(shard_path, _rows_to_csv(rows, RAW_COLUMNS))
+        _write_rows(shard_path, rows, RAW_COLUMNS)
     return rows, None
 
 
@@ -198,8 +191,9 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
             )
             tasks.append((spec, cell, rep, shard))
 
-    if spec.n_jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(spec.n_jobs) as pool:
+    workers = min(spec.n_jobs, len(tasks))  # no worker without a task
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_replicate_task, tasks))
     else:
         results = [_replicate_task(t) for t in tasks]
@@ -217,14 +211,10 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
         )
     )
     if spec.out_dir is not None:
-        atomic_write(
-            os.path.join(spec.out_dir, "raw.csv"), _rows_to_csv(rows, RAW_COLUMNS)
-        )
+        _write_rows(os.path.join(spec.out_dir, "raw.csv"), rows, RAW_COLUMNS)
         summary = aggregate(rows)
         cols = list(summary[0].keys()) if summary else []
-        atomic_write(
-            os.path.join(spec.out_dir, "summary.csv"), _rows_to_csv(summary, cols)
-        )
+        _write_rows(os.path.join(spec.out_dir, "summary.csv"), summary, cols)
         if failures:
             atomic_write(
                 os.path.join(spec.out_dir, "failures.txt"), "\n".join(failures) + "\n"

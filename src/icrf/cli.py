@@ -5,7 +5,6 @@ tables written atomically."""
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 
@@ -13,13 +12,13 @@ import numpy as np
 
 from .bench import ExperimentSpec, run_experiment
 from .dataio import (
-    _fmt,
-    atomic_write,
     load_csv,
     parse_config,
     read_key_values,
+    read_rows,
     read_truth_csv,
     write_csv,
+    write_table,
     write_truth_csv,
 )
 from .exceptions import IcrfError, MissingTruth, ParseError
@@ -85,29 +84,19 @@ def cmd_fit(args) -> int:
     params = _forest_params(cfg, data.n, args.seed, args.jobs)
     model = fit(data, params)
     save_model(model, args.out)
-    lines = [f"fold,oob_{params.monitor_metric},is_k_opt"]
-    for fold in model.folds:
-        mark = 1 if fold.fold_index == model.k_opt else 0
-        lines.append(f"{fold.fold_index},{_fmt(fold.oob_error)},{mark}")
-    atomic_write(args.report, "\n".join(lines) + "\n")
+    write_table(args.report, ["fold", f"oob_{params.monitor_metric}", "is_k_opt"],
+                ([f.fold_index, f.oob_error, int(f.fold_index == model.k_opt)]
+                 for f in model.folds))
     print(f"fitted {params.n_fold} folds x {params.n_tree} trees; k_opt={model.k_opt}")
     return 0
 
 
 def _load_query(path: str, p: int) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise ParseError(f"{path}: empty query file, expected a header row")
-        try:
-            # a blank line, such as one after the last row, is no query
-            rows = [[float(v) for v in row] for row in reader if row]
-        except ValueError as e:
-            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
-    if any(len(r) != p for r in rows):
+    rows = read_rows(path)
+    if len(next(rows)) != p:
         raise ParseError(f"{path}: expected {p} covariate columns")
     # a header-only file is zero queries
-    return np.asarray(rows, dtype=float).reshape(len(rows), p)
+    return np.asarray([row for _, row in rows], dtype=float).reshape(-1, p)
 
 
 def cmd_predict(args) -> int:
@@ -115,11 +104,9 @@ def cmd_predict(args) -> int:
     x = _load_query(args.query, len(model.feature_names))
     grid = _parse_grid(args.grid)
     values = predict(model, x, grid, fold=args.fold, smoothed=args.smoothed)
-    lines = ["query_id,t,survival"]
-    for i in range(x.shape[0]):
-        for t, v in zip(grid, values[i]):
-            lines.append(f"{i},{_fmt(t)},{_fmt(v)}")
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    ts = grid.tolist()
+    write_table(args.out, ["query_id", "t", "survival"],
+                ((i, t, v) for i, row in enumerate(values) for t, v in zip(ts, row.tolist())))
     print(f"wrote {x.shape[0]} x {grid.size} curve points to {args.out}")
     return 0
 
@@ -153,8 +140,7 @@ def cmd_evaluate(args) -> int:
         report += [("eps_int", e_int, data.n), ("eps_sup", e_sup, data.n)]
     elif args.require_truth:
         raise MissingTruth("oracle metrics requested but no --truth sidecar given")
-    lines = ["metric,value,n"] + [f"{m},{_fmt(v)},{n}" for m, v, n in report]
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    write_table(args.out, ["metric", "value", "n"], report)
     for m, v, _ in report:
         print(f"{m} = {v:.6f}")
     return 0
@@ -166,11 +152,8 @@ def cmd_importance(args) -> int:
     res = variable_importance(
         model, data, n_perm=args.nperm, metric=args.metric, seed=args.seed
     )
-    lines = ["feature,raw,rescaled"]
-    for name, r, s in zip(model.feature_names, res.raw, res.rescaled):
-        lines.append(f"{name},{_fmt(float(r))},{_fmt(float(s))}")
-    lines.append(f"_multiplier,{_fmt(res.multiplier)},1")
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    rows = [*zip(model.feature_names, res.raw, res.rescaled), ("_multiplier", res.multiplier, 1)]
+    write_table(args.out, ["feature", "raw", "rescaled"], rows)
     top = model.feature_names[int(np.argmax(res.raw))]
     print(f"top feature: {top} (multiplier {res.multiplier:.6g})")
     return 0
@@ -271,10 +254,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IcrfError, OSError) as exc:
-        # an unreadable or missing file is bad input too
-        code = exc.code if isinstance(exc, IcrfError) else "io_error"
-        print(f"error[{code}]: {exc}", file=sys.stderr)
+    except (IcrfError, OSError, MemoryError) as exc:
+        # bad input, a missing or unreadable file, or a run too large to hold
+        code = exc.code if isinstance(exc, IcrfError) else (
+            "io_error" if isinstance(exc, OSError) else "out_of_memory")
+        print(f"error[{code}]: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

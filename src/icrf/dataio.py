@@ -4,6 +4,11 @@ CSV schema: header ``left,right,x1,...,xp`` with ``inf`` for unbounded
 right endpoints, or ``time,status,x1,...`` in exact/right-censored mode
 (status 1 = exact event, 0 = right-censored). Exact times T are encoded
 as the interval (T*(1-1e-9), T].
+
+Every table the package reads goes through one row reader,
+``read_rows``, and every table it writes through one table writer,
+``write_table``; every file it writes, tables and model files alike,
+goes through one atomic write, ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -12,25 +17,23 @@ import csv
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from .exceptions import InvariantViolation, ParseError
 
 EPS_EXACT = 1e-9  # relative offset encoding an exactly observed time
+WRITE_BLOCK = 4096  # table lines joined into one write
 
 
-def require_count(value, what: str, error=InvariantViolation):
-    """``value`` if it is an integer >= 0 (a size or a seed), else ``error``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise error(f"{what} must be a non-negative integer, got {value!r}")
+def require_count(value, what: str, error=InvariantViolation, least: int = 0):
+    """``value`` if it is an integer >= ``least`` (a size, a seed or a
+    worker count), else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise error(f"{what} must be {kind}, got {value!r}")
     return value
-
-
-def _fmt(x: float) -> str:
-    if np.isinf(x):
-        return "inf"
-    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -82,17 +85,65 @@ def encode_exact(t: float) -> tuple[float, float]:
     return t * (1.0 - EPS_EXACT), t
 
 
-def atomic_write(path: str, text: str):
+def atomic_write(path: str, pieces):
+    """Write ``pieces`` (text or bytes, or an iterable of either) to
+    ``path`` through a temporary file in its directory that replaces
+    ``path`` only once every piece is written: a failed write leaves no
+    partial file, and the old file, if any, as it was."""
+    if isinstance(pieces, (str, bytes)):
+        pieces = (pieces,)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for piece in pieces:
+                fh.write(piece.encode() if isinstance(piece, str) else piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cell(v) -> str:
+    # 17 significant digits give every float64 back exactly; inf stays "inf"
+    return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+
+def write_table(path: str, header, rows):
+    """Write a CSV table atomically: the ``header`` cells, then each of
+    ``rows`` (any iterable, consumed as it is written). Float cells are
+    written to 17 significant digits, other cells with ``str``."""
+    lines = (",".join(map(_cell, row)) + "\n" for row in rows)
+    blocks = iter(lambda: "".join(islice(lines, WRITE_BLOCK)), "")
+    atomic_write(path, chain([",".join(header) + "\n"], blocks))
+
+
+def read_rows(path: str):
+    """The rows of a CSV table: first its header (stripped cells), then
+    (line number, cells as floats) for each data row. Blank lines are no
+    rows; a row whose width is not the header's, or with a cell that is
+    not a number, raises ParseError naming ``path:line``, and so does a
+    file that is not CSV text (bytes that are not text, or a field longer
+    than the csv module reads)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file, expected a header row")
+            yield [h.strip() for h in header]
+            for row in filter(None, reader):  # a blank line, such as a last one, is no row
+                ln = reader.line_num
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{ln}: {len(row)} values, expected {len(header)}")
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as e:
+                    raise ParseError(f"{path}:{ln}: {e}") from None
+                yield ln, values
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise ParseError(f"{path}: not CSV text: {e}") from None
 
 
 def load_csv(path: str, tau: float, exact_time_mode: bool = False) -> Dataset:
@@ -101,97 +152,58 @@ def load_csv(path: str, tau: float, exact_time_mode: bool = False) -> Dataset:
     Interval mode: rows with left == right are treated as exact times.
     Exact mode (``time,status``): status 1 -> exact, 0 -> right-censored.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        exact = exact_time_mode or header[:2] == ["time", "status"]
-        first = ["time", "status"] if exact else ["left", "right"]
-        if header[:2] != first:
-            raise ParseError(f"{path}: expected '{','.join(first)},...' header, got {header[:2]}")
-        feature_names = header[2:]
-        lefts, rights, rows = [], [], []
-        for ln, row in enumerate(reader, start=2):
-            if not row:  # a blank line, such as one after the last row, is no row
-                continue
-            try:
-                left, right, *xs = (float(v) for v in row)
-            except ValueError as e:
-                raise ParseError(f"{path}:{ln}: {e}") from None
-            if exact:  # (time, status): exact at time, or censored after it
-                if right not in (0.0, 1.0):
-                    raise ParseError(f"{path}:{ln}: status must be 0 or 1")
-                right = left if right == 1.0 else np.inf
-            if left < 0:
-                raise InvariantViolation(f"{path}:{ln}: negative time {left}")
-            if left == right:
-                left, right = encode_exact(right)
-            elif left > right:
-                raise InvariantViolation(f"{path}:{ln}: L >= R ({left} >= {right})")
-            lefts.append(left)
-            rights.append(right)
-            rows.append(xs)
+    rows = read_rows(path)
+    header = next(rows)
+    exact = exact_time_mode or header[:2] == ["time", "status"]
+    first = ["time", "status"] if exact else ["left", "right"]
+    if header[:2] != first:
+        raise ParseError(f"{path}: expected '{','.join(first)},...' header, got {header[:2]}")
+    lefts, rights, xs = [], [], []
+    for ln, (left, right, *x) in rows:
+        if exact:  # (time, status): exact at time, or censored after it
+            if right not in (0.0, 1.0):
+                raise ParseError(f"{path}:{ln}: status must be 0 or 1")
+            right = left if right == 1.0 else np.inf
+        if left < 0:
+            raise InvariantViolation(f"{path}:{ln}: negative time {left}")
+        if left == right:
+            left, right = encode_exact(right)
+        elif left > right:
+            raise InvariantViolation(f"{path}:{ln}: L >= R ({left} >= {right})")
+        lefts.append(left)
+        rights.append(right)
+        xs.append(x)
     if not lefts:
         raise ParseError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1 or widths.pop() != len(feature_names):
-        raise ParseError(f"{path}: ragged covariate rows")
-    return Dataset(
-        lefts=np.asarray(lefts),
-        rights=np.asarray(rights),
-        X=np.asarray(rows, dtype=float),
-        feature_names=feature_names,
-        tau=tau,
-    )
+    return Dataset(lefts=np.asarray(lefts), rights=np.asarray(rights),
+                   X=np.asarray(xs, dtype=float), feature_names=header[2:], tau=tau)
 
 
 def write_csv(dataset: Dataset, path: str):
-    lines = [",".join(["left", "right", *dataset.feature_names])]
-    for l, r, x in zip(dataset.lefts, dataset.rights, dataset.X):
-        lines.append(",".join([_fmt(l), _fmt(r), *(_fmt(v) for v in x)]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_table(path, ["left", "right", *dataset.feature_names],
+                ([l, r, *x] for l, r, x in zip(dataset.lefts, dataset.rights, dataset.X)))
 
 
 def write_truth_csv(path: str, latent_times: np.ndarray, s0: np.ndarray, grid: np.ndarray):
     """Hidden-truth sidecar: latent T plus S0(t|x_i) rows on a grid."""
-    header = ["id", "latent_time"] + [f"s0@{_fmt(t)}" for t in grid]
-    lines = [",".join(header)]
-    for i, (t, row) in enumerate(zip(latent_times, s0)):
-        lines.append(",".join([str(i), _fmt(t), *(_fmt(v) for v in row)]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_table(path, ["id", "latent_time", *(f"s0@{_cell(t)}" for t in grid)],
+                ([i, t, *row] for i, (t, row) in enumerate(zip(latent_times, s0))))
 
 
 def read_truth_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (latent_times, S0 matrix, grid). Every row must hold an id,
     a latent time and one value per grid column; a malformed file raises
     ParseError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["id", "latent_time"] or not header[2:]:
-            raise ParseError(f"{path}: not a truth sidecar file")
-        try:
-            grid = np.asarray([float(h.split("@", 1)[1]) for h in header[2:]])
-        except (IndexError, ValueError):
-            raise ParseError(f"{path}: malformed grid columns") from None
-        latent, rows = [], []
-        for row in reader:
-            if not row:  # a blank line is no row
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {reader.line_num} has {len(row)} values, "
-                    f"expected {len(header)}"
-                )
-            try:
-                latent.append(float(row[1]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError:
-                raise ParseError(f"{path}: line {reader.line_num}: non-numeric value") from None
-    return np.asarray(latent), np.asarray(rows), grid
+    rows = read_rows(path)
+    header = next(rows)
+    if header[:2] != ["id", "latent_time"] or not header[2:]:
+        raise ParseError(f"{path}: not a truth sidecar file")
+    try:
+        grid = np.asarray([float(h.split("@", 1)[1]) for h in header[2:]])
+    except (IndexError, ValueError):
+        raise ParseError(f"{path}: malformed grid columns") from None
+    values = np.asarray([row for _, row in rows]).reshape(-1, len(header))
+    return values[:, 1], values[:, 2:], grid
 
 
 # -- flat key=value config ---------------------------------------------------
@@ -231,21 +243,25 @@ CONFIG_KEYS = {
 def read_key_values(path: str, keys: dict) -> dict:
     """Flat key=value file; ``keys`` maps each allowed key to the
     function that converts its value. '#' starts a comment."""
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not a text file: {e}") from None
     out = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{ln}: expected key=value, got {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in keys:
-                raise ParseError(f"{path}:{ln}: unknown key {key!r}")
-            try:
-                out[key] = keys[key](val)
-            except ValueError:
-                raise ParseError(f"{path}:{ln}: bad value for {key}: {val!r}") from None
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{ln}: expected key=value, got {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in keys:
+            raise ParseError(f"{path}:{ln}: unknown key {key!r}")
+        try:
+            out[key] = keys[key](val)
+        except ValueError:
+            raise ParseError(f"{path}:{ln}: bad value for {key}: {val!r}") from None
     return out
 
 

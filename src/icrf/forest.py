@@ -107,6 +107,7 @@ class ForestParams:
         if self.n_tree < 1 or self.n_fold < 1:
             raise InsufficientData("n_tree and n_fold must be >= 1")
         require_count(self.seed, "seed", InsufficientData)
+        require_count(self.n_jobs, "n_jobs", InsufficientData, least=1)
         if not 0.0 < self.subsample <= 1.0:
             raise InsufficientData("subsample must be in (0, 1]")
         if self.monitor_metric not in METRICS:
@@ -120,6 +121,13 @@ class ForestParams:
         if self.c_override is not None:
             # h = c_override * n_min**(-1/5) is then a bandwidth too
             check_bandwidth(self.c_override, InsufficientData, "c_override")
+
+
+def _scored_mean(errors) -> float:
+    """The mean of the trees' OOB errors but NaN ones (a tree none of whose
+    OOB subjects the metric scores), NaN when every one is NaN."""
+    errors = np.asarray(errors)
+    return np.nan if np.isnan(errors).all() else float(np.nanmean(errors))
 
 
 @dataclass
@@ -174,7 +182,7 @@ class ForestFold:
 
     @property
     def oob_error(self) -> float:
-        return float(np.nanmean(self.per_tree_oob))
+        return _scored_mean(self.per_tree_oob)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Fold-wide leaf of each row of X in each tree, (trees, rows)."""
@@ -535,14 +543,15 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
         base_rows = _leaf_rows(marginal_store, grid, None)
 
     # the fit's one table of monitor-grid columns (``_leaf_rows``): every
-    # batch and fold run in this process shares it. With n_jobs > 1 one
-    # pool serves the whole fit, and each of its worker processes keeps its
-    # own table for it; a column is the same whichever table computed it
+    # batch and fold run in this process shares it. One pool of at most one
+    # worker per batch serves the whole fit, and each worker keeps its own
+    # table for it; a column is the same whichever table computed it
     columns = {}
     folds: list[ForestFold] = []
     leaf_gaps: list[float] = []
-    parallel = params.n_jobs > 1
-    pool = (concurrent.futures.ProcessPoolExecutor(params.n_jobs, initializer=_init_worker)
+    workers = min(params.n_jobs, -(-params.n_tree // TREE_BATCH))
+    parallel = workers > 1
+    pool = (concurrent.futures.ProcessPoolExecutor(workers, initializer=_init_worker)
             if parallel else contextlib.nullcontext())
     with pool:
         for k in range(1, params.n_fold + 1):
@@ -575,6 +584,9 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
 
     _warn_uncertified(marginal_fit.kkt_gap, leaf_gaps)
     errors = np.asarray([f.oob_error for f in folds])
+    if np.isnan(errors).all():
+        raise EmptyOob("the monitor metric scores no tree's out-of-bag subjects; "
+                       "monitoring impossible")
     k_opt = int(np.nanargmin(errors)) + 1
     return IcrfModel(
         params=params,
@@ -643,17 +655,25 @@ def predict(model: IcrfModel, X, grid, fold: int | None = None, smoothed: bool =
 def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float:
     """Recompute a fold's stored OOB error (fold ``k_opt`` by default) on
     the training data: the mean over trees of the monitor metric of the
-    tree's smoothed prediction on its own held-out subjects."""
+    tree's smoothed prediction on its own held-out subjects. Data whose
+    rows do not reach the leaves that hold them as members are not the
+    training data and raise InvariantViolation."""
     _check_width(model.feature_names, data.p, "data")
     fobj = _check_fold(model, fold)
     if fobj.inbag_ids.max(initial=-1) >= data.n:
         raise DimensionMismatch(f"the fold's trees hold subjects beyond the data's {data.n}")
+    leaves, store = fobj.apply(data.X), fobj.store
+    member_leaf = np.repeat(np.arange(store.n), np.diff(store.member_offsets))
+    member_tree = np.repeat(np.arange(fobj.n_trees), np.diff(fobj.leaf_start))[member_leaf]
+    if not np.array_equal(leaves[member_tree, store.members], member_leaf):
+        raise InvariantViolation(f"fold {fobj.fold_index}: a leaf's member does not reach "
+                                 "it; the data are not the training data")
     oob = fobj.oob_mask(data.n)
     if not oob.any(axis=1).all():
         raise EmptyOob("a tree has no out-of-bag subjects")
-    return float(np.nanmean(_oob_errors(
-        fobj, fobj.apply(data.X), oob, data.lefts, data.rights, data.tau, model.h,
-        monitor_grid(data.tau), model.params.monitor_metric, {})))
+    return _scored_mean(_oob_errors(
+        fobj, leaves, oob, data.lefts, data.rights, data.tau, model.h,
+        monitor_grid(data.tau), model.params.monitor_metric, {}))
 
 
 # -- permutation variable importance -----------------------------------------

@@ -35,12 +35,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from itertools import accumulate, zip_longest
 
 import numpy as np
 
 from .curves import LeafStore, StepSurvival
+from .dataio import atomic_write
 from .exceptions import IcrfError, InvariantViolation, ParseError
 from .forest import ForestFold, ForestParams, IcrfModel
 from .smooth import check_bandwidth
@@ -115,19 +115,8 @@ def save_model(model: IcrfModel, path: str):
         "manifest": manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(np.uint64(len(blob)).tobytes())
-            fh.write(blob)
-            fh.write(b"".join(arrays))  # one write: many small writes cost more
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    # the arrays in one write: many small writes cost more
+    atomic_write(path, (MAGIC, np.uint64(len(blob)).tobytes(), blob, b"".join(arrays)))
 
 
 def load_model(path: str) -> IcrfModel:

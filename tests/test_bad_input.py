@@ -4,19 +4,22 @@ arguments of the wrong shape or type raise typed errors, never a bare
 ValueError, TypeError, KeyError or IndexError, and are never read as
 something else."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icrf
 from icrf import Dataset, load_csv, load_model, predict
 from icrf.cli import MAX_GRID_N, _parse_grid
+from icrf.cli import main as cli_main
 from icrf.exceptions import DimensionMismatch, InvalidFold, InvariantViolation, ParseError
 from icrf.serialize import MAGIC
 
@@ -395,3 +398,80 @@ def test_bad_predict_argument_is_typed_error(loaded, case, smoothed):
     args.update(kw)
     with pytest.raises(error, match=pattern):
         predict(loaded, args["X"], args["grid"], fold=args.get("fold"), smoothed=smoothed)
+
+
+
+# -- the CSV probe: one or two cells of a CLI input file changed ----------
+
+# what a changed cell may hold, a number half the time: no count here asks
+# for more than a small fit
+CELL_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "-0", "0", "1", "2", "3", "0.5", "1e-320",
+                     "1e308"]),
+    st.sampled_from(["", " ", "abc", "1,2", '"', "3\n4", "GLR", "yes", "exploitative"]))
+CHANGES = st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 10_000), CELL_VALUES),
+                   min_size=1, max_size=2)
+
+
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory):
+    """Rows of cells of a 60-row data file, of a config of 2 trees x 2
+    folds and of a five-row query file, with the path of a model fitted
+    to the data."""
+    d = tmp_path_factory.mktemp("probe")
+    data = icrf.generate(icrf.Scenario(5, n=60, seed=8)).dataset
+    icrf.write_csv(data, str(d / "d.csv"))
+    rows = [line.split(",") for line in (d / "d.csv").read_text().splitlines()]
+    config = [["n_tree", "2"], ["n_fold", "2"], ["tau", "5"], ["n_min", "6"],
+              ["subsample", "0.95"], ["rule", "GWRS"], ["prediction", "quasi_honest"]]
+    model = d / "m.bin"
+    icrf.save_model(icrf.fit(data, icrf.ForestParams(n_tree=2, n_fold=2, seed=1)), str(model))
+    files = {"data": (rows, ","), "config": (config, " = "),
+             "query": ([r[2:] for r in rows[:6]], ",")}
+    return files, model
+
+
+def _text(rows, changes, sep) -> str:
+    """``rows`` joined by ``sep`` into lines, with each (row, column,
+    value) of ``changes`` (row and column wrapped to the table) set."""
+    rows = [list(r) for r in rows]
+    for i, j, value in changes:
+        row = rows[i % len(rows)]
+        row[j % len(row)] = value
+    return "".join(sep.join(r) + "\n" for r in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::icrf.exceptions.NpmleWarning")
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(["data", "config", "query"]), CHANGES, st.booleans())
+# tau = 0.5 leaves IMSE1 no term in any tree of fold 1, whose NaN error
+# used to raise a RuntimeWarning
+@example("config", [(2, 1, "0.5")], False)
+def test_changed_csv_cell_is_a_typed_error_or_a_run(probe_inputs, target, changes, smoothed):
+    """A data file (``icrf fit``), a config file (``icrf fit --config``) or
+    a query file (``icrf predict``) with one or two cells changed either
+    runs and writes its output, or exits 1 with one error[...] line and
+    no output; it never ends in a traceback or a RuntimeWarning."""
+    files, model = probe_inputs
+    with tempfile.TemporaryDirectory() as d:
+        path = {name: os.path.join(d, name) for name in files}
+        for name, (rows, sep) in files.items():
+            with open(path[name], "w", newline="") as fh:
+                fh.write(_text(rows, changes if name == target else [], sep))
+        out = os.path.join(d, "out")
+        if target == "query":
+            argv = ["predict", "--model", model, "--query", path["query"], "--grid", "0:5:0.5",
+                    "--out", out] + (["--smoothed"] if smoothed else [])
+        else:
+            argv = ["fit", "--data", path["data"], "--config", path["config"], "--out", out,
+                    "--report", os.path.join(d, "r.csv"), "--seed", "1"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli_main([str(a) for a in argv])
+        lines = err.getvalue().splitlines()
+        if status == 0:
+            assert os.path.exists(out)
+        else:
+            assert status == 1 and len(lines) == 1 and lines[0].startswith("error["), lines
+            assert not os.path.exists(out)

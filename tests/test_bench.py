@@ -68,11 +68,23 @@ class TestSpecOptions:
         ({"n_test": 0}, InsufficientData),
         ({"scenarios": (1, 9)}, InvariantViolation),
         ({"m_values": (1, 0)}, InvariantViolation),
-    ], ids=["grid_resolution", "n_test", "scenarios", "m_values"])
+        ({"n_jobs": 0}, InsufficientData),
+        ({"n_jobs": 1.5}, InsufficientData),
+    ], ids=["grid_resolution", "n_test", "scenarios", "m_values", "n_jobs_0", "n_jobs_fraction"])
     def test_bad_run_setting_rejected(self, kw, error):
         # checked when the spec is built, not recorded per replicate
         with pytest.raises(error):
             tiny_spec(**kw)
+
+
+
+def test_no_pool_larger_than_its_tasks(pool_sizes):
+    # two replicates are two tasks: two workers however many are asked for,
+    # and none for one task
+    rows = run_experiment(tiny_spec(n_jobs=64))
+    run_experiment(tiny_spec(n_jobs=64, n_replicates=1))
+    assert pool_sizes == [2]
+    assert [r["eps_int"] for r in rows] == [r["eps_int"] for r in run_experiment(tiny_spec())]
 
 
 class TestAggregate:

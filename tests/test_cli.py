@@ -255,6 +255,28 @@ class TestBadInput:
         assert len(err) == 1 and err[0].startswith("error[io_error]: ")
 
 
+    def test_out_of_memory_is_a_typed_error(self, workspace, tmp_path, capsys, monkeypatch):
+        # it used to end in a traceback; the table writer leaves no output
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("icrf.cli.predict", exhausted)
+        out = tmp_path / "o.csv"
+        assert run(["predict", "--model", workspace / "m.bin", "--query", workspace / "q.csv",
+                    "--grid", "0:5:1", "--out", out]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error[out_of_memory]: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_typed_error(self, workspace, tmp_path, capsys, jobs):
+        # it used to fit serially without a word
+        assert run(["fit", "--data", workspace / "d.csv", "--tau", "5", "--jobs", jobs,
+                    "--out", tmp_path / "m.bin", "--report", tmp_path / "r.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error[insufficient_data]: ")
+        assert not (tmp_path / "m.bin").exists()
+
+
 class TestSimulate:
     def test_scenario1_covariate_count(self, workspace):
         with open(workspace / "d.csv") as fh:

@@ -1,10 +1,12 @@
 """CSV ingestion/emission, exact-time encoding, and config parsing."""
 
+import os
+
 import numpy as np
 import pytest
 
 from icrf import Dataset, load_csv, parse_config, write_csv
-from icrf.dataio import EPS_EXACT, read_truth_csv, write_truth_csv
+from icrf.dataio import EPS_EXACT, read_rows, read_truth_csv, write_table, write_truth_csv
 from icrf.exceptions import InvariantViolation, ParseError
 
 
@@ -102,6 +104,66 @@ class TestRoundTrip:
         np.testing.assert_array_equal(lt, latent)
         np.testing.assert_array_equal(s0b, s0)
         np.testing.assert_array_equal(gb, grid)
+
+
+class TestTables:
+    def test_cells(self, tmp_path):
+        # floats to 17 significant digits, inf included; other cells by str
+        p = tmp_path / "t.csv"
+        write_table(str(p), ["a", "b", "c"],
+                    [(1, 0.1, np.inf), ("x", np.float64(1 / 3), -np.inf)])
+        assert p.read_text() == "a,b,c\n1,0.10000000000000001,inf\nx,0.33333333333333331,-inf\n"
+
+    def test_no_rows_and_no_columns(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_table(str(p), ["a", "b"], iter(()))
+        assert p.read_text() == "a,b\n"
+        write_table(str(p), [], [])
+        assert p.read_text() == "\n"
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        # rows are consumed while they are written: a failure on the way
+        # leaves no partial file
+        p = tmp_path / "t.csv"
+        p.write_text("old\n")
+
+        def rows():
+            yield from ((i, 0.5) for i in range(10_000))
+            raise MemoryError
+
+        with pytest.raises(MemoryError):
+            write_table(str(p), ["a", "b"], rows())
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\n1,2\n3\n4,x\n", 3),  # the short row comes first
+        ("a,b\n1,2\n\n3,x\n4\n", 4),  # blank lines are no rows but count as lines
+        ("a,b\n1,2,3\n", 2),
+    ], ids=["short", "non_numeric", "long"])
+    def test_first_bad_line_is_named(self, tmp_path, text, line):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"^{p}:{line}: "):
+            list(read_rows(str(p)))
+
+    @pytest.mark.parametrize("read", [
+        lambda p: load_csv(p, tau=5.0), read_truth_csv, parse_config, lambda p: list(read_rows(p)),
+    ], ids=["data", "truth", "config", "rows"])
+    @pytest.mark.parametrize("blob", [
+        b"left,right,x1\n\xe9\xff,1,2\n", b'left,right,x1\n"' + b"a" * 200_000 + b"\n",
+    ], ids=["not_utf8", "oversized_field"])
+    def test_file_that_is_not_csv_text_is_parse_error(self, tmp_path, blob, read):
+        # each used to end in a UnicodeDecodeError or csv.Error traceback
+        p = tmp_path / "t.csv"
+        p.write_bytes(blob)
+        with pytest.raises(ParseError):
+            read(str(p))
+
+    def test_rows_are_floats(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(" a , b\n1, inf\n\n-2e3,0\n")
+        assert list(read_rows(str(p))) == [["a", "b"], (2, [1.0, np.inf]), (4, [-2000.0, 0.0])]
 
 
 # each turns the first data row of a truth sidecar into a malformed one

@@ -18,12 +18,14 @@ from icrf import (
     TreeParams,
     fit,
     generate,
+    load_csv,
     load_model,
     oob_error,
     predict,
     save_model,
     smooth_curve,
     variable_importance,
+    write_csv,
 )
 import icrf.forest as forest_mod
 import icrf.tree as tree_mod
@@ -162,8 +164,15 @@ class TestFit:
         # a seed numpy's SeedSequence would reject with a bare ValueError
         lambda: ForestParams(seed=-1),
         lambda: ForestParams(seed=1.5),
+        # worker counts that used to fit serially without a word, or fail
+        # in the pool
+        lambda: ForestParams(n_jobs=0),
+        lambda: ForestParams(n_jobs=-3),
+        lambda: ForestParams(n_jobs=1.5),
+        lambda: ForestParams(n_jobs=True),
     ], ids=["monitor_metric", "update_curves", "prediction", "n_min_0", "c_override_negative",
-            "c_override_nan", "c_override_inf", "seed_negative", "seed_fraction"])
+            "c_override_nan", "c_override_inf", "seed_negative", "seed_fraction", "n_jobs_0",
+            "n_jobs_negative", "n_jobs_fraction", "n_jobs_bool"])
     def test_unknown_option_value_rejected(self, make):
         with pytest.raises(InsufficientData):
             make()
@@ -646,6 +655,55 @@ def test_one_worker_pool_per_fit(sim, monkeypatch):
     assert len(pools) == 1
     fit(sim.dataset, ForestParams(n_tree=10, n_fold=3, seed=9, n_jobs=1))
     assert len(pools) == 1
+
+
+def test_no_pool_larger_than_its_tree_batches(sim, pool_sizes, tmp_path):
+    # 10 trees are two batches (TREE_BATCH = 8): two workers however many
+    # are asked for, and none for one batch; the model is the one fitted
+    # in this process
+    saved = {}
+    for n_jobs, n_tree in ((64, 10), (1, 10), (4, 8)):
+        path = tmp_path / f"{n_jobs}-{n_tree}.bin"
+        save_model(fit(sim.dataset, ForestParams(n_tree=n_tree, n_fold=2, seed=9,
+                                                 n_jobs=n_jobs)), str(path))
+        saved[n_jobs, n_tree] = path.read_bytes()
+    assert pool_sizes == [2]
+    assert saved[64, 10] == saved[1, 10]
+
+
+def test_fold_the_monitor_metric_cannot_score(sim):
+    # at tau = 0.5 IMSE1 has no term for a subject whose interval spans
+    # (0, tau], so a tree whose OOB subjects all do has a NaN error. A fold
+    # of such trees has a NaN error too, and used to raise a RuntimeWarning;
+    # when every fold has one, choosing k_opt used to end in numpy's
+    # "All-NaN slice" ValueError
+    d = generate(Scenario(5, n=60, seed=8)).dataset
+    short = Dataset(d.lefts, d.rights, d.X, list(d.feature_names), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = fit(short, ForestParams(n_tree=2, n_fold=2, seed=1))
+        assert np.isnan(m.folds[0].oob_error) and np.isnan(oob_error(m, short, fold=1))
+        assert m.k_opt == 2
+        with pytest.raises(EmptyOob, match="monitoring impossible"):
+            fit(short, ForestParams(n_tree=2, n_fold=2, seed=3))
+
+
+@pytest.mark.parametrize("prediction", ["quasi_honest", "exploitative"])
+def test_oob_error_takes_the_training_data_only(prediction, tmp_path):
+    # each fold routes the data: the training data and their CSV round
+    # trip reach the leaves that hold their rows, another draw does not
+    data = generate(Scenario(5, n=200, seed=3)).dataset
+    model = fit(data, ForestParams(n_tree=10, n_fold=3, seed=4,
+                                   tree=TreeParams(prediction=prediction)))
+    path = str(tmp_path / "d.csv")
+    write_csv(data, path)
+    again = load_csv(path, tau=data.tau)
+    other = generate(Scenario(5, n=200, seed=5)).dataset
+    for k, fold in enumerate(model.folds, start=1):
+        assert oob_error(model, data, fold=k) == fold.oob_error
+        assert oob_error(model, again, fold=k) == fold.oob_error
+        with pytest.raises(InvariantViolation, match="not the training data"):
+            oob_error(model, other, fold=k)
 
 
 class TestImportance:
