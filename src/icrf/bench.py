@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import atomic_write, require_count, write_table
-from .exceptions import InsufficientData
+from .exceptions import InsufficientData, ParseError
 from .forest import ForestParams, fit, predict
 from .metrics import oracle_errors
 from .simgen import Scenario, draw_covariates, generate, truth_eval
@@ -28,6 +28,7 @@ RAW_COLUMNS = [
 ]
 
 VALUE_COLUMNS = ["eps_int", "eps_sup", "oob", "seconds"]
+INT_COLUMNS = ["scenario", "M", "n", "replicate", "fold", "k_opt"]
 
 
 @dataclass(frozen=True)
@@ -143,28 +144,39 @@ def _write_rows(path, rows, columns):
     write_table(path, columns, ([row[c] for c in columns] for row in rows))
 
 
-def _read_rows(path, columns):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
+def _read_shard(path, n_fold: int) -> list[dict]:
+    """The rows of a finished replicate's shard: a header of RAW_COLUMNS,
+    then one row per fold, folds 1 to ``n_fold`` in order, the last line
+    ended. Any other file (a shard cut short or damaged) raises ParseError
+    naming ``path:line`` rather than counting as a finished replicate."""
+    with open(path, newline="", errors="replace") as fh:  # bytes that are not text fail a cell
+        text = fh.read()
+    reader = csv.reader(text.splitlines())
+    rows = []
+    try:
+        if next(reader, None) != RAW_COLUMNS:
+            raise ParseError(f"{path}:1: shard header is not {','.join(RAW_COLUMNS)}")
         for rec in reader:
-            row = {}
-            for c in columns:
-                v = rec[c]
-                if c in ("scenario", "M", "n", "replicate", "fold", "k_opt"):
-                    row[c] = int(v)
-                elif c in VALUE_COLUMNS:
-                    row[c] = float(v)
-                else:
-                    row[c] = v
-            out.append(row)
-        return out
+            ln = reader.line_num
+            if len(rec) != len(RAW_COLUMNS):
+                raise ParseError(f"{path}:{ln}: {len(rec)} values, expected {len(RAW_COLUMNS)}")
+            try:
+                rows.append({c: int(v) if c in INT_COLUMNS else float(v) if c in VALUE_COLUMNS
+                             else v for c, v in zip(RAW_COLUMNS, rec)})
+            except ValueError as e:
+                raise ParseError(f"{path}:{ln}: {e}") from None
+    except csv.Error as e:
+        raise ParseError(f"{path}:{reader.line_num}: not CSV text: {e}") from None
+    if not text.endswith("\n") or [r["fold"] for r in rows] != list(range(1, n_fold + 1)):
+        raise ParseError(f"{path}:{reader.line_num}: shard cut short: {len(rows)} rows, "
+                         f"expected one for each of folds 1 to {n_fold}")
+    return rows
 
 
 def _replicate_task(args):
     spec, cell, rep, shard_path = args
     if shard_path is not None and os.path.exists(shard_path):
-        return _read_rows(shard_path, RAW_COLUMNS), None
+        return _read_shard(shard_path, spec.n_fold), None
     try:
         rows = run_replicate(spec, cell, rep)
     except Exception as exc:  # recorded, run continues

@@ -10,11 +10,27 @@ rounding residue (``SCORE_RESIDUE``) scores zero.
 
 The tree reads everything from its fold's ``FoldContext``: the carried
 full-conditional curves as a value matrix on one shared knot grid and the
-per-subject SWRS/SLR scores. Each candidate split is scored once by
-``_node_score``. ``route`` is the one routing loop: ``Tree.apply`` routes
-rows through one tree with it, and a forest fold through all its trees at
-once. A leaf is quasi-honest (the NPMLE of the members' raw intervals) or
-exploitative (the mean of the members' carried curves).
+per-subject SWRS/SLR scores. No node copies its rows of that matrix. A
+node draws its features' cut-offs at once (``_cutoffs``) after one gather
+of its covariates. For GWRS and GLR a node takes its total of carried
+values on the split columns from its parent (only the root sums its
+rows); each valid candidate sums its smaller side's rows, and is scored
+by ``_node_score`` from that sum and the node's terms (``_node_arrays``):
+one dot product for GWRS, two or three for GLR. The chosen candidate's smaller child keeps its
+sum and the larger child gets the node's total less it, as histogram
+gradient boosting gets a sibling's histogram by subtraction. SWRS and
+SLR sum the left side's scores. ``route`` is the one routing loop:
+``Tree.apply`` routes rows through one tree with it, and a forest fold
+through all its trees at once. A leaf is quasi-honest (the NPMLE of the
+members' raw intervals) or exploitative (the mean of the members'
+carried curves).
+
+An inherited total differs from a fresh sum of its node's rows by
+rounding alone: per column at most about (3 N + d) u N, N being the
+tree's in-bag size, d the node's depth and u = 2**-53 (a fresh sum of
+k values in [0, 1] is within (k - 1) u k of exact, and each subtraction
+adds at most u N). Split scores are only compared, so this changes a
+tree only where two candidates' scores tie within rounding.
 
 A tree, grown or a fold's view of one (``forest.ForestFold.trees``), holds
 its leaf curves and member ids column-wise, in one ``curves.LeafStore``.
@@ -40,7 +56,7 @@ from .exceptions import InsufficientData
 # of this module; the change that repairs its tracer (ROADMAP direction 1) removes it
 from .npmle import npmle_batch, npmle_fit  # noqa: F401
 from .splits import (GLR, GWRS, SWRS, SplitRule, glr_from_sums, glr_node_terms, gwrs_from_sums,
-                     slr_scores, swrs_scores)
+                     gwrs_node_terms, slr_scores, swrs_scores)
 
 QUASI_HONEST = "quasi_honest"
 EXPLOITATIVE = "exploitative"
@@ -165,36 +181,33 @@ def route(feature, cutoff, left, right, X: np.ndarray, roots) -> np.ndarray:
     return node
 
 
-def _node_arrays(kind: str, rows: np.ndarray) -> tuple:
-    """What ``_node_score`` reads of a node, from its subjects' carried
-    values on the split columns (GWRS, GLR) or their scores (SWRS, SLR):
-    those, their total and, for GLR, the node's terms
-    (``splits.glr_node_terms``) or, for scores, the bound of rounding
-    residue."""
-    if kind == GWRS:
-        return rows, rows.sum(axis=0)
-    if kind == GLR:
-        total = rows.sum(axis=0)
-        return rows, total, glr_node_terms(total, rows.shape[0])
-    return rows, rows.sum(), SCORE_RESIDUE * np.abs(rows).sum()
+def _node_arrays(rule: SplitRule, ctx: FoldContext, members: np.ndarray, total) -> tuple:
+    """What ``_node_score`` reads of a node: for GWRS and GLR its terms
+    (``splits.gwrs_node_terms``, ``splits.glr_node_terms``) from its total
+    ``total`` of carried values on the split columns; for SWRS and SLR its
+    subjects' scores, their total and the bound of rounding residue."""
+    if rule.kind == GWRS:
+        return gwrs_node_terms(total, members.size)
+    if rule.kind == GLR:
+        return glr_node_terms(total, members.size, rule.glr_sign)
+    scores = (ctx.sw if rule.kind == SWRS else ctx.slr)[members]
+    return scores, scores.sum(), SCORE_RESIDUE * np.abs(scores).sum()
 
 
-def _node_score(rule: SplitRule, ctx_arrays, mask: np.ndarray, counts) -> float:
-    """Score of one candidate partition from cached node arrays."""
+def _node_score(rule: SplitRule, node, side_sum, counts) -> float:
+    """Score of one candidate partition from the node's arrays ``node``
+    (``_node_arrays``) and one side's sum ``side_sum``: of carried values
+    on the split columns (GWRS, GLR), or of scores (SWRS, SLR); ``counts``
+    is that side's size, then the other's."""
     kind = rule.kind
-    n_left, n_right = counts
+    n1, n2 = counts
     if kind == GWRS:
-        vn, total = ctx_arrays
-        left_sum = mask @ vn
-        return abs(gwrs_from_sums(left_sum, n_left, total - left_sum, n_right) - 0.5)
+        return abs(gwrs_from_sums(side_sum, n1, n2, node) - 0.5)
     if kind == GLR:
-        vn, total, node = ctx_arrays
-        left_sum = mask @ vn
-        stat = glr_from_sums(left_sum, n_left, total - left_sum, n_right, node, rule.glr_sign)
+        stat = glr_from_sums(side_sum, n1, n2, node)
         return 0.0 if np.isnan(stat) else abs(stat)
-    scores, total, residue = ctx_arrays
-    left_sum = mask @ scores
-    diff = abs(left_sum / n_left - (total - left_sum) / n_right)
+    _, total, residue = node
+    diff = abs(side_sum / n1 - (total - side_sum) / n2)
     return 0.0 if diff <= residue else diff
 
 
@@ -246,18 +259,32 @@ def _leaf_store(ctx: FoldContext, leaf_members: list, prediction: str,
                      member_offsets)
 
 
+def _cutoffs(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray):
+    """One cut-off drawn uniformly from (lo, hi) for each drawn feature
+    whose in-node min ``lo`` is below its max ``hi`` (a constant feature
+    has an empty open interval and draws none), all in one call: the
+    values, and the generator's state after, of one rng.uniform(lo, hi)
+    per such feature in turn. Returns those features' positions and their
+    cut-offs."""
+    drawn = np.flatnonzero(lo < hi)
+    return drawn, lo[drawn] + (hi[drawn] - lo[drawn]) * rng.random(drawn.size)
+
+
 def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
                   rng: np.random.Generator, npmle_gaps: list | None = None) -> Tree:
     """Grow one tree on the in-bag subjects; the KKT gaps of its leaf
     NPMLEs go to ``npmle_gaps``. The split structure comes first; the
-    leaves are then built together (``_leaf_store``)."""
+    leaves are then built together (``_leaf_store``). No node copies its
+    rows of carried values: nodes inherit their totals, and candidates sum
+    their smaller side's rows (see the module's notes)."""
     inbag = np.asarray(inbag, dtype=np.int64)
     n_min = params.n_min
     if inbag.size < n_min:
         raise InsufficientData(f"in-bag size {inbag.size} < n_min {n_min}")
     mtry = params.resolved_mtry(ctx.p)
-    kind = params.rule.kind
-    split_cols = slice(0, ctx.m_split)
+    rule = params.rule
+    curves = rule.kind in (GWRS, GLR)
+    values = ctx.values[:, :ctx.m_split]
 
     feature, cutoff, left, right, leaf_idx = [], [], [], [], []
     leaf_members = []
@@ -275,48 +302,53 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
         leaf_members.append(members)
 
     root = new_node()
-    stack = [(root, inbag)]
+    stack = [(root, inbag, values[inbag].sum(axis=0) if curves else None)]
     while stack:
-        node_id, members = stack.pop()
+        node_id, members, total = stack.pop()
         size = members.size
         if size < 2 * n_min:
             make_leaf(node_id, members)
             continue
 
-        xn = ctx.X[members]
-        node_arrays = _node_arrays(kind, ctx.values[members, split_cols] if kind in (GWRS, GLR)
-                                   else (ctx.sw if kind == SWRS else ctx.slr)[members])
-
         feats = rng.choice(ctx.p, size=mtry, replace=False)
-        best = (0.0, None)  # (score, (f, c, mask))
-        for f in feats:
-            col = xn[:, f]
-            lo, hi = col.min(), col.max()
-            if not lo < hi:
-                continue  # constant feature: empty open interval
-            c = rng.uniform(lo, hi)
-            mask = (col <= c).astype(float)
-            n_left = int(mask.sum())
-            if n_left < n_min or size - n_left < n_min:
+        xn = ctx.X[members[:, None], feats]
+        drawn, cuts = _cutoffs(rng, xn.min(axis=0), xn.max(axis=0))
+        node = _node_arrays(rule, ctx, members, total)
+        best = (0.0, None)  # (score, (f, c, go_left, small_left, side_sum))
+        for i, c in zip(drawn, cuts):
+            go_left = xn[:, i] <= c
+            n_left = int(np.count_nonzero(go_left))
+            n_right = size - n_left
+            if n_left < n_min or n_right < n_min:
                 continue
-            s = _node_score(params.rule, node_arrays, mask, (n_left, size - n_left))
+            small_left = n_left <= n_right
+            if not curves:
+                side_sum, counts = go_left.astype(float) @ node[0], (n_left, n_right)
+            elif small_left:
+                side_sum, counts = values[members[go_left]].sum(axis=0), (n_left, n_right)
+            else:
+                side_sum, counts = values[members[~go_left]].sum(axis=0), (n_right, n_left)
+            s = _node_score(rule, node, side_sum, counts)
             if s > best[0]:
-                best = (s, (f, c, mask))
+                best = (s, (feats[i], c, go_left, small_left, side_sum))
 
         if best[1] is None:
             make_leaf(node_id, members)
             continue
-        f, c, mask = best[1]
+        f, c, go_left, small_left, side_sum = best[1]
         feature[node_id] = int(f)
         cutoff[node_id] = float(c)
         left_id = new_node()
         right_id = new_node()
         left[node_id] = left_id
         right[node_id] = right_id
-        lmask = mask.astype(bool)
+        left_total = right_total = None
+        if curves:  # the smaller child keeps its sum, the larger gets the rest
+            rest = total - side_sum
+            left_total, right_total = (side_sum, rest) if small_left else (rest, side_sum)
         # left child processed first (DFS), so push right first
-        stack.append((right_id, members[~lmask]))
-        stack.append((left_id, members[lmask]))
+        stack.append((right_id, members[~go_left], right_total))
+        stack.append((left_id, members[go_left], left_total))
 
     store = _leaf_store(ctx, leaf_members, params.prediction, npmle_gaps)
     return Tree(feature, cutoff, left, right, leaf_idx, store, inbag)

@@ -27,7 +27,13 @@ as constants, is checked against the loop that evaluates each curve and
 each kernel value on its own (``smoothed_values_loop``). The GLR
 statistic, which takes the terms its candidates share from the node, is
 checked against the form that pools the two groups anew for each
-candidate (``glr_from_sums_pooled``). ``generate``'s bracket of every
+candidate (``glr_from_sums_pooled``). GWRS and GLR, which read one
+group's total and the node's terms, are checked against their forms
+through both groups' mean curves (``gwrs_group_means``,
+``glr_group_means``), and the tree grower, which copies no node's rows,
+against the grower that copies each node's rows, scores candidates
+through those forms and draws each cut-off on its own
+(``grow_tree_copying``). ``generate``'s bracket of every
 subject's time among its monitors at once is checked against the sort of
 one subject's monitors (``bracket_sorted``).
 """
@@ -539,3 +545,174 @@ def bracket_sorted(t: float, monitors) -> tuple[float, float]:
     below, above = u[u < t], u[u >= t]
     return (float(below[-1]) if below.size else 0.0,
             float(above[0]) if above.size else np.inf)
+
+
+# -- the tree grower before inherited node totals ---------------------------
+
+
+def _mean_with_left(total, n):
+    mean = total / n
+    return mean, np.concatenate(([1.0], mean[:-1]))
+
+
+def gwrs_group_means(sum1, n1, sum2, n2) -> float:
+    """W = 1 + int S_check_bar1 dS_bar2 - 0.5*S_bar1(tau)*S_bar2(tau) from
+    both groups' totals on the shared grid, through their mean curves: the
+    form ``splits.gwrs_from_sums`` had before it read the node's terms."""
+    m1, l1 = _mean_with_left(sum1, n1)
+    m2, l2 = _mean_with_left(sum2, n2)
+    return float(1.0 + (0.5 * (m1 + l1)) @ (m2 - l2) - 0.5 * m1[-1] * m2[-1])
+
+
+def glr_node_terms_group_means(total, n) -> tuple:
+    """The usable prefix end, 1/y and the variance weight dn (y - dn) / y^3
+    of a node's mean curve shifted right (y): the node terms GLR's
+    group-mean form reads."""
+    from icrf.curves import EPS_MASS
+
+    mean, y = _mean_with_left(total, n)
+    ok = y > EPS_MASS
+    end = y.size if ok.all() else int(np.argmin(ok))
+    y = y[:end]
+    dn = y - mean[:end]
+    return end, 1.0 / y, dn * (y - dn) / y**3
+
+
+def glr_group_means(sum1, n1, sum2, n2, node: tuple, sign: str) -> float:
+    """GLR from both groups' totals through their mean curves m and right
+    shifts l: num = (l1 m2 - l2 m1) . 1/y (``difference``) or (2 l1 l2 -
+    l1 m2 - l2 m1) . 1/y (``printed_sum``) and var = (l1 l2) . weight,
+    with the node's terms ``glr_node_terms_group_means``; nan when var
+    vanishes."""
+    end, inv_y, weight = node
+    m1, l1 = _mean_with_left(sum1[:end], n1)
+    m2, l2 = _mean_with_left(sum2[:end], n2)
+    l12 = l1 * l2
+    if sign == "difference":
+        num = float((l1 * m2 - l2 * m1) @ inv_y)
+    else:
+        num = float((2.0 * l12 - l1 * m2 - l2 * m1) @ inv_y)
+    var = float(l12 @ weight)
+    if var <= 0.0:
+        return np.nan
+    return num / np.sqrt(var)
+
+
+def _node_arrays_copying(kind: str, rows: np.ndarray) -> tuple:
+    from icrf.splits import GLR, GWRS
+    from icrf.tree import SCORE_RESIDUE
+
+    if kind == GWRS:
+        return rows, rows.sum(axis=0)
+    if kind == GLR:
+        total = rows.sum(axis=0)
+        return rows, total, glr_node_terms_group_means(total, rows.shape[0])
+    return rows, rows.sum(), SCORE_RESIDUE * np.abs(rows).sum()
+
+
+def _node_score_copying(rule, ctx_arrays, mask: np.ndarray, counts) -> float:
+    from icrf.splits import GLR, GWRS
+
+    kind = rule.kind
+    n_left, n_right = counts
+    if kind == GWRS:
+        vn, total = ctx_arrays
+        left_sum = mask @ vn
+        return abs(gwrs_group_means(left_sum, n_left, total - left_sum, n_right) - 0.5)
+    if kind == GLR:
+        vn, total, node = ctx_arrays
+        left_sum = mask @ vn
+        stat = glr_group_means(left_sum, n_left, total - left_sum, n_right, node, rule.glr_sign)
+        return 0.0 if np.isnan(stat) else abs(stat)
+    scores, total, residue = ctx_arrays
+    left_sum = mask @ scores
+    diff = abs(left_sum / n_left - (total - left_sum) / n_right)
+    return 0.0 if diff <= residue else diff
+
+
+def grow_tree_copying(ctx, inbag, params, rng, node_scores: list | None = None):
+    """``tree.grow_tree_ctx`` as it was before inherited node totals: each
+    node copies its rows of carried values on the split columns and sums
+    them, each candidate's left sum is a product of the left mask with the
+    copy, and GWRS and GLR are read through the group means; each cut-off
+    is its own ``rng.uniform`` call. When ``node_scores`` is a list, each
+    node that draws candidates appends (node id, its valid candidates'
+    scores) to it, in the order the nodes are grown."""
+    from icrf.exceptions import InsufficientData
+    from icrf.splits import GLR, GWRS, SWRS
+    from icrf.tree import Tree, _leaf_store
+
+    inbag = np.asarray(inbag, dtype=np.int64)
+    n_min = params.n_min
+    if inbag.size < n_min:
+        raise InsufficientData(f"in-bag size {inbag.size} < n_min {n_min}")
+    mtry = params.resolved_mtry(ctx.p)
+    kind = params.rule.kind
+    split_cols = slice(0, ctx.m_split)
+
+    feature, cutoff, left, right, leaf_idx = [], [], [], [], []
+    leaf_members = []
+
+    def new_node():
+        feature.append(-1)
+        cutoff.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        leaf_idx.append(-1)
+        return len(feature) - 1
+
+    def make_leaf(node_id, members):
+        leaf_idx[node_id] = len(leaf_members)
+        leaf_members.append(members)
+
+    root = new_node()
+    stack = [(root, inbag)]
+    while stack:
+        node_id, members = stack.pop()
+        size = members.size
+        if size < 2 * n_min:
+            make_leaf(node_id, members)
+            continue
+
+        xn = ctx.X[members]
+        node_arrays = _node_arrays_copying(
+            kind, ctx.values[members, split_cols] if kind in (GWRS, GLR)
+            else (ctx.sw if kind == SWRS else ctx.slr)[members])
+
+        feats = rng.choice(ctx.p, size=mtry, replace=False)
+        best = (0.0, None)  # (score, (f, c, mask))
+        scores = []
+        for f in feats:
+            col = xn[:, f]
+            lo, hi = col.min(), col.max()
+            if not lo < hi:
+                continue  # constant feature: empty open interval
+            c = rng.uniform(lo, hi)
+            mask = (col <= c).astype(float)
+            n_left = int(mask.sum())
+            if n_left < n_min or size - n_left < n_min:
+                continue
+            s = _node_score_copying(params.rule, node_arrays, mask, (n_left, size - n_left))
+            scores.append(s)
+            if s > best[0]:
+                best = (s, (f, c, mask))
+        if node_scores is not None:
+            node_scores.append((node_id, scores))
+
+        if best[1] is None:
+            make_leaf(node_id, members)
+            continue
+        f, c, mask = best[1]
+        feature[node_id] = int(f)
+        cutoff[node_id] = float(c)
+        left_id = new_node()
+        right_id = new_node()
+        left[node_id] = left_id
+        right[node_id] = right_id
+        lmask = mask.astype(bool)
+        # left child processed first (DFS), so push right first
+        stack.append((right_id, members[~lmask]))
+        stack.append((left_id, members[lmask]))
+
+    store = _leaf_store(ctx, leaf_members, params.prediction)
+    return Tree(feature, cutoff, left, right, leaf_idx, store, inbag)

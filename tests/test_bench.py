@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from icrf.bench import ExperimentSpec, aggregate, run_experiment, run_replicate
-from icrf.exceptions import InsufficientData, InvariantViolation
+from icrf.cli import main
+from icrf.exceptions import InsufficientData, InvariantViolation, ParseError
 
 
 def tiny_spec(**kw) -> ExperimentSpec:
@@ -118,3 +119,42 @@ class TestAggregate:
         rng.shuffle(rows)
         b = aggregate(rows)
         assert a == b
+
+
+@pytest.mark.parametrize("keep", [120, 40], ids=["inside_row", "inside_header"])
+def test_cut_shard_is_parse_error(tmp_path, capsys, keep):
+    # a shard cut short, inside its row or inside its header, is a parse
+    # error naming the shard's line, not a finished replicate
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("n_values = 60\nn_replicates = 1\nn_tree = 2\nn_fold = 1\nn_test = 5\n")
+    out = tmp_path / "bench"
+    argv = ["bench", "--spec", str(spec), "--out", str(out)]
+    assert main(argv) == 0
+    (shard,) = (out / "shards").iterdir()
+    blob = shard.read_bytes()
+    assert len(blob) > keep
+    shard.write_bytes(blob[:keep])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[parse_error]")
+    assert f"{shard}:" in err
+
+
+@pytest.mark.parametrize("edit", ["header", "cell", "width", "fold"])
+def test_damaged_shard_is_parse_error(tmp_path, edit):
+    spec = tiny_spec(n_replicates=1, out_dir=str(tmp_path))
+    run_experiment(spec)
+    (shard,) = (tmp_path / "shards").iterdir()
+    lines = shard.read_text().splitlines(keepends=True)
+    if edit == "header":
+        lines[0] = lines[0].replace("k_opt", "kopt")
+    elif edit == "cell":
+        lines[1] = lines[1].replace(",1,", ",one,", 1)
+    elif edit == "width":
+        lines[1] = lines[1].rstrip("\n") + ",0\n"
+    else:  # one row per fold: two folds, the second row dropped
+        del lines[2]
+    shard.write_text("".join(lines))
+    with pytest.raises(ParseError, match=rf"{shard.name}:\d+:"):
+        run_experiment(spec)

@@ -1,10 +1,14 @@
 """The four two-sample splitting statistics and the score mapping.
 
 GWRS and GLR are computed by ``gwrs_from_sums``/``glr_from_sums`` from
-group totals of the curves read on their pooled knots, SWRS and SLR by
-``swrs_scores``/``slr_scores`` from endpoint values read by the fold's
-reader, and split scores by ``tree._node_score``, as the tree grower does.
+one group's total of the curves read on their pooled knots and the node's
+terms (``gwrs_node_terms``/``glr_node_terms`` of both groups' total), SWRS
+and SLR by ``swrs_scores``/``slr_scores`` from endpoint values read by the
+fold's reader, and split scores by ``tree._node_score``, as the tree
+grower does.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,13 +19,16 @@ from icrf import Dataset, SplitRule, StepSurvival, TreeParams
 from icrf.curves import endpoint_values_on_grid
 from icrf.dataio import encode_exact
 from icrf.exceptions import InsufficientData
-from icrf.splits import (GLR, SWRS, glr_from_sums, glr_node_terms, gwrs_from_sums, slr_scores,
-                         swrs_scores)
+from icrf.splits import (GLR, GLR_SIGNS, SWRS, glr_from_sums, glr_node_terms, gwrs_from_sums,
+                         gwrs_node_terms, slr_scores, swrs_scores)
 from icrf import tree as tree_mod
 
 from _oracles import (
     curve_context,
     glr_from_sums_pooled,
+    glr_group_means,
+    glr_node_terms_group_means,
+    gwrs_group_means,
     gwrs_pairwise,
     logrank_scaled,
     random_step_curve,
@@ -48,12 +55,13 @@ def group_sums(c1, c2, tau=TAU):
 
 
 def gwrs_of(c1, c2, tau=TAU) -> float:
-    return gwrs_from_sums(*group_sums(c1, c2, tau))
+    s1, n1, s2, n2 = group_sums(c1, c2, tau)
+    return gwrs_from_sums(s1, n1, n2, gwrs_node_terms(s1 + s2, n1 + n2))
 
 
 def glr_of(c1, c2, sign=SplitRule.glr_sign) -> float:
     s1, n1, s2, n2 = group_sums(c1, c2)
-    return glr_from_sums(s1, n1, s2, n2, glr_node_terms(s1 + s2, n1 + n2), sign)
+    return glr_from_sums(s1, n1, n2, glr_node_terms(s1 + s2, n1 + n2, sign))
 
 
 def score_difference(score, cov, lefts, rights, n1) -> float:
@@ -74,14 +82,18 @@ def node_score(kind: str, t1, t2) -> float:
     n1 = len(t1)
     mask = np.concatenate([np.ones(n1), np.zeros(len(t2))])
     grid, (values,) = read_on_knots([curves], TAU)
+    members = np.arange(times.size)
+    rule = SplitRule(kind)
     if kind in ("GWRS", "GLR"):
-        rows = values
+        node = tree_mod._node_arrays(rule, None, members, values.sum(axis=0))
+        side_sum = values[:n1].sum(axis=0)
     else:
         lefts, rights = np.asarray([encode_exact(t) for t in times]).T
         s_l, s_r = endpoint_values_on_grid(values, lefts, rights, grid)
-        rows = (swrs_scores if kind == SWRS else slr_scores)(s_l, s_r)
-    return tree_mod._node_score(SplitRule(kind), tree_mod._node_arrays(kind, rows), mask,
-                                (n1, len(t2)))
+        scores = (swrs_scores if kind == SWRS else slr_scores)(s_l, s_r)
+        node = tree_mod._node_arrays(rule, SimpleNamespace(sw=scores, slr=scores), members, None)
+        side_sum = mask @ scores
+    return tree_mod._node_score(rule, node, side_sum, (n1, len(t2)))
 
 
 class TestGwrs:
@@ -225,12 +237,74 @@ class TestGlrPrefix:
         total = rows.sum(axis=0)
         left = mask @ rows
         sides = (rows[mask == 1].sum(axis=0), rows[mask == 0].sum(axis=0))
-        for (s1, s2), node_total in [((left, total - left), total), (sides, sum(sides))]:
-            sums = (s1, n1, s2, n - n1)
-            got = glr_from_sums(*sums, glr_node_terms(node_total, n), sign)
-            want = glr_from_sums_pooled(*sums, sign)
+        for s1, node_total in [(left, total), (sides[0], sides[0] + sides[1])]:
+            got = glr_from_sums(s1, n1, n - n1, glr_node_terms(node_total, n, sign))
+            want = glr_from_sums_pooled(s1, n1, node_total - s1, n - n1, sign)
             assert np.isnan(got) == np.isnan(want)
             assert np.isnan(want) or abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def random_partition(seed: int, used_up: str | None):
+    """Monotone rows in [0, 1] and a partition of them into two non-empty
+    groups, from ``seed``. ``used_up`` "first" or "second" sets that
+    group's rows to 0 from some column before the last on, so there the
+    first group's total s1 is 0 or equals the node's total T; "all" sets
+    every row to 0 from some column on. Returns s1, n1, the second
+    group's total s2, n2, T = s1 + s2 and the used-up columns."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 30))
+    n = int(rng.integers(2, 40))
+    rows = np.minimum.accumulate(rng.uniform(0.0, 1.0, (n, k)) ** rng.uniform(0.1, 3.0), axis=1)
+    first = np.zeros(n, dtype=bool)
+    first[rng.permutation(n)[:rng.integers(1, n)]] = True
+    cols = np.arange(int(rng.integers(0, k - 1)), k)
+    if used_up is not None:
+        group = {"first": first, "second": ~first, "all": np.ones(n, dtype=bool)}[used_up]
+        rows[np.ix_(group, cols)] = 0.0
+    s1, s2 = rows[first].sum(axis=0), rows[~first].sum(axis=0)
+    return s1, int(first.sum()), s2, int((~first).sum()), s1 + s2, cols
+
+
+class TestNodeTerms:
+    """GWRS and GLR read from one group's total s1 and the node's terms
+    equal their forms through both groups' mean curves
+    (``gwrs_group_means``, ``glr_group_means``) within rounding, also where
+    a group is used up on a column and where the at-risk mass runs out."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           used_up=st.sampled_from([None, "first", "second", "all"]))
+    def test_equal_the_group_mean_forms(self, seed, used_up):
+        s1, n1, s2, n2, total, _ = random_partition(seed, used_up)
+        n = n1 + n2
+        got = gwrs_from_sums(s1, n1, n2, gwrs_node_terms(total, n))
+        assert abs(got - gwrs_group_means(s1, n1, s2, n2)) <= 1e-12
+        for sign in GLR_SIGNS:
+            got = glr_from_sums(s1, n1, n2, glr_node_terms(total, n, sign))
+            want = glr_group_means(s1, n1, s2, n2, glr_node_terms_group_means(total, n), sign)
+            assert np.isnan(got) == np.isnan(want)
+            # relative where |GLR| >= 1; below, the forms' rounding is at the
+            # scale of their terms, not of the statistic
+            assert np.isnan(want) or abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("sign", GLR_SIGNS)
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), used_up=st.sampled_from(["first", "second"]))
+    def test_used_up_variance_terms_are_exact_zeros(self, sign, seed, used_up):
+        # with every variance weight but those of the terms whose group is
+        # used up on the column before set to 0, the variance is an exact 0
+        # and the statistic nan, as in the group-mean form
+        s1, n1, s2, n2, total, cols = random_partition(seed, used_up)
+        n = n1 + n2
+        node = glr_node_terms(total, n, sign)
+        end = node[0]
+        keep = np.zeros(end, dtype=bool)
+        keep[cols[cols < end - 1] + 1] = True
+        assert keep.any()
+        got = glr_from_sums(s1, n1, n2, node[:3] + (np.where(keep, node[3], 0.0),) + node[4:])
+        end_, inv_y, weight = glr_node_terms_group_means(total, n)
+        want = glr_group_means(s1, n1, s2, n2, (end_, inv_y, np.where(keep, weight, 0.0)), sign)
+        assert np.isnan(want) and np.isnan(got)
 
 
 class TestSplitRuleOptions:

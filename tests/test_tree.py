@@ -1,19 +1,24 @@
 """Tree growth on a fold context, leaf curves, and routing."""
 
+import copy
 import os
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icrf
 from icrf import (Dataset, ForestFold, ForestParams, IcrfModel, StepSurvival, SplitRule,
                   TreeParams, predict)
 from icrf.dataio import encode_exact
 from icrf.exceptions import DimensionMismatch, InsufficientData
+from icrf import forest as forest_mod
+from icrf import tree as tree_mod
 from icrf.tree import EXPLOITATIVE, QUASI_HONEST, fold_context, grow_tree_ctx
 
-from _oracles import curve_context, random_step_curve, terminal_curve
+from _oracles import curve_context, grow_tree_copying, random_step_curve, terminal_curve
 
 TAU = 5.0
 
@@ -320,3 +325,75 @@ class TestLeafStore:
             assert np.array_equal(getattr(again.store, name), getattr(tree.store, name),
                                   equal_nan=True)
         assert np.array_equal(again.inbag_ids, tree.inbag_ids)
+
+
+RULES = [("GWRS", "difference"), ("GLR", "difference"), ("GLR", "printed_sum"),
+         ("SWRS", "difference"), ("SLR", "difference")]
+
+
+def same_tree(a, b) -> bool:
+    return (np.array_equal(a.feature, b.feature)
+            and np.array_equal(a.cutoff, b.cutoff, equal_nan=True)
+            and np.array_equal(a.store.members, b.store.members)
+            and np.array_equal(a.store.member_offsets, b.store.member_offsets))
+
+
+class TestCopyingOracle:
+    """The grower, which copies no node's rows (inherited node totals,
+    smaller-side sums, node terms, cut-offs drawn at once), grows the trees
+    of the grower that copies each node's rows and scores candidates
+    through the group means (``grow_tree_copying``): on every tree of a
+    3 trees x 2 folds fit, later folds' carried curves included. Where
+    they differ, the copying grower's two best candidates at the first
+    node that differs tie within rounding."""
+
+    @pytest.mark.parametrize("prediction", [QUASI_HONEST, EXPLOITATIVE])
+    @pytest.mark.parametrize("rule, sign", RULES)
+    @pytest.mark.parametrize("scenario, n", [(1, 120), (5, 300)])
+    def test_same_trees_or_a_tie(self, monkeypatch, scenario, n, rule, sign, prediction):
+        pairs = []
+
+        def both(ctx, inbag, tparams, rng, npmle_gaps=None):
+            log = []
+            oracle = grow_tree_copying(ctx, inbag, tparams, copy.deepcopy(rng), log)
+            tree = grow_tree_ctx(ctx, inbag, tparams, rng, npmle_gaps)
+            pairs.append((oracle, tree, log))
+            return tree
+
+        monkeypatch.setattr(forest_mod, "grow_tree_ctx", both)
+        data = icrf.generate(icrf.Scenario(scenario, n=n, M=3, seed=n)).dataset
+        icrf.fit(data, ForestParams(n_tree=3, n_fold=2, seed=1, tree=TreeParams(
+            rule=SplitRule(rule, glr_sign=sign), prediction=prediction)))
+        assert len(pairs) == 6
+        for oracle, tree, log in pairs:
+            assert oracle.feature.size > 1
+            if same_tree(oracle, tree):
+                continue
+            # the first node grown that splits differently
+            node_id, scores = next(
+                (i, s) for i, s in log
+                if i >= tree.feature.size or tree.feature[i] != oracle.feature[i]
+                or not np.array_equal(tree.cutoff[i], oracle.cutoff[i], equal_nan=True))
+            top = sorted(scores, reverse=True)[:2]
+            assert len(top) == 2 and top[0] - top[1] <= 1e-12 * top[0], (node_id, top)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1))
+def test_cutoffs_are_successive_uniform_draws(seed):
+    # a node's cut-offs, drawn in one call, are the values of one
+    # rng.uniform(lo, hi) per non-constant feature in turn, and leave the
+    # generator as those calls do; a numpy change that broke this would
+    # silently change every tree
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 12))
+    lo = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=k)
+    hi = lo + rng.exponential(size=k) * 10.0 ** rng.uniform(-8, 3, size=k)
+    constant = rng.uniform(size=k) < 0.3
+    hi[constant] = lo[constant]
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn, cuts = tree_mod._cutoffs(a, lo, hi)
+    want = [b.uniform(lo[i], hi[i]) for i in range(k) if lo[i] < hi[i]]
+    assert np.array_equal(drawn, np.flatnonzero(~constant & (lo < hi)))
+    assert np.array_equal(cuts, np.asarray(want, dtype=float))
+    assert a.random() == b.random()
