@@ -12,6 +12,7 @@ import numpy as np
 
 from .bench import ExperimentSpec, run_experiment
 from .dataio import (
+    CONFIG_KEYS,
     load_csv,
     parse_config,
     read_key_values,
@@ -159,6 +160,7 @@ def cmd_importance(args) -> int:
     return 0
 
 
+# the spec keys a fit config has too read their values as the fit config does
 BENCH_KEYS = {
     "scenarios": lambda v: tuple(int(x) for x in v.split(",")),
     "m_values": lambda v: tuple(int(x) for x in v.split(",")),
@@ -166,17 +168,10 @@ BENCH_KEYS = {
     "rules": lambda v: tuple(x.strip() for x in v.split(",")),
     "predictions": lambda v: tuple(x.strip() for x in v.split(",")),
     "n_replicates": int,
-    "seed": int,
-    "n_tree": int,
-    "n_fold": int,
-    "n_min": int,
-    "mtry": int,
-    "subsample": float,
     "n_test": int,
     "grid_resolution": int,
-    "n_jobs": int,
-    "glr_sign": str,
-    "monitor_metric": str,
+    **{key: CONFIG_KEYS[key] for key in ("seed", "n_tree", "n_fold", "n_min", "mtry", "subsample",
+                                         "n_jobs", "glr_sign", "monitor_metric", "initial_smooth")},
 }
 
 

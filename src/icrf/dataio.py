@@ -14,6 +14,7 @@ goes through one atomic write, ``atomic_write``.
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import tempfile
 from dataclasses import dataclass
@@ -76,6 +77,16 @@ class Dataset:
 
     def has_unbounded(self) -> bool:
         return bool(np.any(np.isinf(self.rights)))
+
+    def sha256(self) -> str:
+        """The hex sha256 of tau and of the little-endian float64 lefts,
+        rights and X, each after its shape: a fitted model records its
+        training data's (``forest.IcrfModel.data_sha256``)."""
+        digest = hashlib.sha256(np.float64(self.tau).astype("<f8").tobytes())
+        for a in (self.lefts, self.rights, self.X):
+            digest.update(np.asarray(a.shape, dtype="<i8").tobytes())
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        return digest.hexdigest()
 
 
 def encode_exact(t: float) -> tuple[float, float]:

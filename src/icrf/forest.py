@@ -135,28 +135,26 @@ class ForestFold:
     """One fold's trees as one table, from fit to file. Tree t has the nodes
     node_start[t]:node_start[t + 1] of the stacked node arrays (feature -1
     marks a leaf node) and the curves leaf_start[t]:leaf_start[t + 1] of
-    ``store``; its in-bag ids lie in ``inbag_ids`` where its leaves' members
-    lie in ``store.members``. Every node's ``left``, ``right`` and ``leaf`` (its
-    curve, at a leaf node) are the tree's own plus its first node and leaf."""
+    ``store``, whose members are its in-bag ids. Every node's ``left`` (whose
+    next node is the right child) and ``leaf`` (its curve, at a leaf node)
+    are the tree's own plus its first node and leaf."""
 
     fold_index: int
     feature: np.ndarray
     cutoff: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     leaf: np.ndarray
     node_start: np.ndarray
     leaf_start: np.ndarray
     store: LeafStore
-    inbag_ids: np.ndarray
     per_tree_oob: np.ndarray
 
     @classmethod
     def of(cls, fold_index: int, trees) -> ForestFold:
         """The table of ``trees`` (each a one-tree table), NaN OOB errors."""
         return cls.join(fold_index, [
-            cls(fold_index, t.feature, t.cutoff, t.left, t.right, t.leaf_idx,
-                np.array([0, t.feature.size]), np.array([0, t.n_leaves]), t.store, t.inbag_ids,
+            cls(fold_index, t.feature, t.cutoff, t.left, t.leaf_idx,
+                np.array([0, t.feature.size]), np.array([0, t.n_leaves]), t.store,
                 np.full(1, np.nan)) for t in trees])
 
     @classmethod
@@ -170,11 +168,10 @@ class ForestFold:
             return np.concatenate(parts if shift is None else [p + a for p, a in zip(parts, shift)])
 
         return cls(fold_index, cat("feature"), cat("cutoff"), cat("left", nodes),
-                   cat("right", nodes), cat("leaf", leaves),
+                   cat("leaf", leaves),
                    *(stack_offsets([getattr(t, name) for t in tables])
                      for name in ("node_start", "leaf_start")),
-                   LeafStore.stack([t.store for t in tables]), cat("inbag_ids"),
-                   cat("per_tree_oob"))
+                   LeafStore.stack([t.store for t in tables]), cat("per_tree_oob"))
 
     @property
     def n_trees(self) -> int:
@@ -186,14 +183,14 @@ class ForestFold:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Fold-wide leaf of each row of X in each tree, (trees, rows)."""
-        node = route(self.feature, self.cutoff, self.left, self.right, X, self.node_start[:-1])
+        node = route(self.feature, self.cutoff, self.left, X, self.node_start[:-1])
         return self.leaf[node].reshape(self.n_trees, X.shape[0])
 
     def oob_mask(self, n: int) -> np.ndarray:
-        """(trees, n): whether subject i is out of tree t's bag, in one scatter."""
+        """(trees, n): whether subject i is in none of tree t's leaves, in one scatter."""
         mask = np.ones((self.n_trees, n), dtype=bool)
         counts = np.diff(self.store.member_offsets[self.leaf_start])
-        mask[np.repeat(np.arange(self.n_trees), counts), self.inbag_ids] = False
+        mask[np.repeat(np.arange(self.n_trees), counts), self.store.members] = False
         return mask
 
     def tree_columns(self) -> list[tuple]:
@@ -205,19 +202,19 @@ class ForestFold:
         ends = leaves + np.arange(leaves.size)
         tree = np.repeat(np.arange(self.n_trees), ends[1:] - ends[:-1])
         at = np.arange(tree.size) - tree
-        n, lf, k, i, e = (a.tolist() for a in (nodes, leaves, knots, ids, ends))
+        n, k, i, e = (a.tolist() for a in (nodes, knots, ids, ends))
         node0, leaf0 = np.repeat(nodes[:-1], per_node), np.repeat(leaves[:-1], per_node)
-        own = np.array([self.left - node0, self.right - node0, self.leaf - leaf0], dtype=np.int32)
-        return [(self.feature, n), (self.cutoff, n), (own[0], n), (own[1], n), (own[2], n),
-                (self.inbag_ids, i), (s.times, k), (s.values, k), (s.offsets[at] - knots[tree], e),
-                (s.rates, lf), (s.members, i), (s.member_offsets[at] - ids[tree], e)]
+        own = np.array([self.left - node0, self.leaf - leaf0], dtype=np.int32)
+        return [(self.feature, n), (self.cutoff, n), (own[0], n), (own[1], n), (s.times, k),
+                (s.values, k), (s.offsets[at] - knots[tree], e), (s.members, i),
+                (s.member_offsets[at] - ids[tree], e)]
 
     @property
     def trees(self) -> list[Tree]:
         """Each tree (``tree.Tree``), built on each use; its curves views of the fold's."""
         columns = self.tree_columns()
-        return [Tree(*a[:5], LeafStore(*a[6:]), a[5]) for a in (
-            [arr[c[t]:c[t + 1]] for arr, c in columns] for t in range(self.n_trees))]
+        return [Tree(*a[:4], LeafStore(*a[4:7], np.full(a[6].size - 1, np.nan), *a[7:]))
+                for a in ([arr[c[t]:c[t + 1]] for arr, c in columns] for t in range(self.n_trees))]
 
 
 @dataclass
@@ -229,6 +226,7 @@ class IcrfModel:
     initial_marginal: StepSurvival
     folds: list[ForestFold]
     k_opt: int
+    data_sha256: str  # the training data's ``Dataset.sha256``
 
     @property
     def oob_errors(self) -> np.ndarray:
@@ -588,15 +586,9 @@ def fit(data: Dataset, params: ForestParams) -> IcrfModel:
         raise EmptyOob("the monitor metric scores no tree's out-of-bag subjects; "
                        "monitoring impossible")
     k_opt = int(np.nanargmin(errors)) + 1
-    return IcrfModel(
-        params=params,
-        feature_names=list(data.feature_names),
-        tau=data.tau,
-        h=h,
-        initial_marginal=marginal,
-        folds=folds,
-        k_opt=k_opt,
-    )
+    return IcrfModel(params=params, feature_names=list(data.feature_names), tau=data.tau, h=h,
+                     initial_marginal=marginal, folds=folds, k_opt=k_opt,
+                     data_sha256=data.sha256())
 
 
 # -- prediction --------------------------------------------------------------
@@ -656,23 +648,20 @@ def oob_error(model: IcrfModel, data: Dataset, fold: int | None = None) -> float
     """Recompute a fold's stored OOB error (fold ``k_opt`` by default) on
     the training data: the mean over trees of the monitor metric of the
     tree's smoothed prediction on its own held-out subjects. Data whose
-    rows do not reach the leaves that hold them as members are not the
+    ``Dataset.sha256`` is not the model's ``data_sha256`` are not the
     training data and raise InvariantViolation."""
     _check_width(model.feature_names, data.p, "data")
+    if data.sha256() != model.data_sha256:
+        raise InvariantViolation("the data are not the training data: their sha256 is not "
+                                 "the model's data_sha256")
     fobj = _check_fold(model, fold)
-    if fobj.inbag_ids.max(initial=-1) >= data.n:
+    if fobj.store.members.max(initial=-1) >= data.n:
         raise DimensionMismatch(f"the fold's trees hold subjects beyond the data's {data.n}")
-    leaves, store = fobj.apply(data.X), fobj.store
-    member_leaf = np.repeat(np.arange(store.n), np.diff(store.member_offsets))
-    member_tree = np.repeat(np.arange(fobj.n_trees), np.diff(fobj.leaf_start))[member_leaf]
-    if not np.array_equal(leaves[member_tree, store.members], member_leaf):
-        raise InvariantViolation(f"fold {fobj.fold_index}: a leaf's member does not reach "
-                                 "it; the data are not the training data")
     oob = fobj.oob_mask(data.n)
     if not oob.any(axis=1).all():
         raise EmptyOob("a tree has no out-of-bag subjects")
     return _scored_mean(_oob_errors(
-        fobj, leaves, oob, data.lefts, data.rights, data.tau, model.h,
+        fobj, fobj.apply(data.X), oob, data.lefts, data.rights, data.tau, model.h,
         monitor_grid(data.tau), model.params.monitor_metric, {}))
 
 

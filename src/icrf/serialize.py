@@ -5,10 +5,11 @@ keys; scalars, curve/tree structure counts, array manifest), then the
 raw array bytes concatenated in manifest order. Fixed dtypes and sorted
 keys make identical models produce identical bytes.
 
-Each tree is stored as its own arrays (``TREE_ARRAYS``): its nodes, its
-in-bag ids and its leaves' ``curves.LeafStore``, cut from its fold's
-table (``forest.ForestFold.tree_columns``); ``load_model`` builds each
-fold's table back, with no object per tree or per leaf.
+Each tree is stored as its own arrays (``TREE_ARRAYS``): its nodes but
+the right child (``left + 1``) and its leaves' ``curves.LeafStore`` but
+the tail rates (NaN), cut from its fold's table
+(``forest.ForestFold.tree_columns``); ``load_model`` builds each fold's
+table back, with no object per tree or per leaf.
 
 Loading checks the whole model in one pass. Each array is read from the
 file straight into the concatenation of its kind over all trees of all
@@ -17,17 +18,19 @@ concatenation, with per-tree limits taken from the per-tree sizes; and
 each fold's table holds slices of the checked arrays. A file that fails
 a check raises ``ParseError`` naming the array of the tree at fault,
 ``f{k}_t{b}_{name}``. The node arrays must route every row to a leaf (a
-split's children come after it, so routing ends, and its cut-off is
-finite), ``leafidx`` must number the leaves one to one, the offsets must
-delimit them, the in-bag ids must be non-negative and strictly
-increasing and the leaves' members must partition them, and each leaf
-curve must pass ``StepSurvival``'s checks. Each fold's ``f{k}_oob`` holds
+split's left child is a later node whose next node, the right child, is
+still in the tree, so routing ends, and its cut-off is finite),
+``leafidx`` must number the leaves one to one, the offsets must delimit
+them, a tree's members (its in-bag ids) must be non-negative, below the
+key limit and distinct, and each leaf curve must pass ``StepSurvival``'s
+checks. Each fold's ``f{k}_oob`` holds
 one OOB error per tree, NaN or >= 0, and the marginal curve is float64.
 The header must list its folds as 1, 2, ... in order, its manifest must
 name exactly the arrays of the header's folds and trees, in file order,
 and the file must end with the last array. ``tau`` and ``h`` must be
-finite and > 0, ``k_opt`` must name a stored fold and the params must
-pass their own checks.
+finite and > 0, ``k_opt`` must name a stored fold, the training data's
+``data_sha256`` must be 64 lowercase hex digits and the params must pass
+their own checks. A file of format 1 is not a model file.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from itertools import accumulate, zip_longest
 
 import numpy as np
@@ -47,7 +51,7 @@ from .smooth import check_bandwidth
 from .splits import SplitRule
 from .tree import TreeParams
 
-MAGIC = b"ICRFMDL1"
+MAGIC = b"ICRFMDL2"
 
 
 def _params_dict(p: ForestParams) -> dict:
@@ -60,21 +64,17 @@ def _params_dict(p: ForestParams) -> dict:
 
 def _params_from_dict(d: dict) -> ForestParams:
     t = d["tree"]
-    # named keys, so files that still carry a tree "rng_seed" load too
-    tree = TreeParams(mtry=t["mtry"], n_min=t["n_min"], prediction=t["prediction"],
-                      rule=SplitRule(**t["rule"]))
-    return ForestParams(**{**d, "tree": tree})
+    return ForestParams(**{**d, "tree": TreeParams(**{**t, "rule": SplitRule(**t["rule"])})})
 
 
 # the arrays of each tree, in file order, with their dtypes: the nodes,
-# the in-bag ids, then the tree's LeafStore (``ForestFold.tree_columns``)
+# then the tree's LeafStore but its rates (``ForestFold.tree_columns``)
 TREE_ARRAYS = {
-    "feature": "<i4", "cutoff": "<f8", "left": "<i4", "right": "<i4", "leafidx": "<i4",
-    "inbag": "<i8", "ltimes": "<f8", "lvalues": "<f8", "loffsets": "<i8", "lrates": "<f8",
-    "lmembers": "<i8", "lmoffsets": "<i8",
+    "feature": "<i4", "cutoff": "<f8", "left": "<i4", "leafidx": "<i4", "ltimes": "<f8",
+    "lvalues": "<f8", "loffsets": "<i8", "lmembers": "<i8", "lmoffsets": "<i8",
 }
 # the arrays of a tree's LeafStore
-LEAF_ARRAYS = ("ltimes", "lvalues", "loffsets", "lrates", "lmembers", "lmoffsets")
+LEAF_ARRAYS = ("ltimes", "lvalues", "loffsets", "lmembers", "lmoffsets")
 # the manifest's name of each dtype save_model writes: str(np.dtype(key))
 DTYPE_NAMES = {"<i4": "int32", "<i8": "int64", "<f8": "float64"}
 
@@ -110,6 +110,7 @@ def save_model(model: IcrfModel, path: str):
         "tau": model.tau,
         "h": model.h,
         "k_opt": model.k_opt,
+        "data_sha256": model.data_sha256,
         "marginal_tail_rate": model.initial_marginal.tail_rate,
         "folds": folds_meta,
         "manifest": manifest,
@@ -161,18 +162,14 @@ def _model_from(header: dict, fh, nbytes: int, path: str) -> IcrfModel:
         raise ParseError(f"{path}: header 'params': {exc}") from None
     tau, h = (check_bandwidth(header[key], ParseError, f"{path}: header {key!r}")
               for key in ("tau", "h"))
-    k_opt = header["k_opt"]
+    k_opt, digest = header["k_opt"], header["data_sha256"]
     if not (isinstance(k_opt, int) and 1 <= k_opt <= len(folds)):
         raise ParseError(f"{path}: header 'k_opt' must be a fold in 1..{len(folds)}, got {k_opt}")
-    return IcrfModel(
-        params=params,
-        feature_names=list(header["feature_names"]),
-        tau=tau,
-        h=h,
-        initial_marginal=marginal,
-        folds=folds,
-        k_opt=k_opt,
-    )
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise ParseError(f"{path}: header 'data_sha256' must be 64 lowercase hex digits, "
+                         f"got {digest!r}")
+    return IcrfModel(params=params, feature_names=list(header["feature_names"]), tau=tau, h=h,
+                     initial_marginal=marginal, folds=folds, k_opt=k_opt, data_sha256=digest)
 
 
 def _layout(header: dict, path: str) -> tuple[list, list, list]:
@@ -299,10 +296,10 @@ def _folds_from(kinds: dict, n_leaves: list, n_trees: list, errors, p: int) -> l
     one pass: each check runs once on a kind's concatenation over the trees,
     with per-tree limits from the per-tree sizes; each fold's table holds
     slices of the concatenations."""
-    feature, cutoff, left, right, leafidx = (
-        kinds[name] for name in ("feature", "cutoff", "left", "right", "leafidx"))
+    feature, cutoff, left, leafidx = (
+        kinds[name] for name in ("feature", "cutoff", "left", "leafidx"))
     nodes = feature.sizes
-    for kind in (cutoff, left, right, leafidx):
+    for kind in (cutoff, left, leafidx):
         kind.check_sizes(nodes, lambda i: f"must have one entry per node ({nodes[i]})")
     in_range = f"must be -1 (a leaf) or a feature in [0, {p})"
     if min(nodes) < 1:
@@ -313,23 +310,21 @@ def _folds_from(kinds: dict, n_leaves: list, n_trees: list, errors, p: int) -> l
     leaf_ends = list(accumulate(n_leaves))
     bounds = np.repeat(np.array([feature.starts, feature.ends, [0] + leaf_ends[:-1], leaf_ends]),
                        nodes, axis=1)
-    # every node's child and leaf numbers in the whole model: the tree's own
+    # every node's left child and leaf in the whole model: the tree's own
     # plus the tree's first node and first leaf
-    child = {kind: kind.cat + bounds[0] for kind in (left, right)}
-    slot = leafidx.cat + bounds[2]
+    child, slot = left.cat + bounds[0], leafidx.cat + bounds[2]
     split = feat >= 0
     inner = np.flatnonzero(split)
-    end = bounds[1, inner]
-    # children after their parent: routing moves down and stops
-    for kind in (left, right):
-        to = child[kind][inner]
-        kind.check((to > inner) & (to < end), "must name a later node at every split", at=inner)
+    # children after their parent, the right one (left + 1) in the tree too:
+    # routing moves down and stops
+    to = child[inner]
+    left.check((to > inner) & (to + 1 < bounds[1, inner]),
+               "must name a later node, not the tree's last, at every split", at=inner)
     cutoff.check(np.isfinite(cutoff.cat[inner]), "must be finite at every split", at=inner)
     leaf = np.flatnonzero(~split)
     # the entries a node does not read are -1, as ``fit`` writes them, so
     # that one table has one file
-    for kind in (left, right):
-        kind.check(kind.cat[leaf] == -1, "must be -1 at every leaf node", at=leaf)
+    left.check(left.cat[leaf] == -1, "must be -1 at every leaf node", at=leaf)
     leafidx.check(leafidx.cat[inner] == -1, "must be -1 at every split", at=inner)
     (first, end), number = bounds[2:, leaf], slot[leaf]
 
@@ -339,7 +334,7 @@ def _folds_from(kinds: dict, n_leaves: list, n_trees: list, errors, p: int) -> l
     leafidx.check((number >= first) & (number < end), numbered, at=leaf)
     leafidx.check(np.bincount(number, minlength=leaf_ends[-1]) == 1, numbered, ends=leaf_ends)
     # a fold's numbers and offsets are the model's less the fold's first
-    s, inbag, folds = _leaf_store(kinds, n_leaves), kinds["inbag"].cat, []
+    s, folds = _leaf_store(kinds, n_leaves), []
     node_at, leaf_at, tree_at = [0] + feature.ends, [0] + leaf_ends, [0, *accumulate(n_trees)]
     for k, (a, b) in enumerate(zip(tree_at, tree_at[1:])):
         n0, n1, l0, l1 = node_at[a], node_at[b], leaf_at[a], leaf_at[b]
@@ -347,37 +342,29 @@ def _folds_from(kinds: dict, n_leaves: list, n_trees: list, errors, p: int) -> l
         store = LeafStore(s.times[k0:k1], s.values[k0:k1], s.offsets[l0:l1 + 1] - k0,
                           s.rates[l0:l1], s.members[i0:i1], s.member_offsets[l0:l1 + 1] - i0)
         folds.append(ForestFold(
-            k + 1, feat[n0:n1], cutoff.cat[n0:n1], child[left][n0:n1] - n0,
-            child[right][n0:n1] - n0, slot[n0:n1] - l0, np.array(node_at[a:b + 1]) - n0,
-            np.array(leaf_at[a:b + 1]) - l0, store, inbag[i0:i1], errors[a:b]))
+            k + 1, feat[n0:n1], cutoff.cat[n0:n1], child[n0:n1] - n0, slot[n0:n1] - l0,
+            np.array(node_at[a:b + 1]) - n0, np.array(leaf_at[a:b + 1]) - l0, store,
+            errors[a:b]))
     return folds
 
 
 def _leaf_store(kinds: dict, n_leaves: list) -> LeafStore:
     """The LeafStore of the leaves of many trees, tree after tree, tree i
-    with ``n_leaves[i]``, in the ``_Kind`` of each of ``LEAF_ARRAYS`` and of
-    ``inbag``: offsets that delimit the leaves, curves that StepSurvival
-    would accept one by one, their values clipped to [0, 1] the same way,
-    and members that partition the tree's in-bag ids, which must be
-    non-negative and strictly increasing. Checked in one pass."""
-    inbag, times, values, offsets, rates, members, moffsets = (
-        kinds[name] for name in ("inbag",) + LEAF_ARRAYS)
+    with ``n_leaves[i]``, in the ``_Kind`` of each of ``LEAF_ARRAYS``:
+    offsets that delimit the leaves, curves that StepSurvival would accept
+    one by one, their values clipped to [0, 1] the same way and no tail
+    rates (NaN), and members that are non-negative, below the key limit
+    and distinct within their tree. Checked in one pass."""
+    times, values, offsets, members, moffsets = (kinds[name] for name in LEAF_ARRAYS)
     n_trees = len(n_leaves)
-    ids = inbag.cat
-    # ids below the limit keep the members' sort keys (further down) within int64
-    limit = np.iinfo(np.int64).max // n_trees
-    inbag.check((ids >= 0) & (ids < limit), f"ids must lie in [0, {limit})")
-    inbag.check(_within(ids[1:] > ids[:-1], np.asarray(inbag.starts), True),
-                "ids must be strictly increasing")
     curve_starts, member_starts = (_delimits(offsets, times, n_leaves),
                                    _delimits(moffsets, members, n_leaves))
     values.check_sizes(times.sizes, "must have one value per knot")
-    rates.check_sizes(n_leaves, "must have one rate per leaf")
     # StepSurvival's checks on all curves at once; the pairs of knots within
     # a curve are those that do not cross the start of the next. Comparing
     # neighbours, not taking their differences, makes no temporary as large
     # as the knots
-    t, v, r = times.cat, values.cat, rates.cat
+    t, v = times.cat, values.cat
     times.check((t > 0.0) & (t < np.inf), "knot times must be finite and > 0")
     times.check(_within(t[1:] > t[:-1], curve_starts, True),
                 "knot times must be strictly increasing within each curve")
@@ -386,18 +373,18 @@ def _leaf_store(kinds: dict, n_leaves: list) -> LeafStore:
     rises = np.flatnonzero(_within(v[1:] > v[:-1], curve_starts, False))
     values.check(v[rises + 1] - v[rises] <= 1e-12,
                  "values must be non-increasing within each curve", at=rises)
-    rates.check(np.isnan(r) | ((r >= 0.0) & (r < np.inf)),
-                "tail rates must be finite and >= 0 (NaN: no tail)")
-    partition = "the leaves' members must partition the in-bag ids"
-    members.check_sizes(inbag.sizes, partition)
     m = members.cat
-    width = int(ids.max()) + 1 if ids.size else 1
-    members.check((m >= 0) & (m < width), partition)
-    # sort keys that keep each tree's members in the tree's own block
-    block = np.repeat(np.arange(0, n_trees * width, width), members.sizes)
-    members.check(np.sort(m + block) == ids + block, partition)
+    # ids below the limit keep the sort keys (further down) within int64
+    limit = np.iinfo(np.int64).max // n_trees
+    members.check((m >= 0) & (m < limit), f"ids must lie in [0, {limit})")
+    # sort keys that keep each tree's members in the tree's own block, so a
+    # repeat is a key equal to its predecessor, in the same tree
+    width = int(m.max()) + 1 if m.size else 1
+    keys = np.sort(m + np.repeat(np.arange(0, n_trees * width, width), members.sizes))
+    members.check(np.r_[True, keys[1:] > keys[:-1]], "ids must be distinct within a tree")
     np.clip(v, 0.0, 1.0, out=v)
-    return LeafStore(t, v, curve_starts, r, m, member_starts)
+    return LeafStore(t, v, curve_starts, np.full(len(curve_starts) - 1, np.nan), m,
+                     member_starts)
 
 
 def _delimits(offsets: _Kind, data: _Kind, n_leaves: list) -> np.ndarray:

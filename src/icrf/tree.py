@@ -33,7 +33,8 @@ adds at most u N). Split scores are only compared, so this changes a
 tree only where two candidates' scores tie within rounding.
 
 A tree, grown or a fold's view of one (``forest.ForestFold.trees``), holds
-its leaf curves and member ids column-wise, in one ``curves.LeafStore``.
+its leaf curves (which have no tail) and member ids column-wise, in one
+``curves.LeafStore``; its in-bag ids are the members (``Tree.inbag_ids``).
 Growth only collects each leaf's members; the store
 is then built for all leaves of the tree at once (``_leaf_store``):
 quasi-honest leaves are the problems of one ``npmle.npmle_batch``, which
@@ -133,16 +134,25 @@ class Leaf:
 
 class Tree:
     """Array-backed binary tree; feature == -1 marks a leaf node, and
-    leaf_idx numbers its curve in ``store``: the tree's own numbers."""
+    leaf_idx numbers its curve in ``store``: the tree's own numbers. A
+    split's two children are made together: the right one is ``left + 1``."""
 
-    def __init__(self, feature, cutoff, left, right, leaf_idx, store: LeafStore, inbag_ids):
+    def __init__(self, feature, cutoff, left, leaf_idx, store: LeafStore):
         self.feature = np.asarray(feature, dtype=np.int32)
         self.cutoff = np.asarray(cutoff, dtype=float)
         self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
         self.leaf_idx = np.asarray(leaf_idx, dtype=np.int32)
         self.store = store
-        self.inbag_ids = np.asarray(inbag_ids, dtype=np.int64)
+
+    @property
+    def right(self) -> np.ndarray:
+        """Each node's right child, ``left + 1`` (-1 at a leaf node)."""
+        return np.where(self.feature >= 0, self.left + 1, -1).astype(np.int32)
+
+    @property
+    def inbag_ids(self) -> np.ndarray:
+        """The tree's in-bag ids, sorted: its leaves' members."""
+        return np.sort(self.store.members)
 
     @property
     def n_leaves(self) -> int:
@@ -157,15 +167,16 @@ class Tree:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for each row of X (x <= cutoff routes left)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.leaf_idx[route(self.feature, self.cutoff, self.left, self.right, X, ROOT)]
+        return self.leaf_idx[route(self.feature, self.cutoff, self.left, X, ROOT)]
 
 
-def route(feature, cutoff, left, right, X: np.ndarray, roots) -> np.ndarray:
+def route(feature, cutoff, left, X: np.ndarray, roots) -> np.ndarray:
     """The leaf node each row of X reaches in each tree whose root is in
     ``roots``, tree after tree: an array of len(roots) * X.shape[0] node
     numbers. The node arrays are one tree's, or several trees' stacked
     with their child numbers shifted to the stacked positions; feature
-    -1 marks a leaf node, and x <= cutoff routes left.
+    -1 marks a leaf node, x <= cutoff routes to the left child and
+    anything else (NaN too) to the right one, ``left + 1``.
 
     One level-synchronous loop moves every (tree, row) pair that is still
     at a split node one level down; a pair drops out of the active set
@@ -175,8 +186,7 @@ def route(feature, cutoff, left, right, X: np.ndarray, roots) -> np.ndarray:
     active = np.flatnonzero(feature[node] >= 0)
     while active.size:
         at = node[active]
-        go_left = X[active % n, feature[at]] <= cutoff[at]
-        node[active] = np.where(go_left, left[at], right[at])
+        node[active] = left[at] + ~(X[active % n, feature[at]] <= cutoff[at])
         active = active[feature[node[active]] >= 0]
     return node
 
@@ -286,14 +296,13 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
     curves = rule.kind in (GWRS, GLR)
     values = ctx.values[:, :ctx.m_split]
 
-    feature, cutoff, left, right, leaf_idx = [], [], [], [], []
+    feature, cutoff, left, leaf_idx = [], [], [], []
     leaf_members = []
 
     def new_node():
         feature.append(-1)
         cutoff.append(np.nan)
         left.append(-1)
-        right.append(-1)
         leaf_idx.append(-1)
         return len(feature) - 1
 
@@ -338,10 +347,8 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
         f, c, go_left, small_left, side_sum = best[1]
         feature[node_id] = int(f)
         cutoff[node_id] = float(c)
-        left_id = new_node()
-        right_id = new_node()
+        left_id, right_id = new_node(), new_node()  # right_id is left_id + 1
         left[node_id] = left_id
-        right[node_id] = right_id
         left_total = right_total = None
         if curves:  # the smaller child keeps its sum, the larger gets the rest
             rest = total - side_sum
@@ -351,7 +358,7 @@ def grow_tree_ctx(ctx: FoldContext, inbag: np.ndarray, params: TreeParams,
         stack.append((left_id, members[go_left], left_total))
 
     store = _leaf_store(ctx, leaf_members, params.prediction, npmle_gaps)
-    return Tree(feature, cutoff, left, right, leaf_idx, store, inbag)
+    return Tree(feature, cutoff, left, leaf_idx, store)
 
 
 def support_bound_of(lefts, rights, tau: float) -> float:

@@ -650,14 +650,13 @@ def grow_tree_copying(ctx, inbag, params, rng, node_scores: list | None = None):
     kind = params.rule.kind
     split_cols = slice(0, ctx.m_split)
 
-    feature, cutoff, left, right, leaf_idx = [], [], [], [], []
+    feature, cutoff, left, leaf_idx = [], [], [], []
     leaf_members = []
 
     def new_node():
         feature.append(-1)
         cutoff.append(np.nan)
         left.append(-1)
-        right.append(-1)
         leaf_idx.append(-1)
         return len(feature) - 1
 
@@ -705,14 +704,12 @@ def grow_tree_copying(ctx, inbag, params, rng, node_scores: list | None = None):
         f, c, mask = best[1]
         feature[node_id] = int(f)
         cutoff[node_id] = float(c)
-        left_id = new_node()
-        right_id = new_node()
+        left_id, right_id = new_node(), new_node()
         left[node_id] = left_id
-        right[node_id] = right_id
         lmask = mask.astype(bool)
         # left child processed first (DFS), so push right first
         stack.append((right_id, members[~lmask]))
         stack.append((left_id, members[lmask]))
 
     store = _leaf_store(ctx, leaf_members, params.prediction)
-    return Tree(feature, cutoff, left, right, leaf_idx, store, inbag)
+    return Tree(feature, cutoff, left, leaf_idx, store)

@@ -112,6 +112,15 @@ def _first_split_node(blob, pre):
     return int(np.flatnonzero(_read(blob, pre + "feature") >= 0)[0])
 
 
+def _last_node(blob, pre):
+    return _read(blob, pre + "feature").size - 1
+
+
+def _second_leaf_member(blob, pre):
+    """The first member of the tree's second leaf."""
+    return int(_read(blob, pre + "lmoffsets")[1])
+
+
 def _interior_knot(blob, pre):
     """A knot of the tree's leaf curves that is not the first of its curve,
     with a predecessor below 1."""
@@ -127,9 +136,11 @@ def _interior_knot(blob, pre):
 # fold's {fold}. Before these checks, the first two loaded and predicted
 # wrong rows or nothing at all; the next three loaded and then raised a
 # bare IndexError in predict, the next made predict loop forever, and the
-# next two loaded and gave a wrong out-of-bag error (an in-bag id beyond
-# the data, a member id twice). The last three loaded, predicted as the
-# file without the change and saved it back, so two files held one model.
+# next made its right child, left + 1, a node of the next tree. Of the next
+# four, a member id beyond the key limit or negative would break the
+# loader's sort keys or index the data from its end, and a member id twice
+# gave a wrong out-of-bag error. The last two loaded, predicted as the file
+# without the change and saved it back, so two files held one model.
 STRUCTURAL = {
     "loffsets_end": ("{pre}loffsets", lambda b, pre: -1, lambda b, pre: 1),
     "lmoffsets_jump": ("{pre}lmoffsets", lambda b, pre: 1, lambda b, pre: 10**6),
@@ -137,17 +148,20 @@ STRUCTURAL = {
     "left_out_of_range": ("{pre}left", lambda b, pre: 0, lambda b, pre: 5000),
     "feature_out_of_range": ("{pre}feature", lambda b, pre: 0, lambda b, pre: 99),
     "left_loops_to_root": ("{pre}left", lambda b, pre: 0, lambda b, pre: 0),
-    "inbag_out_of_range": ("{pre}inbag", lambda b, pre: 0, lambda b, pre: 10**6),
+    "left_at_last_node": ("{pre}left", _first_split_node, _last_node),
+    "inbag_out_of_range": ("{pre}lmembers", lambda b, pre: 0,
+                           lambda b, pre: np.iinfo(np.int64).max),
+    "lmembers_negative": ("{pre}lmembers", lambda b, pre: 0, lambda b, pre: -1),
     "lmembers_repeated": ("{pre}lmembers", lambda b, pre: 1,
                           lambda b, pre: _read(b, pre + "lmembers")[0]),
+    "lmembers_in_two_leaves": ("{pre}lmembers", _second_leaf_member,
+                               lambda b, pre: _read(b, pre + "lmembers")[0]),
     "left_at_leaf": ("{pre}left", _first_leaf_node, lambda b, pre: 12345),
-    "right_at_leaf": ("{pre}right", _first_leaf_node, lambda b, pre: 12345),
     "leafidx_at_split": ("{pre}leafidx", _first_split_node, lambda b, pre: 0),
 }
 
-# one case per check StepSurvival makes of a curve; a NaN value used to
-# load and give NaN rows, and a tail rate of +inf read a curve without
-# knots as NaN at t = 0. A non-finite cut-off at a split, a negative
+# one case per check StepSurvival makes of a leaf curve's knots; a NaN
+# value used to load and give NaN rows. A non-finite cut-off at a split, a negative
 # OOB error or one of NaN loaded too: the cut-off routed rows the other
 # way, the OOB error went into the fold's
 VALUES = {
@@ -158,8 +172,6 @@ VALUES = {
     "value_above_one": ("{pre}lvalues", lambda b, pre: 0, lambda b, pre: 1.5),
     "value_nan": ("{pre}lvalues", lambda b, pre: 0, lambda b, pre: np.nan),
     "value_increasing": ("{pre}lvalues", _interior_knot, lambda b, pre: 1.0),
-    "tail_rate_negative": ("{pre}lrates", lambda b, pre: 0, lambda b, pre: -1.0),
-    "tail_rate_inf": ("{pre}lrates", lambda b, pre: 0, lambda b, pre: np.inf),
     "marginal_value_nan": ("marginal_values", lambda b, pre: 0, lambda b, pre: np.nan),
     "cutoff_nan": ("{pre}cutoff", _first_split_node, lambda b, pre: np.nan),
     "cutoff_inf": ("{pre}cutoff", _first_split_node, lambda b, pre: np.inf),
@@ -198,7 +210,8 @@ def _declare(name: str, dtype: str):
 # k_opt = 7 of 2 folds loaded and failed at predict (InvalidFold), and
 # params that fail their own checks raised InsufficientData. An OOB error
 # array declared int64 loaded as errors of about 4.6e18, marginal arrays
-# declared int64 as integer knots, and a marginal tail rate of +inf.
+# declared int64 as integer knots, and a marginal tail rate of +inf. The
+# training data's sha256 is 64 lowercase hex digits.
 HEADER = {
     "h_negative": ("h", lambda hd: hd.update(h=-1.0)),
     "h_nan": ("h", lambda hd: hd.update(h=np.nan)),
@@ -217,6 +230,10 @@ HEADER = {
     "marginal_values_int64": ("marginal_values", _declare("marginal_values", "<i8")),
     "marginal_tail_rate_inf": ("marginal_tail_rate",
                                lambda hd: hd.update(marginal_tail_rate=np.inf)),
+    "data_sha256_upper_case": ("data_sha256",
+                               lambda hd: hd.update(data_sha256=hd["data_sha256"].upper())),
+    "data_sha256_short": ("data_sha256",
+                          lambda hd: hd.update(data_sha256=hd["data_sha256"][:63])),
 }
 
 
@@ -272,11 +289,13 @@ def _drop_last_tree(header):
 # each: (a pattern of the error, a change of the file). Before these
 # checks, each loaded: folds out of order made k_opt pick the other fold,
 # a tree the header left out was dropped without notice, and bytes after
-# the last array were ignored
+# the last array were ignored. A file of format 1, with its in-bag,
+# right-child and tail-rate arrays, is no file of this format
 STRUCTURE = {
     "folds_reversed": ("'folds'", lambda b: _with_header(b, _reverse_folds)),
     "tree_missing_from_header": ("'manifest'", lambda b: _with_header(b, _drop_last_tree)),
     "trailing_bytes": ("after the last array", lambda b: b + bytes(1)),
+    "format_1_magic": ("not a model file", lambda b: b"ICRFMDL1" + b[len(MAGIC):]),
 }
 
 

@@ -450,6 +450,25 @@ class TestBenchCli:
         assert run(["bench", "--spec", spec, "--out", tmp_path / "res"]) == 1
         assert "error[parse_error]" in capsys.readouterr().err
 
+    def test_initial_smooth_is_a_spec_key(self, tmp_path, capsys):
+        # a spec line initial_smooth = false used to be an unknown key; it
+        # reaches the fits, whose first fold starts from the marginal's
+        # interpolated row instead of its smoothed one
+        raw = {}
+        for value in ("true", "false", "ture"):
+            spec = tmp_path / f"{value}.cfg"
+            spec.write_text(f"initial_smooth = {value}\nn_values = 50\nn_replicates = 1\n"
+                            "n_tree = 2\nn_fold = 1\nn_test = 5\nseed = 2\n")
+            out = tmp_path / value
+            status = run(["bench", "--spec", spec, "--out", out])
+            if value == "ture":
+                assert status == 1 and "error[parse_error]" in capsys.readouterr().err
+                assert not out.exists()
+            else:
+                assert status == 0
+                raw[value] = (out / "raw.csv").read_bytes()
+        assert raw["true"] != raw["false"]
+
 
 @pytest.mark.parametrize("argv, code", [
     (lambda ws, d: ["simulate", "--scenario", 5, "--n", -5, "--out", d / "o.csv"],

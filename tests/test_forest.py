@@ -97,17 +97,17 @@ class TestFit:
 
     def test_oob_recompute_needs_each_tree_oob_subjects(self, sim):
         # a one-leaf tree that holds every subject has none out of its bag;
-        # a data set without one of its in-bag subjects is not its training data
+        # a data set without one of its subjects is not its training data
         d, every = sim.dataset, np.arange(sim.dataset.n)
         store = LeafStore(np.array([1.0]), np.array([0.5]), np.array([0, 1]), np.array([np.nan]),
                           every, np.array([0, every.size]))
-        tree = tree_mod.Tree([-1], [np.nan], [-1], [-1], [0], store, every)
+        tree = tree_mod.Tree([-1], [np.nan], [-1], [0], store)
         model = IcrfModel(ForestParams(), list(d.feature_names), d.tau, 0.3,
-                          StepSurvival([1.0], [0.0]), [ForestFold.of(1, [tree])], 1)
+                          StepSurvival([1.0], [0.0]), [ForestFold.of(1, [tree])], 1, d.sha256())
         with pytest.raises(EmptyOob):
             oob_error(model, d)
         fewer = Dataset(d.lefts[1:], d.rights[1:], d.X[1:], list(d.feature_names), d.tau)
-        with pytest.raises(DimensionMismatch, match="beyond"):
+        with pytest.raises(InvariantViolation, match="not the training data"):
             oob_error(model, fewer)
 
     def test_subsample_one_requires_single_fold(self, sim):
@@ -521,7 +521,7 @@ def test_fold_table_routes_as_each_tree(prediction, n_tree, seed):
     # and the loaded fold alike route as each tree on its own, and the file
     # is the fold's trees' own arrays
     sim = generate(Scenario(id=5, n=60, M=1, seed=seed))
-    X = sim.dataset.X
+    X, s_size = sim.dataset.X, int(np.ceil(0.95 * 60))
     model = fit(sim.dataset, ForestParams(n_tree=n_tree, n_fold=2, seed=seed,
                                           tree=TreeParams(prediction=prediction)))
     with tempfile.TemporaryDirectory() as d:
@@ -538,8 +538,8 @@ def test_fold_table_routes_as_each_tree(prediction, n_tree, seed):
             assert len(trees) == fold.n_trees == n_tree
             for t, tree in enumerate(trees):
                 assert np.array_equal(leaf_of[t] - fold.leaf_start[t], route_loop(tree, X))
-                assert np.array_equal(
-                    np.sort(tree.store.members), tree.inbag_ids)
+                # the in-bag ids are the members: s_size of them, distinct
+                assert np.unique(tree.store.members).size == tree.store.members.size == s_size
 
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["default_budget", "one_leaf_groups"])

@@ -97,51 +97,47 @@ def test_store_mass_intervals_equal_per_curve(data):
 # one change to a valid curve each; those marked "ok" stay inside
 # StepSurvival's tolerances
 DEFECTS = {
-    "time_zero": lambda t, v, r: (np.r_[0.0, t[1:]], v, r),
-    "time_negative": lambda t, v, r: (np.r_[-1.0, t[1:]], v, r),
-    "time_nan": lambda t, v, r: (np.r_[t[:-1], np.nan], v, r),
-    "time_inf": lambda t, v, r: (np.r_[t[:-1], np.inf], v, r),
-    "time_repeated": lambda t, v, r: (np.r_[t[:1], t[:-1]], v, r),
-    "time_falling": lambda t, v, r: (t[::-1], v, r),
-    "value_below": lambda t, v, r: (t, np.r_[v[:-1], -2e-12], r),
-    "value_below_ok": lambda t, v, r: (t, np.r_[v[:-1], -5e-13], r),
-    "value_above": lambda t, v, r: (t, np.r_[1.0 + 2e-12, v[1:]], r),
-    "value_above_ok": lambda t, v, r: (t, np.r_[1.0 + 5e-13, v[1:]], r),
-    "value_nan": lambda t, v, r: (t, np.r_[v[:-1], np.nan], r),
-    "value_rising": lambda t, v, r: (t, np.r_[v[:-1], v[-2:-1] + 2e-12], r),
-    "value_rising_ok": lambda t, v, r: (t, np.r_[v[:-1], v[-2:-1] + 5e-13], r),
-    "rate_negative": lambda t, v, r: (t, v, -1.0),
-    "rate_inf": lambda t, v, r: (t, v, np.inf),
+    "time_zero": lambda t, v: (np.r_[0.0, t[1:]], v),
+    "time_negative": lambda t, v: (np.r_[-1.0, t[1:]], v),
+    "time_nan": lambda t, v: (np.r_[t[:-1], np.nan], v),
+    "time_inf": lambda t, v: (np.r_[t[:-1], np.inf], v),
+    "time_repeated": lambda t, v: (np.r_[t[:1], t[:-1]], v),
+    "time_falling": lambda t, v: (t[::-1], v),
+    "value_below": lambda t, v: (t, np.r_[v[:-1], -2e-12]),
+    "value_below_ok": lambda t, v: (t, np.r_[v[:-1], -5e-13]),
+    "value_above": lambda t, v: (t, np.r_[1.0 + 2e-12, v[1:]]),
+    "value_above_ok": lambda t, v: (t, np.r_[1.0 + 5e-13, v[1:]]),
+    "value_nan": lambda t, v: (t, np.r_[v[:-1], np.nan]),
+    "value_rising": lambda t, v: (t, np.r_[v[:-1], v[-2:-1] + 2e-12]),
+    "value_rising_ok": lambda t, v: (t, np.r_[v[:-1], v[-2:-1] + 5e-13]),
 }
 
 
 @st.composite
 def raw_curves(draw):
-    """Knot arrays as a model file may hold them: a valid curve of two or
-    more knots (or none), changed by at most one of DEFECTS."""
+    """Knot arrays of a tree leaf (no tail) as a model file may hold them:
+    a valid curve of two or more knots (or none), changed by at most one
+    of DEFECTS."""
     size = draw(st.sampled_from([0, 2, 3, 5]))
     times = np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=size, max_size=size)))
     values = -np.sort(-np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=size,
                                                 max_size=size)), dtype=float))
-    rate = draw(st.sampled_from([None, 0.0, 0.7]))
     defect = draw(st.sampled_from([None, None] + sorted(DEFECTS)))
     if defect is None or size == 0:
-        return np.asarray(times, dtype=float), values, rate
-    return DEFECTS[defect](times, values, rate)
+        return np.asarray(times, dtype=float), values
+    return DEFECTS[defect](times, values)
 
 
 def _checked_store(trees: list) -> LeafStore:
     """The LeafStore ``serialize`` reads from the leaf arrays of ``trees``,
-    each a list of (times, values, rate), checked in one pass: every
-    tree's curves, tree after tree."""
-    arrays = {name: [] for name in ("inbag",) + LEAF_ARRAYS}
+    each a list of (times, values), checked in one pass: every tree's
+    curves, tree after tree."""
+    arrays = {name: [] for name in LEAF_ARRAYS}
     for raw in trees:
         parts = {
-            "inbag": np.empty(0, dtype=np.int64),
-            "ltimes": np.concatenate([np.empty(0)] + [t for t, _, _ in raw]),
-            "lvalues": np.concatenate([np.empty(0)] + [v for _, v, _ in raw]),
-            "loffsets": np.cumsum([0] + [t.size for t, _, _ in raw]).astype(np.int64),
-            "lrates": np.asarray([np.nan if r is None else r for _, _, r in raw], dtype=float),
+            "ltimes": np.concatenate([np.empty(0)] + [t for t, _ in raw]),
+            "lvalues": np.concatenate([np.empty(0)] + [v for _, v in raw]),
+            "loffsets": np.cumsum([0] + [t.size for t, _ in raw]).astype(np.int64),
             "lmembers": np.empty(0, dtype=np.int64),
             "lmoffsets": np.zeros(len(raw) + 1, dtype=np.int64),
         }
@@ -160,7 +156,7 @@ def _checked_store(trees: list) -> LeafStore:
 @given(st.lists(raw_curves(), max_size=3), st.booleans())
 def test_store_checks_reject_what_step_survival_rejects(raw, two_trees):
     try:
-        want = [StepSurvival(t, v, tail_rate=r) for t, v, r in raw]
+        want = [StepSurvival(t, v) for t, v in raw]
     except InvariantViolation:
         want = None
     # in two trees, the first holds the first half of the curves
@@ -175,7 +171,7 @@ def test_store_checks_reject_what_step_survival_rejects(raw, two_trees):
     assert len(views) == len(want)
     for view, c in zip(views, want):
         assert np.array_equal(view.times, c.times) and np.array_equal(view.values, c.values)
-        assert view.tail_rate == c.tail_rate
+        assert view.tail_rate is None
 
 
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)

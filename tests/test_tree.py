@@ -261,9 +261,10 @@ class TestRouting:
 
     def test_dimension_mismatch(self):
         # the width check lives in predict, which routes queries to trees
-        tree, _ = self._two_leaf_tree()
+        tree, data = self._two_leaf_tree()
         fold = ForestFold.of(1, [tree])
-        model = IcrfModel(ForestParams(), ["x1"], TAU, 0.1, StepSurvival([], []), [fold], 1)
+        model = IcrfModel(ForestParams(), ["x1"], TAU, 0.1, StepSurvival([], []), [fold], 1,
+                          data.sha256())
         with pytest.raises(DimensionMismatch):
             predict(model, np.zeros((2, 2)), np.linspace(0.0, TAU, 11))
 
@@ -316,7 +317,7 @@ class TestLeafStore:
         fold = ForestFold.of(1, [tree])
         model = IcrfModel(ForestParams(tree=TreeParams(prediction=prediction)),
                           list(data.feature_names), data.tau, 0.3, StepSurvival([1.0], [0.0]),
-                          [fold], 1)
+                          [fold], 1, data.sha256())
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "m.bin")
             icrf.save_model(model, path)
